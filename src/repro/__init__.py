@@ -145,9 +145,8 @@ def autotune(
     section VI beta-cutoff procedure).  ``evaluator`` swaps the
     measurement backend (e.g. a
     :class:`repro.tuning.vectorized.VectorTrialEvaluator` for the batch
-    simulator core, or a :class:`repro.tuning.parallel.ParallelEvaluator`
-    for a process pool); every backend is bit-identical to the default
-    serial loop, so the winner does not depend on the choice.
+    simulator core); it is bit-identical to the default serial loop, so
+    the winner does not depend on the choice.
     """
     from repro.kernels.factory import make_kernel as _mk
     from repro.stencils.spec import symmetric as _sym

@@ -54,10 +54,9 @@ journal.  Its exit codes are stable: 0 success, 1 tuning failed (every
 tier exhausted or all configs quarantined), 2 bad ``--faults`` spec or
 unusable journal (missing, corrupt, or from a different session).
 ``--events`` streams the session's structured events
-(:mod:`repro.obs.events`) to a JSONL file — byte-identical at any
-``--jobs`` — and ``repro top`` follows that stream plus the journal
-live (or ``--json`` for scripts; exit 1 when the watched session
-crashed).  ``--metrics-out`` on ``tune`` and ``profile`` exports the
+(:mod:`repro.obs.events`) to a JSONL file, and ``repro top`` follows
+that stream plus the journal live (or ``--json`` for scripts; exit 1
+when the watched session crashed).  ``--metrics-out`` on ``tune`` and ``profile`` exports the
 run's metrics registry in Prometheus text exposition (``.prom`` /
 ``.txt``) or OTLP-style JSON (:mod:`repro.obs.export`).
 
@@ -258,60 +257,28 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if not robust:
         with _maybe_tracing(args) as tracer, _maybe_events(args), \
                 _maybe_archive(args, session=plain_session):
-            if args.jobs:
-                # Parallel batch engine: the tuners detect the
-                # batch-capable evaluator and hand it the whole config
-                # list; outcomes come back in input order, so the winner
-                # matches --jobs 1 (and the serial path) bit for bit.
-                from repro.tuning.exhaustive import exhaustive_tune
-                from repro.tuning.modelbased import model_based_tune
-                from repro.tuning.parallel import (
-                    FamilyKernelBuilder,
-                    ParallelEvaluator,
-                )
-                from repro.tuning.space import ParameterSpace
+            # Plain runs go through the vectorized batch simulator core:
+            # one NumPy pass over the deduplicated block classes instead
+            # of one scalar pipeline walk per config.  Bit-identical to
+            # the serial loop (the batch-identity gate in tools/check.py),
+            # so the winner and every tie-break are unchanged.
+            from repro.tuning.vectorized import VectorTrialEvaluator
 
-                device = get_device(args.device)
-                build = FamilyKernelBuilder(args.kernel, args.order, args.dtype)
-                space = (
-                    ParameterSpace(rx_values=(1,), ry_values=(1,))
-                    if args.no_register_blocking else None
+            evaluator = VectorTrialEvaluator(args.device)
+            if args.method == "model":
+                result = autotune(
+                    args.kernel, args.order, args.device,
+                    grid_shape=grid, dtype=args.dtype,
+                    method="model", beta=args.beta,
+                    evaluator=evaluator,
                 )
-                with ParallelEvaluator(device, jobs=args.jobs) as evaluator:
-                    if args.method == "model":
-                        result = model_based_tune(
-                            build, device, grid, beta=args.beta, space=space,
-                            evaluator=evaluator,
-                        )
-                    else:
-                        result = exhaustive_tune(
-                            build, device, grid, space, evaluator=evaluator
-                        )
-                log.info("tuned with %d worker(s)", evaluator.jobs)
             else:
-                # Plain in-process runs go through the vectorized batch
-                # simulator core: one NumPy pass over the deduplicated
-                # block classes instead of one scalar pipeline walk per
-                # config.  Bit-identical to the serial loop (the
-                # batch-identity gate in tools/check.py), so the winner
-                # and every tie-break are unchanged.
-                from repro.tuning.vectorized import VectorTrialEvaluator
-
-                evaluator = VectorTrialEvaluator(args.device)
-                if args.method == "model":
-                    result = autotune(
-                        args.kernel, args.order, args.device,
-                        grid_shape=grid, dtype=args.dtype,
-                        method="model", beta=args.beta,
-                        evaluator=evaluator,
-                    )
-                else:
-                    result = tune_family(
-                        args.kernel, args.order, args.device, dtype=args.dtype,
-                        grid=grid,
-                        register_blocking=not args.no_register_blocking,
-                        evaluator=evaluator,
-                    )
+                result = tune_family(
+                    args.kernel, args.order, args.device, dtype=args.dtype,
+                    grid=grid,
+                    register_blocking=not args.no_register_blocking,
+                    evaluator=evaluator,
+                )
         if args.json:
             import json
 
@@ -347,7 +314,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         + RobustTuningSession.default_session_key(device, grid, faults)
     )
     retries = 3 if args.retries is None else args.retries
-    session = None
     try:
         session = RobustTuningSession(
             device, grid,
@@ -357,7 +323,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             resume=args.resume,
             session_key=session_key,
             watchdog_cycles=args.watchdog,
-            jobs=args.jobs,
             events_path=args.events,
             archive_path=args.archive,
         )
@@ -372,9 +337,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     except TuningError as exc:
         log.error("tuning failed: %s", exc)
         return EXIT_TUNE_FAILED
-    finally:
-        if session is not None:
-            session.close()
     stats = sres.stats
     if args.json:
         import json
@@ -678,9 +640,7 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
 
     from repro.obs.regress import diff_baseline
 
-    report = diff_baseline(
-        args.baseline, tolerance=args.tolerance, jobs=args.jobs or 1
-    )
+    report = diff_baseline(args.baseline, tolerance=args.tolerance)
     if args.json:
         print(json.dumps(report.to_json_obj(), indent=1))
     else:
@@ -932,14 +892,10 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--trace", metavar="PATH",
                       help="write a Chrome trace of the whole sweep here "
                            "(one tune.trial span per evaluated config)")
-    tune.add_argument("--jobs", type=int, metavar="N",
-                      help="measure trials on N worker processes (clamped "
-                           "to the core count); the winner is bit-identical "
-                           "at any N")
     tune.add_argument("--events", metavar="PATH",
                       help="stream structured events (repro.obs.events "
-                           "JSONL) here; byte-identical at any --jobs, "
-                           "tailed live by 'repro top --events'")
+                           "JSONL) here, tailed live by 'repro top "
+                           "--events'")
     tune.add_argument("--metrics-out", metavar="PATH",
                       help="export the run's metrics registry here "
                            "(.prom/.txt: Prometheus exposition; else "
@@ -948,8 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the per-trial decision-provenance "
                            "archive (repro.obs.archive JSONL: rate, model "
                            "prediction, estimate, counters, disposition) "
-                           "here; byte-identical at any --jobs, read by "
-                           "'repro explain'")
+                           "here, read by 'repro explain'")
     tune.add_argument("--json", action="store_true",
                       help="print the full ranked result as JSON (every "
                            "entry with its predicted score and "
@@ -1129,9 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bdiff.add_argument("--json", action="store_true",
                        help="machine-readable diff on stdout")
-    bdiff.add_argument("--jobs", type=int, metavar="N",
-                       help="resimulate records on N worker processes "
-                            "(records are independent; order preserved)")
     bdiff.set_defaults(func=_cmd_bench_diff)
 
     sc = sub.add_parser("scaling", help="multi-GPU slab scaling cost model")

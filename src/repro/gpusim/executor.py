@@ -54,13 +54,9 @@ class DeviceExecutor:
         :class:`repro.errors.KernelHangError` — the per-trial timeout the
         resilient tuning session leans on.  Overrides the plan's own
         ``watchdog_cycles`` when both are set.
-    fault_stream:
-        Name of the fault-plan stream this executor draws launches from
-        (default: the shared ``"launch"`` stream).  The parallel tuning
-        engine gives every configuration its own stream, so the fault
-        schedule a config sees is a pure function of the config — not of
-        how trials happened to interleave across workers — which is what
-        makes a fault storm reproducible at any ``--jobs`` count.
+
+    Every launch draws its fault event from the plan's shared
+    ``"launch"`` stream, in launch order.
     """
 
     def __init__(
@@ -69,13 +65,11 @@ class DeviceExecutor:
         params: TimingParams | None = None,
         faults: FaultPlan | None = None,
         watchdog_cycles: float | None = None,
-        fault_stream: str = STREAM_LAUNCH,
     ) -> None:
         self.device = get_device(device) if isinstance(device, str) else device
         self.params = params
         self.faults = faults
         self.watchdog_cycles = watchdog_cycles
-        self.fault_stream = fault_stream
         if watchdog_cycles is None and faults is not None:
             self.watchdog_cycles = faults.watchdog_cycles
 
@@ -95,7 +89,7 @@ class DeviceExecutor:
         event = None
         if self.faults is not None:
             event = self.faults.event_for(
-                self.faults.next_index(self.fault_stream), self.fault_stream
+                self.faults.next_index(STREAM_LAUNCH), STREAM_LAUNCH
             )
         if event is not None and event.kind == KIND_LAUNCH_FAILURE:
             observe_fault(tracer, event, kernel=plan.name)

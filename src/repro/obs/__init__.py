@@ -33,7 +33,6 @@ from repro.obs.events import (
     MemoryEventSink,
     TeeEventSink,
     current_sink,
-    disable_events_in_process,
     emit,
     event_stream,
     read_events,
@@ -140,7 +139,6 @@ __all__ = [
     "MemoryEventSink",
     "TeeEventSink",
     "current_sink",
-    "disable_events_in_process",
     "emit",
     "event_stream",
     "read_events",

@@ -14,14 +14,13 @@ One archived record per evaluated configuration carries
 * the full derived :class:`~repro.obs.counters.CounterSet` the config
   would exhibit on a clean launch.
 
-Everything beyond the outcome is **re-derived in the parent, at capture
-time, from the plan alone**: counters, predictions and estimates are
-pure functions of ``(plan, device, grid)`` (fault injection perturbs
-measurement, never the derivations), so an archived record is identical
-whether the measurement ran inline, in a pool worker, or was replayed
-from a resume journal.  That is what makes the archive file
-byte-identical at ``--jobs 1`` and ``--jobs 4`` — the same determinism
-contract the journal and the event stream already keep.
+Everything beyond the outcome is **re-derived at capture time from the
+plan alone**: counters, predictions and estimates are pure functions of
+``(plan, device, grid)`` (fault injection perturbs measurement, never
+the derivations), so an archived record is identical whether the
+measurement ran live or was replayed from a resume journal.  Two runs of
+the same campaign therefore write byte-identical archives — the same
+determinism contract the journal and the event stream already keep.
 
 The write discipline matches both of them: JSONL, line 1 a header
 binding the file to the schema version and an optional session key, one
@@ -304,18 +303,6 @@ def archive_stream(archive: TrialArchive) -> Iterator[TrialArchive]:
         yield archive
     finally:
         _ACTIVE.reset(token)
-
-
-def disable_archive_in_process() -> None:
-    """Force archiving off in this process (pool-worker initializer hook).
-
-    Forked workers inherit the parent's archive through the contextvar;
-    an fsync'd file appended from several processes at once would
-    interleave nondeterministically.  Workers therefore never capture —
-    the search loops capture in the parent, in input order, from the
-    collected outcomes (mirrors ``disable_events_in_process``).
-    """
-    _ACTIVE.set(None)
 
 
 # -- reading an archive back -------------------------------------------------

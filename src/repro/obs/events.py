@@ -16,20 +16,14 @@ Design contracts, in decreasing order of importance:
    ``tests/test_obs_events.py::test_disabled_overhead``).  ``faults=None``
    plus no sink means zero perturbation of any simulated number —
    ``repro bench diff`` stays bit-identical with the event layer merged.
-2. **Determinism.**  Events carry no wall-clock timestamps, pids or
-   worker identities — only a per-sink sequence number and payload
-   fields that are pure functions of the (seeded) campaign.  Trial-plane
-   events are derived from completed
-   :class:`~repro.tuning.evaluator.TrialOutcome` records and emitted by
-   the search loops **in input order**, never live from worker
-   processes, so the stream file of a ``--jobs 4`` storm campaign is
-   byte-identical to the ``--jobs 1`` one — the same guarantee the
-   PR 5 journal gives, extended to telemetry.
-3. **Volatile events stay out of the stream.**  Engine-plane events
-   (pool lifecycle, worker chunk completions) are real telemetry but not
-   deterministic across job counts; the catalog marks them
-   ``volatile`` and the JSONL sink drops them by default.  The flight
-   recorder keeps them: crash forensics wants exactly that layer.
+2. **Determinism.**  Events carry no wall-clock timestamps or pids —
+   only a per-sink sequence number and payload fields that are pure
+   functions of the (seeded) campaign.  Trial-plane events are derived
+   from completed :class:`~repro.tuning.evaluator.TrialOutcome` records
+   and emitted by the search loops **in input order**, never live from
+   inside a measurement, so two runs of the same storm campaign write
+   byte-identical stream files — the same guarantee the journal gives,
+   extended to telemetry.
 
 The stream file is JSONL: line 1 is a header binding the stream to the
 schema version and session key; every further line is one event object
@@ -67,18 +61,14 @@ class EventSchemaError(ValueError):
 class EventSpec:
     """One catalog entry: an event name and its contract.
 
-    ``volatile`` events describe engine internals (pool lifecycle,
-    worker chunks) that legitimately differ between job counts; they are
-    excluded from persistent streams by default so the stream keeps the
-    jobs-count byte-identity guarantee.  ``fields`` documents the
-    payload keys an emitter is expected to provide (extra keys are
-    allowed; the catalog is a floor, not a straitjacket).
+    ``fields`` documents the payload keys an emitter is expected to
+    provide (extra keys are allowed; the catalog is a floor, not a
+    straitjacket).
     """
 
     name: str
     doc: str
     fields: tuple[str, ...] = ()
-    volatile: bool = False
 
 
 #: The event catalog (mirrored as a table in docs/OBSERVABILITY.md).
@@ -142,14 +132,6 @@ EVENT_SPECS: tuple[EventSpec, ...] = (
               "published", ("step",)),
     EventSpec("cluster.checkpoint.restored", "a campaign resumed from a "
               "snapshot", ("step",)),
-    # -- engine plane (repro.tuning.parallel; volatile) --------------------
-    EventSpec("pool.start", "a worker pool forked",
-              ("workers",), volatile=True),
-    EventSpec("pool.dispatch", "a batch was chunked across the pool",
-              ("tasks", "configs"), volatile=True),
-    EventSpec("pool.chunk", "one worker chunk completed",
-              ("worker", "configs"), volatile=True),
-    EventSpec("pool.stop", "the worker pool was torn down", (), volatile=True),
 )
 
 EVENT_CATALOG: dict[str, EventSpec] = {spec.name: spec for spec in EVENT_SPECS}
@@ -168,11 +150,6 @@ class Event:
     name: str
     seq: int
     fields: tuple[tuple[str, Any], ...] = ()
-
-    @property
-    def volatile(self) -> bool:
-        spec = EVENT_CATALOG.get(self.name)
-        return spec.volatile if spec is not None else False
 
     def to_obj(self) -> dict[str, Any]:
         obj: dict[str, Any] = {"event": self.name, "seq": self.seq}
@@ -219,15 +196,11 @@ def validate_event(obj: Any, *, path: str = "$") -> Event:
 
 
 class EventSink:
-    """Base sink: assigns sequence numbers and filters volatile events.
+    """Base sink: checks the catalog and assigns sequence numbers.
 
     Subclasses implement :meth:`write`; :meth:`emit` is the entry point
-    the instrumentation helpers call.  ``include_volatile`` decides
-    whether engine-plane events reach :meth:`write` (persistent streams
-    say no, the flight recorder says yes).
+    the instrumentation helpers call.
     """
-
-    include_volatile = False
 
     def __init__(self) -> None:
         self._seq = 0
@@ -236,8 +209,6 @@ class EventSink:
         spec = EVENT_CATALOG.get(name)
         if spec is None:
             raise EventSchemaError(f"cannot emit uncatalogued event {name!r}")
-        if spec.volatile and not self.include_volatile:
-            return None
         event = Event(
             name=name, seq=self._seq, fields=tuple(sorted(fields.items()))
         )
@@ -255,9 +226,8 @@ class EventSink:
 class MemoryEventSink(EventSink):
     """In-memory sink (tests and programmatic consumers)."""
 
-    def __init__(self, *, include_volatile: bool = False) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.include_volatile = include_volatile
         self.events: list[Event] = []
 
     def write(self, event: Event) -> None:
@@ -269,24 +239,15 @@ class JsonlEventSink(EventSink):
 
     Line 1 is a header binding the stream to the schema version and an
     optional session key; each further line is one event with sorted
-    keys.  The write discipline matches the PR 4 journal: a killed
+    keys.  The write discipline matches the trial journal: a killed
     process leaves at most one torn final line, and everything before it
-    is durable.  Volatile events are dropped (see the module doc) unless
-    ``include_volatile`` is set — doing that forfeits the jobs-count
-    byte-identity of the file.
+    is durable.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        session: str | None = None,
-        include_volatile: bool = False,
-    ) -> None:
+    def __init__(self, path: str | Path, *, session: str | None = None) -> None:
         super().__init__()
         self.path = Path(path)
         self.session = session
-        self.include_volatile = include_volatile
         self.path.parent.mkdir(parents=True, exist_ok=True)
         header: dict[str, Any] = {
             "stream": _STREAM_TOOL,
@@ -312,13 +273,9 @@ class JsonlEventSink(EventSink):
 class TeeEventSink(EventSink):
     """Fan one emission out to several sinks.
 
-    Each child keeps its own sequence counter and volatile filter, so a
-    persistent stream and a flight recorder can share the emission
-    points without sharing a policy.
+    Each child keeps its own sequence counter, so a persistent stream and
+    a flight recorder can share the emission points.
     """
-
-    #: The tee itself accepts everything; children filter individually.
-    include_volatile = True
 
     def __init__(self, sinks: list[EventSink]) -> None:
         super().__init__()
@@ -342,14 +299,11 @@ class TeeEventSink(EventSink):
 class FlightRecorder(EventSink):
     """Bounded ring buffer of recent events — the crash forensics plane.
 
-    Keeps the last ``capacity`` events (volatile ones included: pool
-    lifecycle is exactly what a hang post-mortem needs) and dumps them
-    as a JSON crash report on demand.  Wired through
+    Keeps the last ``capacity`` events and dumps them as a JSON crash
+    report on demand.  Wired through
     :class:`repro.tuning.robust.RobustTuningSession`, which dumps on any
     unhandled error escaping the campaign.
     """
-
-    include_volatile = True
 
     def __init__(self, capacity: int = 256) -> None:
         super().__init__()
@@ -426,29 +380,15 @@ def suppress_events() -> Iterator[None]:
     """Silence event emission for the ``with`` body.
 
     Used around trial *measurement* (the resilient evaluator's inner
-    call, the parallel engine's per-trial pipeline): trial-plane events
+    call, the batch evaluator's plan construction): trial-plane events
     are derived from the finished outcome by the search loop, so live
-    emission from inside a measurement would double-report in serial
-    runs and vanish in pooled ones — suppression is what makes the
-    stream independent of where the measurement ran.
+    emission from inside a measurement would double-report.
     """
     token = _ACTIVE.set(None)
     try:
         yield
     finally:
         _ACTIVE.reset(token)
-
-
-def disable_events_in_process() -> None:
-    """Force events off in this process (pool-worker initializer hook).
-
-    The parallel engine's forked workers inherit the parent's sink
-    through the contextvar; an fsync'd stream appended from four
-    processes at once would interleave nondeterministically, so workers
-    emit nothing and the parent derives their events from the collected
-    outcomes (mirrors ``disable_tracing_in_process``).
-    """
-    _ACTIVE.set(None)
 
 
 def emit(name: str, **fields: Any) -> Event | None:

@@ -3,8 +3,7 @@
 Everything here is a pure function of a parsed trial archive
 (:mod:`repro.obs.archive`), so the explain output inherits the archive's
 determinism contract for free: same archive bytes in, same report,
-landscape and calibration bytes out, regardless of how many jobs
-produced the archive.
+landscape and calibration bytes out.
 
 Three products, matching the three questions a tuning run leaves open:
 

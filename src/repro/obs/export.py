@@ -19,18 +19,14 @@ the ``tools/check.py`` events-lint step parse the exposition back.
 
 Service-shaped gauges
 ---------------------
-The instrumented engines maintain four service-level gauges in the
+The instrumented engines maintain two service-level gauges in the
 active tracer's registry (no-ops when tracing is off), sized for the
 future ``repro serve`` daemon's scrape endpoint:
 
-* ``tune.inflight`` — configurations currently dispatched for
-  measurement (:mod:`repro.tuning.parallel`);
 * ``tune.quarantined`` — configurations the resilient ladder has given
   up on so far (:mod:`repro.tuning.robust`);
 * ``cache.hit_ratio`` — hits / lookups of one
-  :class:`~repro.tuning.cache.TuningCache` instance;
-* ``pool.workers_alive`` — current worker-pool size
-  (:mod:`repro.tuning.parallel`).
+  :class:`~repro.tuning.cache.TuningCache` instance.
 """
 
 from __future__ import annotations
@@ -44,12 +40,7 @@ from typing import Any
 from repro.obs.metrics import HISTOGRAM_PERCENTILES, MetricsRegistry
 
 #: The service-level gauge names above (documented export surface).
-SERVICE_GAUGES: tuple[str, ...] = (
-    "tune.inflight",
-    "tune.quarantined",
-    "cache.hit_ratio",
-    "pool.workers_alive",
-)
+SERVICE_GAUGES: tuple[str, ...] = ("tune.quarantined", "cache.hit_ratio")
 
 #: Model-calibration gauges set by ``repro explain`` (per-model Spearman
 #: rank correlation of predicted vs measured rates, and top-k regret —

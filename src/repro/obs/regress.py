@@ -20,16 +20,11 @@ report either way).
 from __future__ import annotations
 
 import ast
-import logging
-import multiprocessing
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.obs.telemetry import TelemetryRecord, load_profile, record_from_report
-
-log = logging.getLogger(__name__)
 
 #: Explanatory fields compared per record, beyond the headline rate.
 _EXPLAIN_FIELDS = ("total_cycles", "gflops", "load_efficiency", "occupancy")
@@ -251,58 +246,10 @@ def diff_record(
     )
 
 
-def _diff_task(task: tuple[TelemetryRecord, float]) -> RecordDiff | str:
-    """Worker body for ``diff_baseline(jobs>1)``; must stay module-level."""
-    record, tolerance = task
-    return diff_record(record, tolerance)
-
-
-def _worker_init() -> None:
-    from repro.obs.tracer import disable_tracing_in_process
-
-    disable_tracing_in_process()
-
-
-def _resolve_jobs(jobs: int, n_tasks: int) -> int:
-    cap = os.cpu_count() or 1
-    env = os.environ.get("REPRO_JOBS_CAP")
-    if env:
-        try:
-            cap = max(cap, int(env))
-        except ValueError:
-            pass
-    return max(1, min(jobs, cap, n_tasks))
-
-
-def _diff_records(
-    comparable: list[TelemetryRecord], tolerance: float, jobs: int
-) -> list[RecordDiff | str]:
-    """Diff records in input order, optionally on a fork pool.
-
-    Records are independent and the simulator is deterministic, so the
-    result is identical at any job count; ``pool.map`` preserves order.
-    Any pool failure degrades to the in-process path, which resimulates
-    through the vectorized batch engine — bit-identical to the scalar
-    resimulation (the ``batch-identity`` gate), one NumPy pass per
-    device instead of one pipeline walk per record.
-    """
-    jobs = _resolve_jobs(jobs, len(comparable))
-    if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
-        tasks = [(record, tolerance) for record in comparable]
-        try:
-            with multiprocessing.get_context("fork").Pool(
-                jobs, initializer=_worker_init
-            ) as pool:
-                return pool.map(_diff_task, tasks, chunksize=1)
-        except Exception as exc:  # noqa: BLE001 - degrade, don't die
-            log.warning("worker pool failed (%s); diffing serially", exc)
-    return _diff_records_batched(comparable, tolerance)
-
-
 def _diff_records_batched(
     comparable: list[TelemetryRecord], tolerance: float
 ) -> list[RecordDiff | str]:
-    """The in-process diff: batched resimulation, grouped per device.
+    """Diff records in input order: batched resimulation, grouped per device.
 
     Classification parity with :func:`diff_record` is per record: any
     stage that the scalar path would catch — plan rebuild, device lookup,
@@ -356,15 +303,8 @@ def _diff_records_batched(
     return results  # type: ignore[return-value]
 
 
-def diff_baseline(
-    path: str | Path, tolerance: float = 0.0, jobs: int = 1
-) -> DiffReport:
-    """Resimulate every record of a baseline document and diff it.
-
-    ``jobs`` fans the per-record resimulations out to that many worker
-    processes (clamped to the core count unless ``REPRO_JOBS_CAP`` raises
-    it); the report is identical at any value.
-    """
+def diff_baseline(path: str | Path, tolerance: float = 0.0) -> DiffReport:
+    """Resimulate every record of a baseline document and diff it."""
     records = load_profile(path)
     diffs: list[RecordDiff] = []
     errors: list[str] = []
@@ -378,7 +318,7 @@ def diff_baseline(
             skipped += 1
             continue
         comparable.append(record)
-    for result in _diff_records(comparable, tolerance, jobs):
+    for result in _diff_records_batched(comparable, tolerance):
         if isinstance(result, str):
             errors.append(result)
         elif result.changed:

@@ -42,10 +42,6 @@ CAT_CLI = "cli"                      #: CLI command scope (host)
 #: after the v2 freeze as a pure extension: traces without faults are
 #: byte-identical to pre-fault v2 traces, so no version bump.
 CAT_SIM_FAULT = "sim.fault"
-#: One worker's chunk of a parallel tuning sweep (host track, one
-#: ``worker:<n>`` lane per pool worker; see ``repro.tuning.parallel``).
-#: Pure extension like ``sim.fault``: serial traces are unchanged.
-CAT_TUNE_WORKER = "tune.worker"
 
 CATEGORIES = frozenset({
     CAT_SIM_KERNEL,
@@ -55,7 +51,6 @@ CATEGORIES = frozenset({
     CAT_SIM_FAULT,
     CAT_TUNE_RUN,
     CAT_TUNE_TRIAL,
-    CAT_TUNE_WORKER,
     CAT_HARNESS,
     CAT_CLI,
 })

@@ -86,14 +86,6 @@ class Tracer:
     def _now_us(self) -> float:
         return (time.perf_counter() - self._t0) * 1e6
 
-    def now_us(self) -> float:
-        """Microseconds since trace start (the host track's clock).
-
-        Public so callers stitching in externally timed intervals
-        (:meth:`host_span_at`) can anchor them to this trace's origin.
-        """
-        return self._now_us()
-
     @contextmanager
     def span(self, name: str, cat: str, **args: Any) -> Iterator[Span]:
         """Record a wall-clock span around a ``with`` body.
@@ -119,24 +111,6 @@ class Tracer:
             name=name, cat=cat, track=HOST_TRACK, tid="main",
             begin=self._now_us(), dur=0.0, depth=self._host_depth,
             args=args, instant=True,
-        )
-        self.spans.append(sp)
-        return sp
-
-    def host_span_at(
-        self, name: str, cat: str, tid: str, begin_us: float, dur_us: float,
-        **args: Any,
-    ) -> Span:
-        """Record a host-track span at an explicit interval and lane.
-
-        Used for work that happened *outside* this process — the parallel
-        tuning engine replays each worker's chunk timings onto a
-        ``worker:<n>`` lane after the pool joins (a forked worker cannot
-        append to the parent's tracer directly).
-        """
-        sp = Span(
-            name=name, cat=cat, track=HOST_TRACK, tid=tid,
-            begin=max(0.0, begin_us), dur=max(0.0, dur_us), args=args,
         )
         self.spans.append(sp)
         return sp
@@ -195,7 +169,7 @@ def current_tracer() -> Tracer | None:
 def set_gauge(name: str, value: float) -> None:
     """Set a gauge on the active tracer's registry (no-op when untraced).
 
-    The service-gauge hook (``tune.inflight``, ``cache.hit_ratio``, ...):
+    The service-gauge hook (``tune.quarantined``, ``cache.hit_ratio``, ...):
     the engines call this at state transitions and the cost with tracing
     off stays one contextvar lookup, preserving the disabled-path bound.
     """
@@ -213,17 +187,6 @@ def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
         yield tracer
     finally:
         _ACTIVE.reset(token)
-
-
-def disable_tracing_in_process() -> None:
-    """Force tracing off in this process (pool-worker initializer hook).
-
-    A forked worker inherits the parent's active tracer through the
-    contextvar; spans it would record die with the worker, so the
-    parallel engine disables tracing up front and the parent re-emits
-    worker timings itself (:meth:`Tracer.host_span_at`).
-    """
-    _ACTIVE.set(None)
 
 
 def maybe_span(

@@ -11,11 +11,10 @@
   simulator, return the best measured one.
 * :mod:`repro.tuning.evaluator` — the per-trial measurement seam shared
   by all tuners.
+* :mod:`repro.tuning.vectorized` — the batch evaluator over the
+  vectorized simulator core, behind plain ``repro tune`` runs.
 * :mod:`repro.tuning.robust` — crash-safe, self-healing tuning sessions:
   retries, per-config quarantine, resume journal, graceful degradation.
-* :mod:`repro.tuning.parallel` — the process-pool batch engine behind
-  ``repro tune --jobs N``: deterministic chunked dispatch with
-  per-config fault streams.
 """
 
 from repro.tuning.space import ParameterSpace, default_space
@@ -27,7 +26,6 @@ from repro.tuning.evaluator import (
     TrialOutcome,
     batch_capable,
 )
-from repro.tuning.parallel import FamilyKernelBuilder, ParallelEvaluator
 from repro.tuning.vectorized import VectorTrialEvaluator
 from repro.tuning.exhaustive import exhaustive_tune
 from repro.tuning.perfmodel import PaperModel, ModelInputs
@@ -52,8 +50,6 @@ __all__ = [
     "batch_capable",
     "TrialOutcome",
     "SimTrialEvaluator",
-    "ParallelEvaluator",
-    "FamilyKernelBuilder",
     "VectorTrialEvaluator",
     "exhaustive_tune",
     "PaperModel",

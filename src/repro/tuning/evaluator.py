@@ -86,8 +86,8 @@ def emit_trial_events(outcome: TrialOutcome) -> None:
     narrates": the loops call this **in input order** after a trial
     completes, never live from inside a measurement (which runs under
     :func:`repro.obs.events.suppress_events`).  The stream is thereby a
-    pure function of the outcome sequence — byte-identical at any
-    ``--jobs`` count, and its counts match the journal by construction.
+    pure function of the outcome sequence, and its counts match the
+    journal by construction.
 
     A replayed outcome emits only ``trial.replayed``: the work it
     describes happened (and was streamed) in the session that journaled
@@ -131,13 +131,12 @@ def record_trial(
     """Narrate one finished trial: events plus the provenance archive.
 
     The one call the search loops make per completed outcome, **in input
-    order, in the parent**.  It emits the trial-plane events
+    order**.  It emits the trial-plane events
     (:func:`emit_trial_events`) and, when a
     :class:`repro.obs.archive.TrialArchive` is installed and the plan
     context (``build`` / ``device`` / ``grid_shape``) was provided,
     derives and appends the config's archive record.  Both planes are
-    pure functions of the outcome sequence plus the plan, so everything
-    written is byte-identical at any ``--jobs`` count; with neither a
+    pure functions of the outcome sequence plus the plan; with neither a
     sink nor an archive installed the call is two contextvar lookups.
 
     ``predicted`` forwards a model score the tuner already computed
@@ -190,11 +189,8 @@ class BatchTrialEvaluator(TrialEvaluator, Protocol):
     :data:`STATUS_REJECTED_STATIC` outcomes instead of being silently
     dropped).  Deterministic ordering is the contract that keeps a
     batched sweep's winner and tie-breaks bit-identical to the serial
-    loop.  ``jobs`` reports the resolved worker count for
-    ``TuneResult.info``.
+    loop.
     """
-
-    jobs: int
 
     def measure_batch(
         self,
@@ -211,7 +207,7 @@ def batch_capable(evaluator: TrialEvaluator) -> "BatchTrialEvaluator | None":
 
     The tuners' feature probe: a plain evaluator keeps the historical
     one-config-at-a-time loop; a batch-capable one (e.g.
-    :class:`repro.tuning.parallel.ParallelEvaluator`) gets the whole
+    :class:`repro.tuning.vectorized.VectorTrialEvaluator`) gets the whole
     config list in one call.
     """
     if hasattr(evaluator, "measure_batch"):

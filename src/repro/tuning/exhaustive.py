@@ -68,7 +68,7 @@ def evaluate_configs(
             build=build, device=device, grid_shape=grid_shape,
         )
         if stats is not None:
-            stats["jobs"] = batch.jobs
+            stats["jobs"] = 1
         return entries
     tracer = current_tracer()
     entries: list[TuneEntry] = []
@@ -125,8 +125,8 @@ def evaluate_configs(
         stats["rejected_simulated"] = rejected_simulated
         if quarantined:
             stats["quarantined"] = quarantined
-        # One inline worker: keep the stats shape identical to the batch
-        # path so archives/JSON output don't change with the backend.
+        # Same stats shape as the batch path, so archives/JSON output
+        # don't change with the backend.
         stats["jobs"] = 1
     return entries
 
@@ -144,9 +144,9 @@ def _collect_outcomes(
 
     Emits the identical instants/spans/metric counters the serial loop
     emits (trial spans are near-zero here — the measurement already
-    happened in the workers, whose wall-clock lives on the
-    ``tune.worker`` lanes) and tallies the same stats, so the entry list
-    and every counter are independent of which path produced them.
+    happened inside ``measure_batch``) and tallies the same stats, so the
+    entry list and every counter are independent of which path produced
+    them.
     """
     tracer = current_tracer()
     entries: list[TuneEntry] = []

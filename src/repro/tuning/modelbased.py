@@ -103,13 +103,13 @@ def model_based_tune(
                 shortlist, outcomes, stats,
                 build=build, device=device, grid_shape=grid_shape,
             )
-            stats["jobs"] = batch.jobs
+            stats["jobs"] = 1
         else:
             entries = _measure_shortlist_serial(
                 build, shortlist, device, grid_shape, ev, stats
             )
-            # One inline worker: stats keep the batch-path shape so
-            # archives/JSON output don't change with the backend.
+            # Same stats shape as the batch path, so archives/JSON output
+            # don't change with the backend.
             stats["jobs"] = 1
         if run_span is not None:
             run_span.args.update(
@@ -200,8 +200,9 @@ def _collect_shortlist(
     """Batch-path bookkeeping over pre-measured shortlist outcomes.
 
     Same classification, tracing and stats as the serial loop (trial
-    spans are near-zero; worker wall-clock lives on the ``tune.worker``
-    lanes), so entries — and the winner — are path-independent.
+    spans are near-zero; the measurement happened inside
+    ``measure_batch``), so entries — and the winner — are
+    path-independent.
     """
     tracer = current_tracer()
     entries: list[TuneEntry] = []

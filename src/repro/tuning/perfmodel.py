@@ -212,8 +212,9 @@ class PaperModel:
         Vectorized Eqns (6)-(14): every elementwise operation mirrors
         :meth:`predict` in the identical order, so the returned float64
         array is **bit-identical** to calling the scalar path per input
-        (pinned by ``tests/test_tuning_parallel.py`` and the degenerate
-        sweep in ``tests/test_tuning_perfmodel.py``) — the model-based
+        (pinned by the default-space and degenerate-row sweeps of
+        ``TestPredictBatchIdentity`` in ``tests/test_tuning_perfmodel.py``)
+        — the model-based
         tuner's shortlist, and hence its winner, cannot move between the
         two front-ends.  Unlaunchable configurations (no resident block)
         score 0.0 exactly as the scalar path does; their rows are

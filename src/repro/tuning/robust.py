@@ -74,7 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpusim.faults import FaultPlan
     from repro.gpusim.workload import BlockWorkload
     from repro.kernels.base import KernelPlan
-    from repro.tuning.parallel import ParallelEvaluator
     from repro.tuning.space import ParameterSpace
 
 logger = logging.getLogger("repro.tuning.robust")
@@ -341,12 +340,10 @@ class ResilientEvaluator:
                 self._backoff(key, attempts - 1)
             attempts += 1
             try:
-                # Events are silenced across the measurement: fault
-                # instants fired mid-attempt would be emitted live in a
-                # serial run but lost in a pooled one.  The search loop
-                # derives them from the finished outcome instead
-                # (emit_trial_events), keeping the stream identical
-                # wherever the measurement ran.
+                # Events are silenced across the measurement: the search
+                # loop derives fault instants from the finished outcome
+                # instead (emit_trial_events), so each trial is narrated
+                # once, in input order.
                 with suppress_events():
                     outcome = self.inner.measure(cfg, plan, grid_shape, block)
             except (FaultInjectedError, KernelHangError) as exc:
@@ -465,17 +462,6 @@ class RobustTuningSession:
         vary more than that (the CLI prepends family/order/dtype).
     prefilter / watchdog_cycles:
         Forwarded to the underlying executor/evaluator.
-    jobs:
-        ``None`` (default) keeps the historical serial
-        :class:`ResilientEvaluator` — shared fault stream, bit-identical
-        to every prior release.  An integer swaps in a
-        :class:`repro.tuning.parallel.ParallelEvaluator` with that many
-        workers (clamped to the core count): per-config fault streams,
-        batch dispatch, journal serialized through the parent.  Note
-        ``jobs=1`` therefore matches ``jobs=4``, not ``jobs=None``.
-    worker_cap:
-        Override for the parallel engine's core-count clamp (tests and
-        benches on small machines); ignored when ``jobs`` is ``None``.
     events_path:
         Where to stream structured events
         (:class:`repro.obs.events.JsonlEventSink`, tailed by
@@ -487,8 +473,7 @@ class RobustTuningSession:
         (:class:`repro.obs.archive.TrialArchive`: measured rate, model
         prediction, codegen-time estimate, derived counters and
         disposition per evaluated config — what ``repro explain``
-        reads).  Captured by the search loops in the parent in input
-        order, so the file is byte-identical at any ``jobs`` count;
+        reads).  Captured by the search loops in input order;
         ``None`` (default) keeps archiving off at zero perturbation.
     crash_report_path:
         Where the flight recorder dumps its ring of recent events when
@@ -512,8 +497,6 @@ class RobustTuningSession:
         session_key: str | None = None,
         prefilter: bool = True,
         watchdog_cycles: float | None = None,
-        jobs: int | None = None,
-        worker_cap: int | None = None,
         events_path: str | Path | None = None,
         archive_path: str | Path | None = None,
         crash_report_path: str | Path | None = None,
@@ -553,44 +536,14 @@ class RobustTuningSession:
                 self.journal = TrialJournal.create(journal_path, session_key)
         elif resume:
             raise JournalError("resume requested without a journal path")
-        self.evaluator: "ResilientEvaluator | ParallelEvaluator"
-        if jobs is None:
-            executor = DeviceExecutor(
-                self.device, faults=faults, watchdog_cycles=watchdog_cycles
-            )
-            self.evaluator = ResilientEvaluator(
-                SimTrialEvaluator(
-                    self.device, prefilter=prefilter, executor=executor
-                ),
-                policy=policy,
-                journal=self.journal,
-            )
-        else:
-            # Deferred import: parallel.py imports this module.
-            from repro.tuning.parallel import ParallelEvaluator
-
-            self.evaluator = ParallelEvaluator(
-                self.device,
-                jobs=jobs,
-                prefilter=prefilter,
-                faults=faults,
-                watchdog_cycles=watchdog_cycles,
-                policy=policy,
-                journal=self.journal,
-                worker_cap=worker_cap,
-            )
-
-    def close(self) -> None:
-        """Release pooled resources (no-op for a serial session)."""
-        closer = getattr(self.evaluator, "close", None)
-        if closer is not None:
-            closer()
-
-    def __enter__(self) -> "RobustTuningSession":
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self.close()
+        executor = DeviceExecutor(
+            self.device, faults=faults, watchdog_cycles=watchdog_cycles
+        )
+        self.evaluator = ResilientEvaluator(
+            SimTrialEvaluator(self.device, prefilter=prefilter, executor=executor),
+            policy=policy,
+            journal=self.journal,
+        )
 
     @staticmethod
     def default_session_key(

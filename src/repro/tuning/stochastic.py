@@ -93,11 +93,8 @@ def stochastic_tune(
     the walk itself deterministic under fault storms.
 
     The walk is inherently sequential — each step's candidate depends on
-    the previous measurement — so a batch-capable evaluator
-    (``repro.tuning.parallel``) is driven one config at a time; its
-    per-config fault streams still make the walk identical at any
-    ``jobs`` count, and the resolved worker count is echoed in
-    ``info["jobs"]``.
+    the previous measurement — so even a batch-capable evaluator is
+    driven one config at a time.
     """
     if budget < 1:
         raise TuningError(f"budget must be >= 1, got {budget}")
@@ -221,15 +218,11 @@ def stochastic_tune(
             reverse=True,
         )
     )
-    info: dict[str, Any] = dict(stats)
-    jobs = getattr(evaluator, "jobs", None)
-    if jobs is not None:
-        info["jobs"] = jobs
     return TuneResult(
         best=entries[0],
         entries=entries,
         evaluated=len(entries),
         space_size=len(configs),
         method="stochastic",
-        info=info,
+        info=dict(stats),
     )

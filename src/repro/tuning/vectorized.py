@@ -1,10 +1,9 @@
 """In-process vectorized trial evaluator over the batch simulator core.
 
-:class:`VectorTrialEvaluator` is the third measurement backend next to
+:class:`VectorTrialEvaluator` is the batch measurement backend next to
 :class:`~repro.tuning.evaluator.SimTrialEvaluator` (one scalar launch
-per call) and :class:`~repro.tuning.parallel.ParallelEvaluator` (process
-pool).  It implements the same
-:class:`~repro.tuning.evaluator.BatchTrialEvaluator` protocol but
+per call).  It implements the
+:class:`~repro.tuning.evaluator.BatchTrialEvaluator` protocol and
 dispatches the whole candidate list to
 :class:`repro.gpusim.batch.BatchEngine` — one NumPy pass over the
 deduplicated block classes instead of N scalar pipeline walks — while
@@ -22,7 +21,7 @@ Because the engine is bit-identical to the scalar path (the
 evaluator picks the same winner with the same tie-breaks as the serial
 loop — it is a pure throughput substitution.  Fault schedules and
 watchdog budgets are scalar-executor concerns; resilient/fault-storm
-campaigns keep using the serial or pooled backends.
+campaigns keep using the serial backend.
 """
 
 from __future__ import annotations
@@ -78,9 +77,6 @@ class VectorTrialEvaluator:
         self.device = get_device(device) if isinstance(device, str) else device
         self.prefilter = prefilter
         self.engine = engine or BatchEngine(self.device, params)
-        #: Resolved worker count for ``TuneResult.info`` — the batch runs
-        #: in-process, so one job.
-        self.jobs = 1
 
     # -- TrialEvaluator protocol ------------------------------------------
 
@@ -108,8 +104,8 @@ class VectorTrialEvaluator:
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
         """Measure every configuration; outcomes in input order."""
-        # Plan construction is event-silent like the pooled workers': the
-        # search loop narrates from the returned outcomes in input order.
+        # Plan construction is event-silent: the search loop narrates from
+        # the returned outcomes in input order.
         with suppress_events():
             classes = []
             for cfg in configs:

@@ -227,3 +227,27 @@ class TestCliExplain:
         assert "session" in obj and obj["session"].startswith("inplane")
         assert "stats" in obj
         assert obj["entries"]
+
+
+class TestCliImports:
+    def test_cli_imports_no_multiprocessing(self):
+        """Every command runs in-process, so startup never pays for it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        probe = (
+            "import sys, repro.cli; "
+            "print('multiprocessing' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

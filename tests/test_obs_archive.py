@@ -3,9 +3,9 @@
 The load-bearing guarantees (docs/OBSERVABILITY.md "Explain & landscape
 export"):
 
-* the archive is **byte-identical at any ``--jobs`` count**, clean or
-  under a seeded fault storm, and a ``--resume`` replays to the same
-  bytes at any jobs count;
+* two runs of the same sweep write **byte-identical archives**, clean or
+  under a seeded fault storm, and two ``--resume`` replays of one
+  journal write the same bytes too;
 * archived ``counters`` reconcile **exactly** with a fresh
   :func:`repro.gpusim.executor.simulate` of the same config — the
   archive re-derives, it never copies a perturbed measurement;
@@ -27,9 +27,7 @@ from repro.obs.archive import (
     ArchiveRecord,
     TrialArchive,
     archive_stream,
-    current_archive,
     derive_record,
-    disable_archive_in_process,
     main as archive_main,
     read_archive,
     validate_archive,
@@ -38,7 +36,6 @@ from repro.obs.events import read_events
 from repro.stencils.spec import symmetric
 from repro.tuning.evaluator import STATUS_OK, TrialOutcome
 from repro.tuning.exhaustive import exhaustive_tune
-from repro.tuning.parallel import FamilyKernelBuilder, ParallelEvaluator
 from repro.tuning.robust import RobustTuningSession
 from repro.tuning.space import ParameterSpace
 
@@ -54,18 +51,10 @@ def build(cfg: BlockConfig):
     return make_kernel("inplane_fullslice", symmetric(2), cfg)
 
 
-def archive_tune(path, *, jobs=None, session="t"):
+def archive_tune(path, *, session="t"):
     device = get_device(DEVICE)
     with TrialArchive(path, session=session) as arc, archive_stream(arc):
-        if jobs is None:
-            result = exhaustive_tune(build, device, GRID, SPACE)
-        else:
-            fbuild = FamilyKernelBuilder("inplane_fullslice", 2, "sp")
-            with ParallelEvaluator(device, jobs=jobs, worker_cap=4) as ev:
-                result = exhaustive_tune(
-                    fbuild, device, GRID, SPACE, evaluator=ev
-                )
-    return result
+        return exhaustive_tune(build, device, GRID, SPACE)
 
 
 class TestSchemaRoundTrip:
@@ -140,34 +129,33 @@ class TestSchemaRoundTrip:
 
 
 class TestDeterminismContract:
-    def test_jobs_1_vs_4_byte_identical(self, tmp_path):
-        p1, p4 = tmp_path / "j1.jsonl", tmp_path / "j4.jsonl"
-        archive_tune(p1, jobs=1)
-        archive_tune(p4, jobs=4)
-        assert p1.read_bytes() == p4.read_bytes()
+    def test_two_serial_runs_byte_identical(self, tmp_path):
+        p1, p2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
+        archive_tune(p1)
+        archive_tune(p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
-    def test_storm_jobs_and_resume_byte_identical(self, tmp_path):
-        faults = FaultPlan.parse(STORM)
+    def test_storm_and_resume_byte_identical(self, tmp_path):
         device = get_device(DEVICE)
-        fbuild = FamilyKernelBuilder("inplane_fullslice", 2, "sp")
 
-        def storm(jobs, name, *, resume=False, journal="journal.jsonl"):
+        def storm(name, *, resume=False, journal="journal.jsonl"):
+            # A fresh FaultPlan per session: the plan's stream counters
+            # advance as launches draw from it.
             path = tmp_path / name
             session = RobustTuningSession(
-                device, GRID, faults=faults,
+                device, GRID, faults=FaultPlan.parse(STORM),
                 journal_path=tmp_path / journal, resume=resume,
-                jobs=jobs, worker_cap=4,
                 archive_path=path, session_key="storm",
             )
-            session.run(fbuild, method="exhaustive", space=SPACE)
+            session.run(build, method="exhaustive", space=SPACE)
             return path.read_bytes()
 
-        fresh1 = storm(1, "s1.jsonl", journal="journal1.jsonl")
-        fresh4 = storm(4, "s4.jsonl", journal="journal4.jsonl")
-        assert fresh1 == fresh4
-        resumed1 = storm(1, "r1.jsonl", resume=True, journal="journal1.jsonl")
-        resumed4 = storm(4, "r4.jsonl", resume=True, journal="journal1.jsonl")
-        assert resumed1 == resumed4
+        fresh1 = storm("s1.jsonl", journal="journal1.jsonl")
+        fresh2 = storm("s2.jsonl", journal="journal2.jsonl")
+        assert fresh1 == fresh2
+        resumed1 = storm("r1.jsonl", resume=True, journal="journal1.jsonl")
+        resumed2 = storm("r2.jsonl", resume=True, journal="journal1.jsonl")
+        assert resumed1 == resumed2
         # Fresh vs resumed may differ only in the honest `replayed` flag.
         fresh = [json.loads(x) for x in fresh1.decode().splitlines()[1:]]
         resumed = [json.loads(x) for x in resumed1.decode().splitlines()[1:]]
@@ -186,10 +174,6 @@ class TestDeterminismContract:
             e.mpoints_per_s for e in with_archive.entries
         ]
 
-    def test_workers_never_capture(self):
-        disable_archive_in_process()
-        assert current_archive() is None
-
 
 class TestReconciliation:
     def test_archived_counters_match_fresh_simulation_exactly(self, tmp_path):
@@ -207,13 +191,12 @@ class TestReconciliation:
         # counters that a fault-free resimulation reproduces bit-for-bit.
         faults = FaultPlan.parse(STORM)
         device = get_device(DEVICE)
-        fbuild = FamilyKernelBuilder("inplane_fullslice", 2, "sp")
         path = tmp_path / "storm.jsonl"
         session = RobustTuningSession(
             device, GRID, faults=faults, journal_path=tmp_path / "j.jsonl",
             archive_path=path, session_key="storm",
         )
-        session.run(fbuild, method="exhaustive", space=SPACE)
+        session.run(build, method="exhaustive", space=SPACE)
         records = read_archive(path)[1]
         assert any(r.attempts > 1 for r in records), "storm should retry"
         for record in records:
@@ -239,14 +222,13 @@ class TestReconciliation:
 class TestArchiveEvents:
     def test_session_emits_archive_start_and_finished(self, tmp_path):
         device = get_device(DEVICE)
-        fbuild = FamilyKernelBuilder("inplane_fullslice", 2, "sp")
         archive = tmp_path / "a.jsonl"
         events = tmp_path / "e.jsonl"
         session = RobustTuningSession(
             device, GRID, journal_path=tmp_path / "j.jsonl",
             archive_path=archive, events_path=events, session_key="ev",
         )
-        session.run(fbuild, method="exhaustive", space=SPACE)
+        session.run(build, method="exhaustive", space=SPACE)
         stream = read_events(events, strict=True)[1]
         names = [e.name for e in stream]
         assert "archive.start" in names

@@ -2,8 +2,8 @@
 
 The load-bearing guarantees: emission is a no-op (one contextvar lookup)
 when no sink is installed, streams tolerate the torn final line an
-abrupt kill leaves, volatile engine events never reach a persistent
-stream, and the flight recorder's ring dumps a bounded crash report.
+abrupt kill leaves, and the flight recorder's ring dumps a bounded crash
+report.
 """
 
 import json
@@ -22,7 +22,6 @@ from repro.obs.events import (
     MemoryEventSink,
     TeeEventSink,
     current_sink,
-    disable_events_in_process,
     emit,
     event_stream,
     main,
@@ -40,12 +39,6 @@ class TestCatalog:
             assert spec.doc  # every event explains itself
             assert "." in spec.name  # plane-qualified names
 
-    def test_only_pool_events_are_volatile(self):
-        volatile = {s.name for s in EVENT_SPECS if s.volatile}
-        assert volatile == {
-            "pool.start", "pool.dispatch", "pool.chunk", "pool.stop"
-        }
-
     def test_validate_event_enforces_fields(self):
         ok = validate_event(
             {"event": "trial.measured", "seq": 0,
@@ -57,9 +50,7 @@ class TestCatalog:
         with pytest.raises(EventSchemaError, match="missing field"):
             validate_event({"event": "trial.measured", "seq": 0})
         with pytest.raises(EventSchemaError, match="seq"):
-            validate_event(
-                {"event": "pool.stop", "seq": -1}
-            )
+            validate_event({"event": "cache.hit", "seq": -1, "key": "k"})
 
     def test_event_roundtrips_with_sorted_keys(self):
         event = Event("cache.put", 3, (("entries", 2), ("key", "k")))
@@ -83,38 +74,24 @@ class TestSinks:
         assert [e.seq for e in sink.events] == [0, 1]
         assert current_sink() is None  # context restored
 
-    def test_volatile_events_filtered_unless_opted_in(self):
-        quiet, loud = MemoryEventSink(), MemoryEventSink(include_volatile=True)
-        for sink in (quiet, loud):
-            with event_stream(sink):
-                emit("pool.start", workers=4)
-                emit("cache.miss", key="k")
-        assert [e.name for e in quiet.events] == ["cache.miss"]
-        assert [e.name for e in loud.events] == ["pool.start", "cache.miss"]
-        # The filtered emission must not burn a sequence number — the
-        # persistent stream's seqs stay dense (byte-identity across jobs).
-        assert quiet.events[0].seq == 0
-
-    def test_suppress_and_process_disable(self):
+    def test_suppress_events_silences_the_sink(self):
         sink = MemoryEventSink()
         with event_stream(sink):
             with suppress_events():
                 emit("cache.miss", key="hidden")
             emit("cache.miss", key="seen")
         assert [dict(e.fields)["key"] for e in sink.events] == ["seen"]
-
-        with event_stream(MemoryEventSink()) as outer:
-            disable_events_in_process()
-            emit("cache.miss", key="k")
-        assert outer.events == []
+        # The suppressed emission must not burn a sequence number.
+        assert sink.events[0].seq == 0
 
     def test_tee_fans_out_with_independent_policies(self):
-        stream, flight = MemoryEventSink(), FlightRecorder(capacity=8)
+        stream, flight = MemoryEventSink(), FlightRecorder(capacity=1)
         with event_stream(TeeEventSink([stream, flight])):
-            emit("pool.start", workers=2)
+            emit("cache.hit", key="k")
             emit("cache.miss", key="k")
-        assert [e.name for e in stream.events] == ["cache.miss"]
-        assert [e.name for e in flight.events] == ["pool.start", "cache.miss"]
+        assert [e.name for e in stream.events] == ["cache.hit", "cache.miss"]
+        # The ring keeps only its capacity; its own sequence still counts.
+        assert [(e.name, e.seq) for e in flight.events] == [("cache.miss", 1)]
 
 
 class TestJsonlStream:

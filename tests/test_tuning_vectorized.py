@@ -39,7 +39,6 @@ class TestProtocol:
     def test_is_batch_capable(self, gtx580):
         ev = VectorTrialEvaluator(gtx580)
         assert batch_capable(ev) is ev
-        assert ev.jobs == 1
 
     def test_accepts_device_name(self):
         ev = VectorTrialEvaluator("gtx580")

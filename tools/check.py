@@ -18,37 +18,33 @@ Runs, in order:
    storm with a journal, then a ``--resume`` of the same journal: both
    must exit 0, exercising retry, quarantine, and crash-safe replay
    end to end)
-6. the parallel-tuning smoke test (``repro tune --jobs 1`` vs
-   ``--jobs 2`` with ``REPRO_JOBS_CAP=2`` so a real worker pool forks
-   even on a one-core container: stdout must match byte for byte —
-   the determinism contract of ``docs/TUNING.md``)
-7. the batch-identity gate (``python -m repro.gpusim.batch``: every
-   ``BENCH_profile.json`` record is resimulated through the scalar
-   executor and the vectorized batch engine; the two SHA-256 report
-   digests must be equal — the bit-identity contract of
-   ``docs/SIMULATOR.md``)
-8. the estimator-reconciliation gate (``repro estimate --reconcile``:
-   every ``BENCH_profile.json`` record's plan is lowered to its
-   access-plan IR, the codegen-time estimate is compared bit-for-bit
-   against the resimulated hardware counters, and every distinct
-   plan's CUDA/OpenCL/HIP sources are re-parsed and verified against
-   the IR — any IR↔source or estimator↔counters mismatch fails)
-9. the events/metrics lint (a seeded storm tune writes an ``--events``
+6. the events/metrics lint (a seeded storm tune writes an ``--events``
    stream and a ``--metrics-out`` exposition; the stream is validated
    against the event catalog with ``python -m repro.obs.events``, the
    exposition and the exporters' own sample output with
    ``python -m repro.obs.export --lint``)
-10. the explain smoke test (a seeded storm tune writes an ``--archive``
-    trial archive; it must validate strictly with
-    ``python -m repro.obs.archive``, ``repro explain --json`` over it
-    must emit parseable JSON, and every exported Vega-Lite landscape
-    spec must parse)
-11. the cluster resilience smoke test (``repro cluster run`` under a
-    seeded dropout + corruption + degradation storm with checkpoints,
-    then the same campaign stopped early and ``--resume``\ d: the
-    resumed final-grid digest must be bit-identical to the
-    uninterrupted run's, and the event stream must validate strictly)
-12. the tier-1 test suite (``pytest tests/``)
+7. the explain smoke test (a seeded storm tune writes an ``--archive``
+   trial archive; it must validate strictly with
+   ``python -m repro.obs.archive``, ``repro explain --json`` over it
+   must emit parseable JSON, and every exported Vega-Lite landscape
+   spec must parse)
+8. the cluster resilience smoke test (``repro cluster run`` under a
+   seeded dropout + corruption + degradation storm with checkpoints,
+   then the same campaign stopped early and ``--resume``\ d: the
+   resumed final-grid digest must be bit-identical to the
+   uninterrupted run's, and the event stream must validate strictly)
+9. the batch-identity gate (``python -m repro.gpusim.batch``: every
+   ``BENCH_profile.json`` record is resimulated through the scalar
+   executor and the vectorized batch engine; the two SHA-256 report
+   digests must be equal — the bit-identity contract of
+   ``docs/SIMULATOR.md``)
+10. the estimator-reconciliation gate (``repro estimate --reconcile``:
+    every ``BENCH_profile.json`` record's plan is lowered to its
+    access-plan IR, the codegen-time estimate is compared bit-for-bit
+    against the resimulated hardware counters, and every distinct
+    plan's CUDA/OpenCL/HIP sources are re-parsed and verified against
+    the IR — any IR↔source or estimator↔counters mismatch fails)
+11. the tier-1 test suite (``pytest tests/``)
 
 Static tools that are not installed are reported as *skipped* and do not
 fail the gate — the container bakes in the runtime toolchain but not
@@ -107,36 +103,6 @@ def fault_smoke(env: dict) -> str:
                 print(f"[check] {label}: FAILED ({phase} exited "
                       f"{proc.returncode})")
                 return "FAILED"
-    print(f"[check] {label}: ok")
-    return "ok"
-
-
-def parallel_smoke(env: dict) -> str:
-    """Tune the same sweep at --jobs 1 and --jobs 2; stdout must match."""
-    label = "parallel-smoke"
-    base = [
-        sys.executable, "-m", "repro.cli", "-q", "tune",
-        "--kernel", "inplane_fullslice", "--order", "2",
-        "--device", "gtx580", "--grid", "64,64,32",
-    ]
-    penv = dict(env)
-    penv["REPRO_JOBS_CAP"] = "2"  # force a real pool even on one core
-    outputs = {}
-    for jobs in ("1", "2"):
-        cmd = base + ["--jobs", jobs]
-        print(f"[check] {label}/jobs={jobs}: {' '.join(cmd)}")
-        proc = subprocess.run(cmd, cwd=REPO, env=penv, capture_output=True)
-        if proc.returncode != 0:
-            sys.stdout.buffer.write(proc.stdout)
-            sys.stderr.buffer.write(proc.stderr)
-            print(f"[check] {label}: FAILED (jobs={jobs} exited "
-                  f"{proc.returncode})")
-            return "FAILED"
-        outputs[jobs] = proc.stdout
-    if outputs["1"] != outputs["2"]:
-        print(f"[check] {label}: FAILED (--jobs 2 output diverged from "
-              "--jobs 1 — determinism contract broken)")
-        return "FAILED"
     print(f"[check] {label}: ok")
     return "ok"
 
@@ -353,7 +319,6 @@ def main() -> int:
             env=env,
         ),
         "fault-smoke": fault_smoke(env),
-        "parallel-smoke": parallel_smoke(env),
         "events-lint": events_lint(env),
         "explain-smoke": explain_smoke(env),
         "cluster-smoke": cluster_smoke(env),
