@@ -36,7 +36,7 @@ control flow without exceptions.
 Consumers: :class:`repro.tuning.vectorized.VectorTrialEvaluator` (the
 ``repro tune`` backend), :func:`repro.obs.regress.diff_baseline` and
 :func:`repro.analysis.estimate.reconcile_profile` (batched
-resimulation), and ``benchmarks/test_batch_speedup.py``.
+resimulation).
 """
 
 from __future__ import annotations

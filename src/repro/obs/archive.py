@@ -40,15 +40,13 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.tuning.evaluator import TRIAL_STATUSES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpusim.device import DeviceSpec
-    from repro.kernels.base import KernelPlan
-    from repro.kernels.config import BlockConfig
-    from repro.tuning.evaluator import TrialOutcome
+    from repro.tuning.evaluator import Trial, TrialOutcome
 
 logger = logging.getLogger("repro.obs.archive")
 
@@ -151,7 +149,7 @@ class ArchiveRecord:
 def derive_record(
     outcome: "TrialOutcome",
     *,
-    build: Callable[["BlockConfig"], "KernelPlan"],
+    trial: "Trial",
     device: "DeviceSpec",
     grid_shape: tuple[int, int, int],
     predicted: float | None = None,
@@ -159,9 +157,11 @@ def derive_record(
     """Build one archive record from a finished outcome, purely.
 
     The prediction, estimate and counters are computed here, in the
-    capturing (parent) process, from the plan alone — never taken from
-    the measurement — so the record is independent of where or whether
-    the trial actually ran (replayed outcomes derive identically).
+    capturing (parent) process, from the trial's plan and block workload
+    alone — never taken from the measurement — so the record is
+    independent of where or whether the trial actually ran (replayed
+    outcomes derive identically).  The trial is the one the sweep built
+    in its feasibility pass; nothing here rebuilds it.
     ``predicted`` short-circuits the model evaluation when a tuner
     already scored the config (the model-based shortlist); its batch and
     scalar paths are bit-identical, so either source yields the same
@@ -173,12 +173,14 @@ def derive_record(
     from repro.errors import ReproError
     from repro.gpusim.timing import params_for, time_kernel
 
-    plan = build(outcome.config)
+    plan, block = trial.plan, trial.block
     if predicted is None:
         from repro.tuning.perfmodel import ModelInputs, PaperModel
 
         try:
-            inputs = ModelInputs.from_plan(plan, device, grid_shape)
+            inputs = ModelInputs.from_workload(
+                plan.block, block, device, grid_shape
+            )
             predicted = PaperModel(device).predict(inputs).mpoints_per_s
         except ReproError:
             predicted = None
@@ -192,7 +194,6 @@ def derive_record(
     try:
         from repro.obs.counters import derive_counters
 
-        block = plan.block_workload(device, grid_shape)
         grid = plan.grid_workload(device, grid_shape)
         timing = time_kernel(block, grid, device)
         counters = derive_counters(
@@ -256,14 +257,14 @@ class TrialArchive:
         self,
         outcome: "TrialOutcome",
         *,
-        build: Callable[["BlockConfig"], "KernelPlan"],
+        trial: "Trial",
         device: "DeviceSpec",
         grid_shape: tuple[int, int, int],
         predicted: float | None = None,
     ) -> ArchiveRecord:
         """Derive and append the record for one finished trial."""
         record = derive_record(
-            outcome, build=build, device=device, grid_shape=grid_shape,
+            outcome, trial=trial, device=device, grid_shape=grid_shape,
             predicted=predicted,
         )
         self.record(record)

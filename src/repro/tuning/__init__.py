@@ -22,6 +22,7 @@ from repro.tuning.result import TuneEntry, TuneResult
 from repro.tuning.evaluator import (
     BatchTrialEvaluator,
     SimTrialEvaluator,
+    Trial,
     TrialEvaluator,
     TrialOutcome,
     batch_capable,
@@ -48,6 +49,7 @@ __all__ = [
     "TrialEvaluator",
     "BatchTrialEvaluator",
     "batch_capable",
+    "Trial",
     "TrialOutcome",
     "SimTrialEvaluator",
     "VectorTrialEvaluator",

@@ -10,6 +10,12 @@ module extracts the per-trial measurement into a small protocol:
 * :meth:`TrialEvaluator.measure` — execute one configuration and
   classify the result into a :class:`TrialOutcome`.
 
+What the evaluators consume is a :class:`Trial`: a configuration with
+its built plan and block workload.  A sweep builds each trial once, in
+its feasibility pass (:func:`repro.tuning.exhaustive.feasible_trials`),
+and every later stage — the pre-filter, measurement, model scoring and
+archive derivation — reads that trial instead of rebuilding it.
+
 :class:`SimTrialEvaluator` is the default implementation and reproduces
 the tuners' historical behaviour exactly — a tuner built with
 ``evaluator=None`` is bit-identical to the pre-evaluator code path.
@@ -25,7 +31,7 @@ regardless of which evaluator is plugged in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol
 
 from repro.analysis.resources import launch_failure
 from repro.errors import ResourceLimitError
@@ -50,6 +56,30 @@ TRIAL_STATUSES: tuple[str, ...] = (
     STATUS_REJECTED_SIMULATED,
     STATUS_QUARANTINED,
 )
+
+
+class Trial(NamedTuple):
+    """One candidate configuration, built once for a whole sweep.
+
+    ``block`` is ``plan.block_workload(device, grid_shape)`` for the
+    sweep's device and grid.  Every stage treats it as read-only, which
+    is what makes sharing one build across them safe.
+    """
+
+    config: BlockConfig
+    plan: "KernelPlan"
+    block: "BlockWorkload"
+
+
+def build_trial(
+    build: Callable[[BlockConfig], "KernelPlan"],
+    cfg: BlockConfig,
+    device: DeviceSpec,
+    grid_shape: tuple[int, int, int],
+) -> Trial:
+    """Build ``cfg``'s plan and its block workload on ``device``."""
+    plan = build(cfg)
+    return Trial(cfg, plan, plan.block_workload(device, grid_shape))
 
 
 @dataclass(frozen=True)
@@ -123,7 +153,7 @@ def emit_trial_events(outcome: TrialOutcome) -> None:
 def record_trial(
     outcome: TrialOutcome,
     *,
-    build: Callable[[BlockConfig], "KernelPlan"] | None = None,
+    trial: Trial | None = None,
     device: DeviceSpec | None = None,
     grid_shape: tuple[int, int, int] | None = None,
     predicted: float | None = None,
@@ -134,8 +164,9 @@ def record_trial(
     order**.  It emits the trial-plane events
     (:func:`emit_trial_events`) and, when a
     :class:`repro.obs.archive.TrialArchive` is installed and the plan
-    context (``build`` / ``device`` / ``grid_shape``) was provided,
-    derives and appends the config's archive record.  Both planes are
+    context (``trial`` / ``device`` / ``grid_shape``) was provided,
+    derives and appends the config's archive record from the trial's
+    already-built plan and workload.  Both planes are
     pure functions of the outcome sequence plus the plan; with neither a
     sink nor an archive installed the call is two contextvar lookups.
 
@@ -150,13 +181,13 @@ def record_trial(
     archive = current_archive()
     if (
         archive is None
-        or build is None
+        or trial is None
         or device is None
         or grid_shape is None
     ):
         return
     archive.capture(
-        outcome, build=build, device=device, grid_shape=grid_shape,
+        outcome, trial=trial, device=device, grid_shape=grid_shape,
         predicted=predicted,
     )
 
@@ -182,23 +213,22 @@ class TrialEvaluator(Protocol):
 class BatchTrialEvaluator(TrialEvaluator, Protocol):
     """A trial evaluator that can also measure whole batches at once.
 
-    :meth:`measure_batch` owns the complete per-trial pipeline — plan
-    construction, the static pre-filter *and* measurement — and returns
-    one :class:`TrialOutcome` per input configuration **in input order**
-    (statically rejected configurations come back as
+    :meth:`measure_trials` takes trials the sweep already built (plan and
+    block workload, see :class:`Trial`), applies the static pre-filter
+    and measures, and returns one :class:`TrialOutcome` per input trial
+    **in input order** (statically rejected configurations come back as
     :data:`STATUS_REJECTED_STATIC` outcomes instead of being silently
-    dropped).  Deterministic ordering is the contract that keeps a
-    batched sweep's winner and tie-breaks bit-identical to the serial
-    loop.
+    dropped).  It builds nothing itself.  Deterministic ordering is the
+    contract that keeps a batched sweep's winner and tie-breaks
+    bit-identical to the serial loop.
     """
 
-    def measure_batch(
+    def measure_trials(
         self,
-        build: Callable[["BlockConfig"], "KernelPlan"],
-        configs: list[BlockConfig],
+        trials: list[Trial],
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
-        """Measure every configuration; outcomes in input order."""
+        """Measure every trial; outcomes in input order."""
         ...  # pragma: no cover - protocol
 
 
@@ -208,9 +238,9 @@ def batch_capable(evaluator: TrialEvaluator) -> "BatchTrialEvaluator | None":
     The tuners' feature probe: a plain evaluator keeps the historical
     one-config-at-a-time loop; a batch-capable one (e.g.
     :class:`repro.tuning.vectorized.VectorTrialEvaluator`) gets the whole
-    config list in one call.
+    trial list in one call.
     """
-    if hasattr(evaluator, "measure_batch"):
+    if hasattr(evaluator, "measure_trials"):
         return evaluator  # type: ignore[return-value]
     return None
 

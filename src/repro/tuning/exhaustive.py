@@ -22,9 +22,11 @@ from repro.tuning.evaluator import (
     STATUS_REJECTED_SIMULATED,
     STATUS_REJECTED_STATIC,
     SimTrialEvaluator,
+    Trial,
     TrialEvaluator,
     TrialOutcome,
     batch_capable,
+    build_trial,
     record_trial,
 )
 from repro.tuning.result import TuneEntry, TuneResult
@@ -34,8 +36,7 @@ KernelBuilder = Callable[[BlockConfig], KernelPlan]
 
 
 def evaluate_configs(
-    build: KernelBuilder,
-    configs: list[BlockConfig],
+    trials: list[Trial],
     device: DeviceSpec,
     grid_shape: tuple[int, int, int],
     *,
@@ -43,7 +44,11 @@ def evaluate_configs(
     stats: dict[str, Any] | None = None,
     evaluator: TrialEvaluator | None = None,
 ) -> list[TuneEntry]:
-    """Execute each configuration; unlaunchable ones are dropped.
+    """Execute each trial's configuration; unlaunchable ones are dropped.
+
+    ``trials`` come from :func:`feasible_trials`: the plan and block
+    workload each stage needs are already built, so nothing here (nor in
+    the evaluator, nor in the archive capture) builds them again.
 
     With ``prefilter`` (the default) the static resource check rejects
     unlaunchable configurations from the workload record alone, skipping
@@ -62,10 +67,9 @@ def evaluate_configs(
     evaluator = evaluator or SimTrialEvaluator(device, prefilter=prefilter)
     batch = batch_capable(evaluator)
     if batch is not None:
-        outcomes = batch.measure_batch(build, configs, grid_shape)
+        outcomes = batch.measure_trials(trials, grid_shape)
         entries = _collect_outcomes(
-            configs, outcomes, stats,
-            build=build, device=device, grid_shape=grid_shape,
+            trials, outcomes, stats, device=device, grid_shape=grid_shape,
         )
         if stats is not None:
             stats["jobs"] = 1
@@ -75,14 +79,13 @@ def evaluate_configs(
     rejected_static = 0
     rejected_simulated = 0
     quarantined = 0
-    for cfg in configs:
-        plan = build(cfg)
-        block = plan.block_workload(device, grid_shape)
-        if evaluator.statically_rejected(block):
+    for trial in trials:
+        cfg = trial.config
+        if evaluator.statically_rejected(trial.block):
             rejected_static += 1
             record_trial(
                 TrialOutcome(config=cfg, status=STATUS_REJECTED_STATIC),
-                build=build, device=device, grid_shape=grid_shape,
+                trial=trial, device=device, grid_shape=grid_shape,
             )
             if tracer is not None:
                 tracer.instant(
@@ -93,9 +96,9 @@ def evaluate_configs(
             continue
         with maybe_span(tracer, cfg.label(), CAT_TUNE_TRIAL,
                         config=cfg.label()) as sp:
-            outcome = evaluator.measure(cfg, plan, grid_shape, block)
+            outcome = evaluator.measure(cfg, trial.plan, grid_shape, trial.block)
             record_trial(
-                outcome, build=build, device=device, grid_shape=grid_shape
+                outcome, trial=trial, device=device, grid_shape=grid_shape
             )
             if outcome.status == STATUS_REJECTED_SIMULATED:
                 rejected_simulated += 1
@@ -132,11 +135,10 @@ def evaluate_configs(
 
 
 def _collect_outcomes(
-    configs: list[BlockConfig],
+    trials: list[Trial],
     outcomes: list[TrialOutcome],
     stats: dict[str, Any] | None,
     *,
-    build: KernelBuilder,
     device: DeviceSpec,
     grid_shape: tuple[int, int, int],
 ) -> list[TuneEntry]:
@@ -144,7 +146,7 @@ def _collect_outcomes(
 
     Emits the identical instants/spans/metric counters the serial loop
     emits (trial spans are near-zero here — the measurement already
-    happened inside ``measure_batch``) and tallies the same stats, so the
+    happened inside ``measure_trials``) and tallies the same stats, so the
     entry list and every counter are independent of which path produced
     them.
     """
@@ -153,8 +155,9 @@ def _collect_outcomes(
     rejected_static = 0
     rejected_simulated = 0
     quarantined = 0
-    for cfg, outcome in zip(configs, outcomes):
-        record_trial(outcome, build=build, device=device, grid_shape=grid_shape)
+    for trial, outcome in zip(trials, outcomes):
+        cfg = trial.config
+        record_trial(outcome, trial=trial, device=device, grid_shape=grid_shape)
         if outcome.status == STATUS_REJECTED_STATIC:
             rejected_static += 1
             if tracer is not None:
@@ -197,6 +200,29 @@ def _collect_outcomes(
     return entries
 
 
+def feasible_trials(
+    build: KernelBuilder,
+    device: DeviceSpec,
+    grid_shape: tuple[int, int, int],
+    space: ParameterSpace | None = None,
+) -> list[Trial]:
+    """The constrained space, built: one :class:`Trial` per feasible config.
+
+    Constraint (iii) needs each candidate's shared-memory footprint, which
+    is read off its built block workload; the built plan and workload are
+    kept and returned (in space order) so the rest of the sweep reuses
+    them.  This is the only place a tune calls ``build``.
+    """
+    space = space or default_space()
+    built: dict[BlockConfig, Trial] = {}
+
+    def smem_bytes_of(cfg: BlockConfig) -> int:
+        trial = built[cfg] = build_trial(build, cfg, device, grid_shape)
+        return trial.block.smem_bytes
+
+    return [built[cfg] for cfg in space.feasible(device, grid_shape, smem_bytes_of)]
+
+
 def feasible_configs(
     build: KernelBuilder,
     device: DeviceSpec,
@@ -204,13 +230,7 @@ def feasible_configs(
     space: ParameterSpace | None = None,
 ) -> list[BlockConfig]:
     """The constrained space for this kernel family on this device."""
-    space = space or default_space()
-
-    def smem_of(cfg: BlockConfig) -> int:
-        plan = build(cfg)
-        return plan.block_workload(device, grid_shape).smem_bytes
-
-    return space.feasible(device, grid_shape, smem_of)
+    return [t.config for t in feasible_trials(build, device, grid_shape, space)]
 
 
 def exhaustive_tune(
@@ -223,18 +243,18 @@ def exhaustive_tune(
     evaluator: TrialEvaluator | None = None,
 ) -> TuneResult:
     """Run the full feasible space; return the ranked result."""
-    configs = feasible_configs(build, device, grid_shape, space)
+    trials = feasible_trials(build, device, grid_shape, space)
     stats: dict[str, Any] = {}
     emit_event(
         "sweep.start", method="exhaustive", device=device.name,
-        space_size=len(configs),
+        space_size=len(trials),
     )
     with maybe_span(
         current_tracer(), f"exhaustive on {device.name}", CAT_TUNE_RUN,
-        method="exhaustive", device=device.name, space_size=len(configs),
+        method="exhaustive", device=device.name, space_size=len(trials),
     ) as run_span:
         entries = evaluate_configs(
-            build, configs, device, grid_shape, prefilter=prefilter,
+            trials, device, grid_shape, prefilter=prefilter,
             stats=stats, evaluator=evaluator,
         )
         if run_span is not None:
@@ -249,7 +269,7 @@ def exhaustive_tune(
         best=entries[0],
         entries=tuple(entries),
         evaluated=len(entries),
-        space_size=len(configs),
+        space_size=len(trials),
         method="exhaustive",
         info=stats,
     )

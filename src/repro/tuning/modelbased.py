@@ -28,12 +28,13 @@ from repro.tuning.evaluator import (
     STATUS_REJECTED_SIMULATED,
     STATUS_REJECTED_STATIC,
     SimTrialEvaluator,
+    Trial,
     TrialEvaluator,
     TrialOutcome,
     batch_capable,
     record_trial,
 )
-from repro.tuning.exhaustive import feasible_configs
+from repro.tuning.exhaustive import feasible_trials
 from repro.tuning.perfmodel import ModelInputs, PaperModel
 from repro.tuning.result import TuneEntry, TuneResult
 from repro.tuning.space import ParameterSpace
@@ -63,32 +64,33 @@ def model_based_tune(
     if not 0.0 < beta <= 1.0:
         raise TuningError(f"beta must be in (0, 1], got {beta}")
 
-    configs = feasible_configs(build, device, grid_shape, space)
+    trials = feasible_trials(build, device, grid_shape, space)
     model = PaperModel(device)
     tracer = current_tracer()
 
     emit_event(
         "sweep.start", method="model", device=device.name,
-        space_size=len(configs),
+        space_size=len(trials),
     )
     with maybe_span(
         tracer, f"model on {device.name}", CAT_TUNE_RUN,
-        method="model", device=device.name, space_size=len(configs), beta=beta,
+        method="model", device=device.name, space_size=len(trials), beta=beta,
     ) as run_span:
         # Vectorized scoring pass: predict_batch mirrors predict() op for
         # op, so the scores — and the shortlist they rank — are
-        # bit-identical to the historical per-config loop.
+        # bit-identical to the historical per-config loop.  The inputs
+        # read the workloads the feasibility pass already built.
         inputs = [
-            ModelInputs.from_plan(build(cfg), device, grid_shape)
-            for cfg in configs
+            ModelInputs.from_workload(t.plan.block, t.block, device, grid_shape)
+            for t in trials
         ]
         scores = model.predict_batch(inputs)
-        predictions: list[tuple[BlockConfig, float]] = [
-            (cfg, float(score)) for cfg, score in zip(configs, scores)
+        predictions: list[tuple[Trial, float]] = [
+            (t, float(score)) for t, score in zip(trials, scores)
         ]
         predictions.sort(key=lambda item: item[1], reverse=True)
 
-        n = max(1, math.ceil(beta * len(configs)))
+        n = max(1, math.ceil(beta * len(trials)))
         shortlist = predictions[:n]
 
         ev = evaluator or SimTrialEvaluator(device, prefilter=prefilter)
@@ -96,17 +98,16 @@ def model_based_tune(
         stats: dict[str, int] = {"rejected_static": 0, "rejected_simulated": 0}
         batch = batch_capable(ev)
         if batch is not None:
-            outcomes = batch.measure_batch(
-                build, [cfg for cfg, _ in shortlist], grid_shape
+            outcomes = batch.measure_trials(
+                [t for t, _ in shortlist], grid_shape
             )
             entries = _collect_shortlist(
-                shortlist, outcomes, stats,
-                build=build, device=device, grid_shape=grid_shape,
+                shortlist, outcomes, stats, device=device, grid_shape=grid_shape,
             )
             stats["jobs"] = 1
         else:
             entries = _measure_shortlist_serial(
-                build, shortlist, device, grid_shape, ev, stats
+                shortlist, device, grid_shape, ev, stats
             )
             # Same stats shape as the batch path, so archives/JSON output
             # don't change with the backend.
@@ -126,15 +127,14 @@ def model_based_tune(
         best=entries[0],
         entries=tuple(entries),
         evaluated=len(entries),
-        space_size=len(configs),
+        space_size=len(trials),
         method="model",
         info=stats,
     )
 
 
 def _measure_shortlist_serial(
-    build: KernelBuilder,
-    shortlist: list[tuple[BlockConfig, float]],
+    shortlist: list[tuple[Trial, float]],
     device: DeviceSpec,
     grid_shape: tuple[int, int, int],
     ev: TrialEvaluator,
@@ -143,14 +143,13 @@ def _measure_shortlist_serial(
     """The historical one-config-at-a-time shortlist measurement."""
     tracer = current_tracer()
     entries: list[TuneEntry] = []
-    for cfg, predicted in shortlist:
-        plan = build(cfg)
-        block = plan.block_workload(device, grid_shape)
-        if ev.statically_rejected(block):
+    for trial, predicted in shortlist:
+        cfg = trial.config
+        if ev.statically_rejected(trial.block):
             stats["rejected_static"] += 1
             record_trial(
                 TrialOutcome(config=cfg, status=STATUS_REJECTED_STATIC),
-                build=build, device=device, grid_shape=grid_shape,
+                trial=trial, device=device, grid_shape=grid_shape,
                 predicted=predicted,
             )
             if tracer is not None:
@@ -163,9 +162,9 @@ def _measure_shortlist_serial(
         with maybe_span(tracer, cfg.label(), CAT_TUNE_TRIAL,
                         config=cfg.label(),
                         predicted_mpoints_per_s=predicted) as sp:
-            outcome = ev.measure(cfg, plan, grid_shape, block)
+            outcome = ev.measure(cfg, trial.plan, grid_shape, trial.block)
             record_trial(
-                outcome, build=build, device=device, grid_shape=grid_shape,
+                outcome, trial=trial, device=device, grid_shape=grid_shape,
                 predicted=predicted,
             )
             if outcome.status == STATUS_REJECTED_SIMULATED:
@@ -189,11 +188,10 @@ def _measure_shortlist_serial(
 
 
 def _collect_shortlist(
-    shortlist: list[tuple[BlockConfig, float]],
+    shortlist: list[tuple[Trial, float]],
     outcomes: list[TrialOutcome],
     stats: dict[str, int],
     *,
-    build: KernelBuilder,
     device: DeviceSpec,
     grid_shape: tuple[int, int, int],
 ) -> list[TuneEntry]:
@@ -201,14 +199,15 @@ def _collect_shortlist(
 
     Same classification, tracing and stats as the serial loop (trial
     spans are near-zero; the measurement happened inside
-    ``measure_batch``), so entries — and the winner — are
+    ``measure_trials``), so entries — and the winner — are
     path-independent.
     """
     tracer = current_tracer()
     entries: list[TuneEntry] = []
-    for (cfg, predicted), outcome in zip(shortlist, outcomes):
+    for (trial, predicted), outcome in zip(shortlist, outcomes):
+        cfg = trial.config
         record_trial(
-            outcome, build=build, device=device, grid_shape=grid_shape,
+            outcome, trial=trial, device=device, grid_shape=grid_shape,
             predicted=predicted,
         )
         if outcome.status == STATUS_REJECTED_STATIC:

@@ -32,6 +32,7 @@ import numpy as np
 from repro.gpusim.arch import WARP_SIZE
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.timing import TimingParams, params_for
+from repro.gpusim.workload import BlockWorkload
 from repro.kernels.config import BlockConfig
 from repro.kernels.symmetric import SymmetricKernelPlan
 from repro.utils.maths import ceil_div
@@ -70,13 +71,29 @@ class ModelInputs:
         grid_shape: tuple[int, int, int],
         params: TimingParams | None = None,
     ) -> "ModelInputs":
-        """Derive model inputs from a kernel plan.
+        """Derive model inputs from a kernel plan (see :meth:`from_workload`)."""
+        return cls.from_workload(
+            plan.block, plan.block_workload(device, grid_shape), device,
+            grid_shape, params,
+        )
 
-        Bytes are counted naively — loaded elements plus stored elements
-        times the element size — reproducing the model's blindness to
-        coalescing (its main divergence from measured behaviour).
+    @classmethod
+    def from_workload(
+        cls,
+        config: BlockConfig,
+        block: BlockWorkload,
+        device: DeviceSpec,
+        grid_shape: tuple[int, int, int],
+        params: TimingParams | None = None,
+    ) -> "ModelInputs":
+        """Derive model inputs from an already-built block workload.
+
+        ``block`` is the plan's ``block_workload(device, grid_shape)``;
+        the tuners pass the one their feasibility pass built.  Bytes are
+        counted naively — loaded elements plus stored elements times the
+        element size — reproducing the model's blindness to coalescing
+        (its main divergence from measured behaviour).
         """
-        workload = plan.block_workload(device, grid_shape)
         lx, ly, _lz = grid_shape
         # Eqn (10)'s Bytes_Blk is "the total number of bytes read and
         # written for each stencil plane": counted as the transaction lines
@@ -84,7 +101,7 @@ class ModelInputs:
         # their byte accounting is line-aware).  The model remains blind to
         # partition camping, L2 reuse, scheduling overhead and bank
         # conflicts — the error sources section VI lists.
-        moved_bytes = workload.memory.total_transferred_bytes
+        moved_bytes = block.memory.total_transferred_bytes
         # The paper reads K_R off the *compiled* kernel, so it is capped at
         # the architectural per-thread limit and the compiler's spill
         # traffic is visible; we mirror that by capping and charging the
@@ -93,20 +110,20 @@ class ModelInputs:
         # a recalibration moves the model and the simulator together.
         params = params or params_for(device)
         cap = device.rules.max_regs_per_thread
-        spilled = max(0, workload.regs_per_thread - cap)
+        spilled = max(0, block.regs_per_thread - cap)
         spill_bytes = (
-            spilled * workload.threads_per_block * params.spill_bytes_per_reg
+            spilled * block.threads_per_block * params.spill_bytes_per_reg
         )
         return cls(
             lx=lx,
             ly=ly,
-            tx=plan.block.tx,
-            ty=plan.block.ty,
-            rx=plan.block.rx,
-            ry=plan.block.ry,
-            k_r=min(workload.regs_per_thread, cap),
-            k_s=workload.smem_bytes,
-            ops=workload.flops_per_point,
+            tx=config.tx,
+            ty=config.ty,
+            rx=config.rx,
+            ry=config.ry,
+            k_r=min(block.regs_per_thread, cap),
+            k_s=block.smem_bytes,
+            ops=block.flops_per_point,
             bytes_blk=moved_bytes + spill_bytes,
         )
 

@@ -8,9 +8,12 @@ The search runs over (TX, TY, RX, RY) with the paper's constraints:
  (iv)  TY * RY divides the vertical grid size (and we apply the analogous
        condition on TX * RX so no partial tiles exist).
 
-Feasibility additionally requires that one block actually fits an SM
-(register file); configurations that merely *spill* stay in the space —
-they run, just slowly — matching how a real tuner encounters them.
+Feasibility checks only these four constraints.  It does not check
+registers: a configuration whose block cannot fit an SM's register file
+stays in the space, and the tuners classify it when they reach it —
+``rejected_static`` by the static pre-filter, or ``rejected_simulated``
+when the simulator refuses the launch — just as a real tuner meets a
+launch failure.  Configurations that merely *spill* run, just slowly.
 """
 
 from __future__ import annotations

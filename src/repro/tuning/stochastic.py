@@ -32,7 +32,7 @@ from repro.tuning.evaluator import (
     TrialOutcome,
     record_trial,
 )
-from repro.tuning.exhaustive import feasible_configs
+from repro.tuning.exhaustive import feasible_trials
 from repro.tuning.result import TuneEntry, TuneResult
 from repro.tuning.space import ParameterSpace, default_space
 
@@ -99,7 +99,8 @@ def stochastic_tune(
     if budget < 1:
         raise TuningError(f"budget must be >= 1, got {budget}")
     space = space or default_space()
-    configs = feasible_configs(build, device, grid_shape, space)
+    trials = {t.config: t for t in feasible_trials(build, device, grid_shape, space)}
+    configs = list(trials)
     feas = set(configs)
     rng = random.Random(seed)
     evaluator = evaluator or SimTrialEvaluator(device, prefilter=prefilter)
@@ -115,24 +116,23 @@ def stochastic_tune(
             return measured[cfg]
         if len(measured) >= budget:
             return None
-        plan = build(cfg)
-        block = plan.block_workload(device, grid_shape)
+        trial = trials[cfg]
         with maybe_span(tracer, cfg.label(), CAT_TUNE_TRIAL,
                         config=cfg.label()) as sp:
-            if evaluator.statically_rejected(block):
+            if evaluator.statically_rejected(trial.block):
                 stats["rejected_static"] += 1
                 rate = 0.0
                 record_trial(
                     TrialOutcome(config=cfg, status=STATUS_REJECTED_STATIC),
-                    build=build, device=device, grid_shape=grid_shape,
+                    trial=trial, device=device, grid_shape=grid_shape,
                 )
                 if sp is not None:
                     sp.args["rejected"] = "static"
                     tracer.metrics.counter("tune.rejected_static").inc()
             else:
-                outcome = evaluator.measure(cfg, plan, grid_shape, block)
+                outcome = evaluator.measure(cfg, trial.plan, grid_shape, trial.block)
                 record_trial(
-                    outcome, build=build, device=device, grid_shape=grid_shape
+                    outcome, trial=trial, device=device, grid_shape=grid_shape
                 )
                 rate = outcome.mpoints_per_s if outcome.measured else 0.0
                 if outcome.measured:

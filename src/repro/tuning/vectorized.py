@@ -3,9 +3,10 @@
 :class:`VectorTrialEvaluator` is the batch measurement backend next to
 :class:`~repro.tuning.evaluator.SimTrialEvaluator` (one scalar launch
 per call).  It implements the
-:class:`~repro.tuning.evaluator.BatchTrialEvaluator` protocol and
-dispatches the whole candidate list to
-:class:`repro.gpusim.batch.BatchEngine` — one NumPy pass over the
+:class:`~repro.tuning.evaluator.BatchTrialEvaluator` protocol: it takes
+the :class:`~repro.tuning.evaluator.Trial` list the sweep's feasibility
+pass already built (plan and block workload per config) and dispatches
+it to :class:`repro.gpusim.batch.BatchEngine` — one NumPy pass over the
 deduplicated block classes instead of N scalar pipeline walks — while
 classifying every outcome exactly as the serial loop would:
 
@@ -15,6 +16,10 @@ classifying every outcome exactly as the serial loop would:
   evaluator discovers the same :class:`ResourceLimitError` at run time);
 * launchable → ``ok`` with the bit-identical rate and the same
   ``info`` keys (``load_efficiency`` / ``occupancy`` / ``limiter``).
+
+:meth:`VectorTrialEvaluator.measure_batch` is the convenience form for
+callers holding only a builder and configs: it builds the trials and
+prices them through the same :meth:`~VectorTrialEvaluator.measure_trials`.
 
 Because the engine is bit-identical to the scalar path (the
 ``batch-identity`` gate in ``tools/check.py``), a tuner over this
@@ -38,7 +43,9 @@ from repro.tuning.evaluator import (
     STATUS_OK,
     STATUS_REJECTED_SIMULATED,
     STATUS_REJECTED_STATIC,
+    Trial,
     TrialOutcome,
+    build_trial,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -97,27 +104,38 @@ class VectorTrialEvaluator:
 
     # -- BatchTrialEvaluator protocol -------------------------------------
 
+    def measure_trials(
+        self,
+        trials: list[Trial],
+        grid_shape: tuple[int, int, int],
+    ) -> list[TrialOutcome]:
+        """Measure every trial; outcomes in input order."""
+        # Pricing is event-silent: the search loop narrates from the
+        # returned outcomes in input order.
+        with suppress_events():
+            classes = [
+                BlockClass.of(t.block, t.plan.grid_workload(self.device, grid_shape))
+                for t in trials
+            ]
+            scores = self.engine.scores(classes)
+        return [
+            self._classify(t.config, score, prefiltered=self.prefilter)
+            for t, score in zip(trials, scores)
+        ]
+
     def measure_batch(
         self,
         build: Callable[[BlockConfig], "KernelPlan"],
         configs: list[BlockConfig],
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
-        """Measure every configuration; outcomes in input order."""
-        # Plan construction is event-silent: the search loop narrates from
-        # the returned outcomes in input order.
+        """Build each configuration's trial, then :meth:`measure_trials`."""
         with suppress_events():
-            classes = []
-            for cfg in configs:
-                plan = build(cfg)
-                block = plan.block_workload(self.device, grid_shape)
-                grid = plan.grid_workload(self.device, grid_shape)
-                classes.append(BlockClass.of(block, grid))
-            scores = self.engine.scores(classes)
-        return [
-            self._classify(cfg, score, prefiltered=self.prefilter)
-            for cfg, score in zip(configs, scores)
-        ]
+            trials = [
+                build_trial(build, cfg, self.device, grid_shape)
+                for cfg in configs
+            ]
+        return self.measure_trials(trials, grid_shape)
 
     # -- classification ----------------------------------------------------
 

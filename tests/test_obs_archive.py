@@ -34,8 +34,8 @@ from repro.obs.archive import (
 )
 from repro.obs.events import read_events
 from repro.stencils.spec import symmetric
-from repro.tuning.evaluator import STATUS_OK, TrialOutcome
-from repro.tuning.exhaustive import exhaustive_tune
+from repro.tuning.evaluator import STATUS_OK, TrialOutcome, build_trial
+from repro.tuning.exhaustive import evaluate_configs, exhaustive_tune, feasible_trials
 from repro.tuning.robust import RobustTuningSession
 from repro.tuning.space import ParameterSpace
 
@@ -212,11 +212,18 @@ class TestReconciliation:
         replayed = TrialOutcome(
             config=cfg, status=STATUS_OK, mpoints_per_s=123.0, replayed=True
         )
-        a = derive_record(live, build=build, device=device, grid_shape=GRID)
-        b = derive_record(replayed, build=build, device=device, grid_shape=GRID)
+        # The trial a whole sweep has already read (pre-filter, pricing)
+        # derives the same record as one built fresh for the purpose.
+        trials = feasible_trials(build, device, GRID, SPACE)
+        evaluate_configs(trials, device, GRID)
+        swept = next(t for t in trials if t.config == cfg)
+        fresh = build_trial(build, cfg, device, GRID)
+        a = derive_record(live, trial=swept, device=device, grid_shape=GRID)
+        b = derive_record(replayed, trial=swept, device=device, grid_shape=GRID)
         assert a.counters == b.counters
         assert a.predicted == b.predicted
         assert a.estimate == b.estimate
+        assert a == derive_record(live, trial=fresh, device=device, grid_shape=GRID)
 
 
 class TestArchiveEvents:

@@ -106,14 +106,15 @@ class TestModelBehaviour:
         procedure relies on)."""
         from scipy.stats import spearmanr
 
-        from repro.tuning.exhaustive import evaluate_configs, feasible_configs
+        from repro.tuning.exhaustive import evaluate_configs, feasible_trials
         from repro.tuning.space import ParameterSpace
 
         spec = symmetric(2)
         build = lambda cfg: make_kernel("inplane_fullslice", spec, cfg)
         space = ParameterSpace()
-        configs = feasible_configs(build, gtx580, GRID, space)
-        sims = {e.config: e.mpoints_per_s for e in evaluate_configs(build, configs, gtx580, GRID)}
+        trials = feasible_trials(build, gtx580, GRID, space)
+        configs = [t.config for t in trials]
+        sims = {e.config: e.mpoints_per_s for e in evaluate_configs(trials, gtx580, GRID)}
         model = PaperModel(gtx580)
         pairs = [
             (sims[cfg], model.predict(ModelInputs.from_plan(build(cfg), gtx580, GRID)).mpoints_per_s)

@@ -1,0 +1,174 @@
+"""One build per config per sweep: feasibility builds, every stage reuses.
+
+A tune calls ``build(cfg)`` and ``plan.block_workload(device, grid)``
+only in its feasibility pass
+(:func:`repro.tuning.exhaustive.feasible_trials`); the pre-filter, the
+model tier, both measurement backends, the resilient executor and the
+archive capture all read the :class:`~repro.tuning.evaluator.Trial` it
+built.  These tests count the builds through every tuner and check that
+no stage mutates the shared workload.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.gpusim.arch import HALF_WARP
+from repro.gpusim.device import get_device
+from repro.gpusim.faults import FaultPlan
+from repro.kernels.factory import make_kernel
+from repro.obs.archive import read_archive
+from repro.stencils.spec import symmetric
+from repro.tuning.evaluator import SimTrialEvaluator
+from repro.tuning.exhaustive import exhaustive_tune
+from repro.tuning.modelbased import model_based_tune
+from repro.tuning.robust import RobustTuningSession
+from repro.tuning.space import ParameterSpace
+from repro.tuning.stochastic import stochastic_tune
+from repro.tuning.vectorized import VectorTrialEvaluator
+
+DEVICE = "gtx580"
+GRID = (1024, 64, 16)
+ORDER = 8
+#: Three candidates reach constraint (iii) and fail it (a 1024-wide
+#: tile's shared-memory buffer), one feasible config cannot launch.
+SPACE = ParameterSpace(
+    tx_values=(16, 32, 256), ty_values=(2, 4), rx_values=(1, 4), ry_values=(1, 8)
+)
+STORM = "seed=5,launch=0.1,hang=0.02,throttle=0.05"
+
+
+class CountingBuild:
+    """A ``build`` counting its calls; its plans count ``block_workload``.
+
+    ``workloads`` counts the calls bound to a device.  The access-plan
+    lowering behind the archive's estimate asks the in-plane plans for
+    their workload without one (it is device-free by construction); those
+    calls are tallied apart in ``lowered``.
+    """
+
+    def __init__(self) -> None:
+        self.spec = symmetric(ORDER)
+        self.builds: Counter = Counter()
+        self.workloads: Counter = Counter()
+        self.lowered: Counter = Counter()
+        #: (plan, block) for every workload handed out, for reuse checks.
+        self.handed_out: list = []
+
+    def __call__(self, cfg):
+        self.builds[cfg] += 1
+        plan = make_kernel("inplane_fullslice", self.spec, cfg)
+        unwrapped = plan.block_workload
+
+        def block_workload(device, grid_shape):
+            block = unwrapped(device, grid_shape)
+            if device is None:
+                self.lowered[id(plan)] += 1
+            else:
+                self.workloads[id(plan)] += 1
+                self.handed_out.append((plan, block))
+            return block
+
+        plan.block_workload = block_workload
+        return plan
+
+
+def reaching_constraint_iii(device):
+    """Candidates that pass (i), (ii) and (iv), so feasibility prices them."""
+    lx, ly, _ = GRID
+    return {
+        cfg for cfg in SPACE.candidates()
+        if cfg.tx % HALF_WARP == 0
+        and cfg.threads <= device.max_threads_per_block
+        and ly % cfg.tile_y == 0 and cfg.tile_y <= ly
+        and lx % cfg.tile_x == 0 and cfg.tile_x <= lx
+    }
+
+
+def run_exhaustive_vector(build, device, tmp_path):
+    return exhaustive_tune(
+        build, device, GRID, SPACE, evaluator=VectorTrialEvaluator(device)
+    )
+
+
+def run_exhaustive_sim(build, device, tmp_path):
+    return exhaustive_tune(
+        build, device, GRID, SPACE, evaluator=SimTrialEvaluator(device)
+    )
+
+
+def run_model_sim(build, device, tmp_path):
+    return model_based_tune(build, device, GRID, beta=0.5, space=SPACE)
+
+
+def run_model_vector(build, device, tmp_path):
+    return model_based_tune(
+        build, device, GRID, beta=0.5, space=SPACE,
+        evaluator=VectorTrialEvaluator(device),
+    )
+
+
+def run_stochastic(build, device, tmp_path):
+    return stochastic_tune(build, device, GRID, budget=10, seed=3, space=SPACE)
+
+
+def session_runner(method):
+    def run(build, device, tmp_path):
+        archive = tmp_path / f"{method}.archive"
+        session = RobustTuningSession(
+            device, GRID, faults=FaultPlan.parse(STORM),
+            journal_path=tmp_path / f"{method}.journal", archive_path=archive,
+            session_key=method,
+        )
+        sres = session.run(build, method=method, space=SPACE, beta=0.5, budget=10)
+        assert read_archive(archive, strict=True)[1], "archive captured nothing"
+        return sres.result
+
+    return run
+
+
+RUNNERS = {
+    "exhaustive-vector": run_exhaustive_vector,
+    "exhaustive-sim": run_exhaustive_sim,
+    "model-sim": run_model_sim,
+    "model-vector": run_model_vector,
+    "stochastic": run_stochastic,
+    "session-exhaustive": session_runner("exhaustive"),
+    "session-model": session_runner("model"),
+    "session-stochastic": session_runner("stochastic"),
+}
+
+
+@pytest.fixture(params=sorted(RUNNERS))
+def swept(request, tmp_path):
+    device = get_device(DEVICE)
+    build = CountingBuild()
+    result = RUNNERS[request.param](build, device, tmp_path)
+    return device, build, result
+
+
+class TestOneBuildPerConfig:
+    def test_build_runs_once_per_candidate_reaching_smem_check(self, swept):
+        device, build, result = swept
+        assert set(build.builds) == reaching_constraint_iii(device)
+        assert set(build.builds.values()) == {1}
+        assert result.space_size < len(build.builds)  # (iii) rejected some
+
+    def test_block_workload_runs_once_per_plan(self, swept):
+        _device, build, _result = swept
+        assert len(build.workloads) == len(build.builds)
+        assert set(build.workloads.values()) == {1}
+        # The only other calls are the estimator's device-free lowering,
+        # once per archived config.
+        assert set(build.lowered.values()) <= {1}
+
+
+class TestSharedWorkloadIsNotMutated:
+    def test_every_trial_block_equals_a_fresh_build(self, swept):
+        device, build, _result = swept
+        assert build.handed_out
+        for plan, block in build.handed_out:
+            fresh = make_kernel(
+                "inplane_fullslice", symmetric(ORDER), plan.block
+            ).block_workload(device, GRID)
+            assert block == fresh

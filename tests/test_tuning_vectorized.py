@@ -17,7 +17,12 @@ from repro.tuning.evaluator import (
     SimTrialEvaluator,
     batch_capable,
 )
-from repro.tuning.exhaustive import evaluate_configs, exhaustive_tune, feasible_configs
+from repro.tuning.exhaustive import (
+    evaluate_configs,
+    exhaustive_tune,
+    feasible_configs,
+    feasible_trials,
+)
 from repro.tuning.modelbased import model_based_tune
 from repro.tuning.space import ParameterSpace
 from repro.tuning.vectorized import VectorTrialEvaluator
@@ -133,18 +138,16 @@ class TestStatsShape:
     """``stats['jobs']`` is always populated — serial and batch alike."""
 
     def test_serial_evaluate_configs_sets_jobs(self, gtx580):
-        build = builder()
-        configs = feasible_configs(build, gtx580, GRID, SMALL_SPACE)
+        trials = feasible_trials(builder(), gtx580, GRID, SMALL_SPACE)
         stats = {}
-        evaluate_configs(build, configs, gtx580, GRID, stats=stats)
+        evaluate_configs(trials, gtx580, GRID, stats=stats)
         assert stats["jobs"] == 1
 
     def test_batch_evaluate_configs_sets_jobs(self, gtx580):
-        build = builder()
-        configs = feasible_configs(build, gtx580, GRID, SMALL_SPACE)
+        trials = feasible_trials(builder(), gtx580, GRID, SMALL_SPACE)
         stats = {}
         evaluate_configs(
-            build, configs, gtx580, GRID, stats=stats,
+            trials, gtx580, GRID, stats=stats,
             evaluator=VectorTrialEvaluator(gtx580),
         )
         assert stats["jobs"] == 1
