@@ -147,7 +147,7 @@ def _maybe_events(args: argparse.Namespace):
     Only used on the *plain* tune paths; the resilient session wires its
     own sink (tee'd with the flight recorder) from ``events_path``.
     """
-    from contextlib import contextmanager, nullcontext
+    from contextlib import nullcontext
 
     path = getattr(args, "events", None)
     if not path:
@@ -155,26 +155,17 @@ def _maybe_events(args: argparse.Namespace):
 
     from repro.obs.events import JsonlEventSink, event_stream
 
-    @contextmanager
-    def _stream():
-        sink = JsonlEventSink(path)
-        try:
-            with event_stream(sink):
-                yield sink
-        finally:
-            sink.close()
-
-    return _stream()
+    return event_stream(JsonlEventSink(path))
 
 
 def _maybe_archive(args: argparse.Namespace, session: str | None = None):
     """An installed trial archive when ``--archive`` was given.
 
     Only used on the *plain* tune paths; the resilient session owns its
-    archive lifecycle (``archive_path``) so resume/replay capture stays
-    inside its journal discipline.
+    archive (``archive_path``) so resume/replay capture stays inside its
+    journal discipline.
     """
-    from contextlib import contextmanager, nullcontext
+    from contextlib import nullcontext
 
     path = getattr(args, "archive", None)
     if not path:
@@ -182,12 +173,7 @@ def _maybe_archive(args: argparse.Namespace, session: str | None = None):
 
     from repro.obs.archive import TrialArchive, archive_stream
 
-    @contextmanager
-    def _stream():
-        with TrialArchive(path, session=session) as arc, archive_stream(arc):
-            yield arc
-
-    return _stream()
+    return archive_stream(TrialArchive(path, session=session))
 
 
 def _finish_trace(tracer, path: str | None) -> None:

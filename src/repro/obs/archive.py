@@ -22,10 +22,10 @@ measurement ran live or was replayed from a resume journal.  Two runs of
 the same campaign therefore write byte-identical archives — the same
 determinism contract the journal and the event stream already keep.
 
-The write discipline matches both of them: JSONL, line 1 a header
-binding the file to the schema version and an optional session key, one
-record per line with sorted keys, each flushed and fsynced, torn final
-line tolerated on read.  With no archive installed
+The file is a record log (:mod:`repro.obs.recordlog`, kind
+``archive``), like the journal and the stream: line 1 a header binding
+the file to the schema version and an optional session key, one record
+per line.  With no archive installed
 (:func:`current_archive` is ``None``) every capture point is one
 :class:`~contextvars.ContextVar` lookup — zero perturbation of any
 simulated number, pinned by ``repro bench diff`` staying bit-identical.
@@ -33,22 +33,18 @@ simulated number, pinned by ``repro bench diff`` staying bit-identical.
 
 from __future__ import annotations
 
-import json
-import logging
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro.obs import recordlog
 from repro.tuning.evaluator import TRIAL_STATUSES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpusim.device import DeviceSpec
     from repro.tuning.evaluator import Trial, TrialOutcome
-
-logger = logging.getLogger("repro.obs.archive")
 
 #: Version stamped into archive headers — bump on incompatible changes
 #: to the record layout.
@@ -221,36 +217,24 @@ def derive_record(
 
 
 class TrialArchive:
-    """Append-only JSONL archive, flushed and fsynced per record.
+    """Append-only JSONL trial archive — a record log of kind ``archive``.
 
     Line 1 is a header binding the file to the schema version and an
     optional session key; each further line is one
-    :class:`ArchiveRecord` with sorted keys.  Same crash discipline as
-    the journal and the event stream: a killed process leaves at most
-    one torn final line, everything before it is durable.
+    :class:`ArchiveRecord`.  Format and crash discipline are
+    :mod:`repro.obs.recordlog`'s.
     """
 
     def __init__(self, path: str | Path, *, session: str | None = None) -> None:
         self.path = Path(path)
-        self.session = session
         self.records_written = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        header: dict[str, Any] = {
-            "archive": _ARCHIVE_TOOL,
-            "version": ARCHIVE_SCHEMA_VERSION,
-        }
-        if session is not None:
-            header["session"] = session
-        self._fh = open(self.path, "w")
-        self._fh.write(json.dumps(header, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        recordlog.create(self.path, recordlog.make_header(
+            "archive", _ARCHIVE_TOOL, ARCHIVE_SCHEMA_VERSION, session
+        ))
 
     def record(self, record: ArchiveRecord) -> None:
         """Append one record (flushed and fsynced)."""
-        self._fh.write(json.dumps(record.to_obj(), sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        recordlog.append(self.path, record.to_obj())
         self.records_written += 1
 
     def capture(
@@ -269,16 +253,6 @@ class TrialArchive:
         )
         self.record(record)
         return record
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "TrialArchive":
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self.close()
 
 
 # -- the contextvar plumbing -------------------------------------------------
@@ -314,81 +288,20 @@ def read_archive(
 ) -> tuple[dict[str, Any], list[ArchiveRecord]]:
     """Parse one archive file; returns ``(header, records)``.
 
-    Tolerates a torn final line exactly like the journal and event
-    readers.  With ``strict`` every record must parse against the full
-    schema (the ``tools/check.py`` explain-smoke mode); without it the
-    same validation applies — the record layout *is* the schema — but a
-    torn final line is still the only tolerated damage.
+    Reads through :func:`repro.obs.recordlog.read`: a torn final line is
+    dropped unless ``strict``.  Every record parses against the full
+    schema either way — the record layout *is* the schema.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ArchiveError(f"{path}: cannot read archive: {exc}") from exc
-    if not lines:
-        raise ArchiveError(f"{path}: archive is empty (no header)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ArchiveError(f"{path}:1: unreadable header: {exc}") from exc
-    if (
-        not isinstance(header, dict)
-        or header.get("archive") != _ARCHIVE_TOOL
-        or header.get("version") != ARCHIVE_SCHEMA_VERSION
-    ):
-        raise ArchiveError(
-            f"{path}:1: not a {_ARCHIVE_TOOL} v{ARCHIVE_SCHEMA_VERSION} "
-            f"archive header: {header!r}"
-        )
-    records: list[ArchiveRecord] = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if i == len(lines) and not strict:
-                logger.warning(
-                    "%s:%d: dropping torn final archive line (%s)", path, i, exc
-                )
-                break
-            raise ArchiveError(
-                f"{path}:{i}: corrupt archive record: {exc}"
-            ) from exc
-        records.append(ArchiveRecord.from_obj(obj, path=f"{path}:{i}"))
-    return header, records
+    header, records = recordlog.read(
+        path, kind="archive", tool=_ARCHIVE_TOOL,
+        version=ARCHIVE_SCHEMA_VERSION, error=ArchiveError, strict=strict,
+    )
+    return header, [
+        ArchiveRecord.from_obj(obj, path=f"{path}:{i}") for i, obj in records
+    ]
 
 
 def validate_archive(path: str | Path) -> int:
     """Strictly validate an archive file; returns the record count."""
     _header, records = read_archive(path, strict=True)
     return len(records)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.obs.archive ARCHIVE...`` — validate archive files."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.archive",
-        description="validate trial-archive files against the schema "
-                    "(the tools/check.py explain-smoke step)",
-    )
-    parser.add_argument("paths", nargs="+", metavar="ARCHIVE")
-    args = parser.parse_args(argv)
-    status = 0
-    for raw in args.paths:
-        try:
-            count = validate_archive(raw)
-        except ArchiveError as exc:
-            print(f"{raw}: INVALID: {exc}")
-            status = 1
-        else:
-            print(f"{raw}: ok ({count} record(s))")
-    return status
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    import sys
-
-    sys.exit(main())

@@ -25,10 +25,9 @@ Design contracts, in decreasing order of importance:
    byte-identical stream files — the same guarantee the journal gives,
    extended to telemetry.
 
-The stream file is JSONL: line 1 is a header binding the stream to the
-schema version and session key; every further line is one event object
-with sorted keys.  A process killed mid-append leaves at most one torn
-final line, which :func:`read_events` tolerates.
+The stream file is a record log (:mod:`repro.obs.recordlog`, kind
+``stream``): line 1 is a header binding the stream to the schema version
+and session key; every further line is one event object.
 """
 
 from __future__ import annotations
@@ -42,6 +41,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
+
+from repro.obs import recordlog
 
 logger = logging.getLogger("repro.obs.events")
 
@@ -219,9 +220,6 @@ class EventSink:
     def write(self, event: Event) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release resources (idempotent; default no-op)."""
-
 
 class MemoryEventSink(EventSink):
     """In-memory sink (tests and programmatic consumers)."""
@@ -235,39 +233,22 @@ class MemoryEventSink(EventSink):
 
 
 class JsonlEventSink(EventSink):
-    """Append-only JSONL stream, flushed and fsynced per event.
+    """Append-only JSONL event stream — a record log of kind ``stream``.
 
     Line 1 is a header binding the stream to the schema version and an
-    optional session key; each further line is one event with sorted
-    keys.  The write discipline matches the trial journal: a killed
-    process leaves at most one torn final line, and everything before it
-    is durable.
+    optional session key; each further line is one event.  Format and
+    crash discipline are :mod:`repro.obs.recordlog`'s.
     """
 
     def __init__(self, path: str | Path, *, session: str | None = None) -> None:
         super().__init__()
         self.path = Path(path)
-        self.session = session
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        header: dict[str, Any] = {
-            "stream": _STREAM_TOOL,
-            "version": EVENTS_SCHEMA_VERSION,
-        }
-        if session is not None:
-            header["session"] = session
-        self._fh = open(self.path, "w")
-        self._fh.write(json.dumps(header, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        recordlog.create(self.path, recordlog.make_header(
+            "stream", _STREAM_TOOL, EVENTS_SCHEMA_VERSION, session
+        ))
 
     def write(self, event: Event) -> None:
-        self._fh.write(json.dumps(event.to_obj(), sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+        recordlog.append(self.path, event.to_obj())
 
 
 class TeeEventSink(EventSink):
@@ -290,10 +271,6 @@ class TeeEventSink(EventSink):
 
     def write(self, event: Event) -> None:  # pragma: no cover - unused
         raise NotImplementedError("TeeEventSink dispatches via emit()")
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 class FlightRecorder(EventSink):
@@ -407,83 +384,20 @@ def read_events(
 ) -> tuple[dict[str, Any], list[Event]]:
     """Parse one stream file; returns ``(header, events)``.
 
-    Tolerates a torn final line (the process died mid-append) exactly
-    like the journal reader.  With ``strict`` every record is validated
-    against the catalog — the mode the ``tools/check.py`` events-lint
-    step and ``python -m repro.obs.events`` run in.
+    Reads through :func:`repro.obs.recordlog.read`: a torn final line is
+    dropped unless ``strict``.  With ``strict`` every record is also
+    validated against the catalog — the mode of :func:`validate_stream`.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise EventSchemaError(f"{path}: cannot read stream: {exc}") from exc
-    if not lines:
-        raise EventSchemaError(f"{path}: stream is empty (no header)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise EventSchemaError(f"{path}:1: unreadable header: {exc}") from exc
-    if (
-        not isinstance(header, dict)
-        or header.get("stream") != _STREAM_TOOL
-        or header.get("version") != EVENTS_SCHEMA_VERSION
-    ):
-        raise EventSchemaError(
-            f"{path}:1: not a {_STREAM_TOOL} v{EVENTS_SCHEMA_VERSION} "
-            f"stream header: {header!r}"
-        )
-    events: list[Event] = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if i == len(lines):
-                logger.warning(
-                    "%s:%d: dropping torn final event line (%s)", path, i, exc
-                )
-                break
-            raise EventSchemaError(
-                f"{path}:{i}: corrupt event record: {exc}"
-            ) from exc
-        if strict:
-            events.append(validate_event(obj, path=f"{path}:{i}"))
-        else:
-            events.append(Event.from_obj(obj))
-    return header, events
+    header, records = recordlog.read(
+        path, kind="stream", tool=_STREAM_TOOL, version=EVENTS_SCHEMA_VERSION,
+        error=EventSchemaError, strict=strict,
+    )
+    if strict:
+        return header, [validate_event(obj, path=f"{path}:{i}") for i, obj in records]
+    return header, [Event.from_obj(obj) for _i, obj in records]
 
 
 def validate_stream(path: str | Path) -> int:
     """Strictly validate a stream file; returns the event count."""
     _header, events = read_events(path, strict=True)
     return len(events)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.obs.events STREAM...`` — validate stream files."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.events",
-        description="validate structured event stream files against the "
-                    "catalog/schema (the tools/check.py events-lint step)",
-    )
-    parser.add_argument("paths", nargs="+", metavar="STREAM")
-    args = parser.parse_args(argv)
-    status = 0
-    for raw in args.paths:
-        try:
-            count = validate_stream(raw)
-        except EventSchemaError as exc:
-            print(f"{raw}: INVALID: {exc}")
-            status = 1
-        else:
-            print(f"{raw}: ok ({count} event(s))")
-    return status
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    import sys
-
-    sys.exit(main())

@@ -15,7 +15,7 @@ anything the tracer counted during a run can be scraped or shipped:
 Determinism: snapshots are sorted by metric name and neither format
 emits timestamps, so exporting the same registry twice is byte-identical
 — which is what lets ``tests/test_obs_export.py`` pin golden outputs and
-the ``tools/check.py`` events-lint step parse the exposition back.
+the ``tools/check.py`` session-smoke step parse the exposition back.
 
 Service-shaped gauges
 ---------------------
@@ -214,7 +214,7 @@ def lint_prometheus(text: str) -> list[str]:
     """Check exposition text for name/type/help-line conformance.
 
     Returns a list of problems (empty means clean).  This is the parser
-    the ``tools/check.py`` events-lint step runs over the exporter's own
+    the ``tools/check.py`` session-smoke step runs over the exporter's own
     output — the exporter cannot drift from the format without the gate
     noticing.  Checked per family: exactly one ``# HELP`` and one
     ``# TYPE`` line, in that order, before any sample; a known type;
@@ -329,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.export",
         description="Prometheus/OTLP exporter self-lint "
-                    "(the tools/check.py events-lint step)",
+                    "(the tools/check.py session-smoke step)",
     )
     parser.add_argument("paths", nargs="*", metavar="EXPOSITION")
     parser.add_argument("--lint", action="store_true",

@@ -25,12 +25,14 @@ deterministic, monitoring stays a pure reader.
 
 from __future__ import annotations
 
-import json
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from repro.errors import JournalError
+from repro.obs import recordlog
 from repro.obs.events import Event, read_events
 from repro.tuning.evaluator import (
     STATUS_OK,
@@ -39,6 +41,9 @@ from repro.tuning.evaluator import (
     STATUS_REJECTED_STATIC,
     TRIAL_STATUSES,
 )
+from repro.tuning.robust import TrialJournal
+
+logger = logging.getLogger("repro.obs.live")
 
 #: Snapshot schema version (the ``repro top --json`` document).
 TOP_SCHEMA_VERSION = 1
@@ -102,40 +107,29 @@ class SessionSnapshot:
 
 
 def read_journal_counts(path: str | Path) -> SessionSnapshot:
-    """Parse a trial journal into a snapshot (torn-final-line tolerant).
+    """Parse a trial journal into a snapshot; never raises.
 
-    Independent of :class:`~repro.tuning.robust.TrialJournal` on purpose:
-    the monitor must not need the session key the journal is bound to,
-    and a half-written record mid-``repro top`` refresh must never raise.
-    Unreadable interior lines are skipped (the writer fsyncs per record,
-    so in practice only the final line can be torn).
+    Needs no session key, unlike :class:`~repro.tuning.robust.TrialJournal`.
+    A torn final line (a session mid-append) is dropped; a journal that
+    is missing or corrupt anywhere else contributes nothing, so counts
+    fall back to the event stream.  Unknown statuses are skipped.
     """
     snap = SessionSnapshot(source="journal")
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError:
-        return snap
-    if not lines:
+    if not Path(path).exists():
         return snap
     try:
-        header = json.loads(lines[0])
-        if isinstance(header, dict):
-            snap.session = header.get("session")
-    except json.JSONDecodeError:
+        header, records = recordlog.read(
+            path, kind="journal", tool=TrialJournal.TOOL,
+            version=TrialJournal.VERSION, error=JournalError,
+        )
+    except JournalError as exc:
+        logger.warning("repro top: ignoring unusable journal: %s", exc)
         return snap
-    count = 0
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn (or foreign) line: skip, keep counting
-        status = obj.get("status")
+    snap.session = header.get("session")
+    for _i, obj in records:
+        status = obj.get("status") if isinstance(obj, dict) else None
         if status not in TRIAL_STATUSES:
             continue
-        count += 1
         snap.trials[status] += 1
         snap.retries += max(0, int(obj.get("attempts", 1)) - 1)
         for kind in obj.get("faults", ()):  # kinds that touched the outcome
@@ -148,7 +142,7 @@ def read_journal_counts(path: str | Path) -> SessionSnapshot:
                 cfg = obj.get("config")
                 if isinstance(cfg, list):
                     snap.best_config = f"({', '.join(str(v) for v in cfg)})"
-    snap.journal_trials = count
+    snap.journal_trials = snap.completed
     return snap
 
 

@@ -12,8 +12,8 @@ failure modes :mod:`repro.gpusim.faults` injects:
 * **per-config quarantine** — a configuration that keeps faulting is
   recorded as ``quarantined`` and excluded from the ranking instead of
   poisoning it with a degraded number;
-* **crash-safe journal** — every completed trial is appended to a JSONL
-  journal (flushed and fsynced per record), so a killed campaign resumes
+* **crash-safe journal** — every completed trial is appended to a fsynced
+  record log (:mod:`repro.obs.recordlog`), so a killed campaign resumes
   with ``repro tune --resume`` without re-running any journaled trial;
 * **graceful degradation** — :class:`RobustTuningSession` walks the tier
   ladder model → stochastic → exhaustive, falling through when a tier
@@ -29,11 +29,11 @@ accounted in :attr:`ResilientEvaluator.stats`.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -46,6 +46,7 @@ from repro.errors import (
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.executor import DeviceExecutor
 from repro.kernels.config import BlockConfig
+from repro.obs import recordlog
 from repro.obs.archive import TrialArchive, archive_stream
 from repro.obs.events import (
     EventSink,
@@ -155,21 +156,20 @@ def _outcome_from_obj(obj: dict[str, Any], path: Path, line: int) -> TrialOutcom
 
 
 class TrialJournal:
-    """Append-only JSONL record of completed trials, keyed by config.
+    """Append-only record of completed trials, keyed by config.
 
-    Line 1 is a header binding the journal to one session key (device,
-    grid, fault plan, ...): resuming against the wrong journal raises
+    A record log of kind ``journal`` (:mod:`repro.obs.recordlog`).  Line
+    1 is a header binding the journal to one session key (device, grid,
+    fault plan, ...): resuming against the wrong journal raises
     :class:`repro.errors.JournalError` instead of silently replaying
     foreign measurements.  Every subsequent line is one completed
-    :class:`~repro.tuning.evaluator.TrialOutcome`.
-
-    Writes are flushed and fsynced per record; a process killed
+    :class:`~repro.tuning.evaluator.TrialOutcome`.  A process killed
     mid-write leaves at most one torn final line, which :meth:`resume`
-    tolerates (the interrupted trial simply re-runs).
+    drops (the interrupted trial simply re-runs).
     """
 
     VERSION = 1
-    _TOOL = "repro.tuning.robust"
+    TOOL = "repro.tuning.robust"
 
     def __init__(self, path: str | Path, session_key: str) -> None:
         self.path = Path(path)
@@ -182,68 +182,18 @@ class TrialJournal:
     def create(cls, path: str | Path, session_key: str) -> "TrialJournal":
         """Start a fresh journal (truncating any previous file)."""
         journal = cls(path, session_key)
-        journal.path.parent.mkdir(parents=True, exist_ok=True)
-        header = {
-            "journal": cls._TOOL,
-            "version": cls.VERSION,
-            "session": session_key,
-        }
-        with open(journal.path, "w") as fh:
-            fh.write(json.dumps(header) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        recordlog.create(journal.path, recordlog.make_header(
+            "journal", cls.TOOL, cls.VERSION, session_key
+        ))
         return journal
 
     @classmethod
     def resume(cls, path: str | Path, session_key: str) -> "TrialJournal":
         """Reload a journal; raises :class:`JournalError` when unusable."""
-        path = Path(path)
-        if not path.exists():
-            raise JournalError(f"{path}: resume journal does not exist")
-        try:
-            lines = path.read_text().splitlines()
-        except OSError as exc:
-            raise JournalError(f"{path}: cannot read journal: {exc}") from exc
-        if not lines:
-            raise JournalError(f"{path}: journal is empty (no header)")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise JournalError(f"{path}:1: unreadable header: {exc}") from exc
-        if (
-            not isinstance(header, dict)
-            or header.get("journal") != cls._TOOL
-            or header.get("version") != cls.VERSION
-        ):
-            raise JournalError(
-                f"{path}:1: not a {cls._TOOL} v{cls.VERSION} journal header: "
-                f"{header!r}"
-            )
-        if header.get("session") != session_key:
-            raise JournalError(
-                f"{path}: journal belongs to session "
-                f"{header.get('session')!r}, not {session_key!r}"
-            )
         journal = cls(path, session_key)
-        for i, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if i == len(lines):
-                    # Torn final line: the process died mid-append.  The
-                    # trial it described re-runs; everything before it is
-                    # intact (each record was fsynced before the next).
-                    logger.warning(
-                        "%s:%d: dropping torn final journal line (%s)",
-                        path, i, exc,
-                    )
-                    break
-                raise JournalError(
-                    f"{path}:{i}: corrupt journal record: {exc}"
-                ) from exc
-            outcome = _outcome_from_obj(obj, path, i)
+        if not journal.path.exists():
+            raise JournalError(f"{journal.path}: resume journal does not exist")
+        for outcome in read_journal(journal.path, session_key=session_key):
             journal._outcomes[outcome.config] = outcome
         return journal
 
@@ -256,13 +206,23 @@ class TrialJournal:
     def record(self, outcome: TrialOutcome) -> None:
         """Append one completed trial (flushed and fsynced)."""
         self._outcomes[outcome.config] = outcome
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(_outcome_to_obj(outcome)) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        recordlog.append(self.path, _outcome_to_obj(outcome))
 
     def __len__(self) -> int:
         return len(self._outcomes)
+
+
+def read_journal(
+    path: str | Path, *, session_key: str | None = None, strict: bool = False
+) -> list[TrialOutcome]:
+    """A journal's outcomes in file order, marked ``replayed``; with no
+    ``session_key`` a journal of any session is accepted."""
+    _header, records = recordlog.read(
+        path, kind="journal", tool=TrialJournal.TOOL,
+        version=TrialJournal.VERSION, error=JournalError,
+        session=session_key, strict=strict,
+    )
+    return [_outcome_from_obj(obj, Path(path), i) for i, obj in records]
 
 
 # -- the resilient evaluator -----------------------------------------------
@@ -609,87 +569,52 @@ class RobustTuningSession:
         stream and through the flight recorder, whose ring is dumped to
         ``crash_report_path`` should any error escape this method.
         """
-        if self.archive_path is None:
-            return self._run_streams(
-                build, archive=None, method=method, space=space, beta=beta,
-                budget=budget, seed=seed,
-            )
-        archive = TrialArchive(self.archive_path, session=self.session_key)
-        try:
-            with archive_stream(archive):
-                return self._run_streams(
-                    build, archive=archive, method=method, space=space,
-                    beta=beta, budget=budget, seed=seed,
-                )
-        finally:
-            archive.close()
+        ladder = partial(
+            self._run_ladder, build, method=method, space=space, beta=beta,
+            budget=budget, seed=seed,
+        )
 
-    def _run_streams(
-        self,
-        build: Callable[[BlockConfig], "KernelPlan"],
-        *,
-        archive: TrialArchive | None,
-        method: str,
-        space: "ParameterSpace | None",
-        beta: float,
-        budget: int,
-        seed: int,
-    ) -> SessionResult:
-        """Event-sink wiring around the ladder (see :meth:`run`)."""
-        sinks: list[EventSink] = []
-        outer = current_sink()
-        if outer is not None:
-            sinks.append(outer)
-        stream: JsonlEventSink | None = None
-        if self.events_path is not None:
-            stream = JsonlEventSink(self.events_path, session=self.session_key)
-            sinks.append(stream)
-        if not sinks and self.crash_report_path is None:
-            # Event layer untouched: a plain session stays zero-overhead.
-            return self._run_ladder(
-                build, method=method, space=space, beta=beta, budget=budget,
-                seed=seed,
+        with ExitStack() as stack:
+            archive: TrialArchive | None = None
+            if self.archive_path is not None:
+                archive = stack.enter_context(archive_stream(
+                    TrialArchive(self.archive_path, session=self.session_key)
+                ))
+            outer = current_sink()
+            sinks: list[EventSink] = [] if outer is None else [outer]
+            if self.events_path is not None:
+                sinks.append(JsonlEventSink(self.events_path, session=self.session_key))
+            if not sinks and self.crash_report_path is None:
+                # Event layer untouched: a plain session stays zero-overhead.
+                return ladder()
+            sinks.append(self.flight)
+            stack.enter_context(event_stream(TeeEventSink(sinks)))
+            emit_event("session.start", session=self.session_key, method=method)
+            if archive is not None:
+                emit_event("archive.start", session=self.session_key)
+            try:
+                session_result = ladder()
+            except BaseException as exc:
+                emit_event(
+                    "session.crash", error=f"{type(exc).__name__}: {exc}"
+                )
+                if self.crash_report_path is not None:
+                    self.flight.dump(
+                        self.crash_report_path,
+                        reason=type(exc).__name__,
+                        error=exc,
+                        session=self.session_key,
+                    )
+                raise
+            if archive is not None:
+                emit_event("archive.finished", records=archive.records_written)
+            emit_event(
+                "session.finished",
+                method=session_result.method,
+                best_config=session_result.result.best.config.label(),
+                best_mpoints=session_result.result.best_mpoints,
             )
-        sinks.append(self.flight)
-        try:
-            with event_stream(TeeEventSink(sinks)):
-                emit_event(
-                    "session.start", session=self.session_key, method=method
-                )
-                if archive is not None:
-                    emit_event("archive.start", session=self.session_key)
-                try:
-                    session_result = self._run_ladder(
-                        build, method=method, space=space, beta=beta,
-                        budget=budget, seed=seed,
-                    )
-                except BaseException as exc:
-                    emit_event(
-                        "session.crash",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    if self.crash_report_path is not None:
-                        self.flight.dump(
-                            self.crash_report_path,
-                            reason=type(exc).__name__,
-                            error=exc,
-                            session=self.session_key,
-                        )
-                    raise
-                if archive is not None:
-                    emit_event(
-                        "archive.finished", records=archive.records_written
-                    )
-                emit_event(
-                    "session.finished",
-                    method=session_result.method,
-                    best_config=session_result.result.best.config.label(),
-                    best_mpoints=session_result.result.best_mpoints,
-                )
-                return session_result
-        finally:
-            if stream is not None:
-                stream.close()
+            return session_result
 
     def _run_ladder(
         self,

@@ -286,15 +286,11 @@ class TestObservability:
 
         g = rng.random((24, 12, 16))
         path = tmp_path / "run.events"
-        sink = JsonlEventSink(path)
-        try:
-            with event_stream(sink):
-                self_run = engine.run_campaign(
-                    g, 4, 6, faults=STORM, cost_points=False,
-                    checkpoint_path=tmp_path / "f.ckpt", checkpoint_every=2,
-                )
-        finally:
-            sink.close()
+        with event_stream(JsonlEventSink(path)):
+            self_run = engine.run_campaign(
+                g, 4, 6, faults=STORM, cost_points=False,
+                checkpoint_path=tmp_path / "f.ckpt", checkpoint_every=2,
+            )
         _header, events = read_events(path, strict=True)
         names = [e.name for e in events]
         assert names[0] == "cluster.run.start"

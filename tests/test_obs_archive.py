@@ -28,11 +28,11 @@ from repro.obs.archive import (
     TrialArchive,
     archive_stream,
     derive_record,
-    main as archive_main,
     read_archive,
     validate_archive,
 )
 from repro.obs.events import read_events
+from repro.obs.recordlog import main as recordlog_main
 from repro.stencils.spec import symmetric
 from repro.tuning.evaluator import STATUS_OK, TrialOutcome, build_trial
 from repro.tuning.exhaustive import evaluate_configs, exhaustive_tune, feasible_trials
@@ -53,7 +53,7 @@ def build(cfg: BlockConfig):
 
 def archive_tune(path, *, session="t"):
     device = get_device(DEVICE)
-    with TrialArchive(path, session=session) as arc, archive_stream(arc):
+    with archive_stream(TrialArchive(path, session=session)):
         return exhaustive_tune(build, device, GRID, SPACE)
 
 
@@ -121,9 +121,9 @@ class TestSchemaRoundTrip:
         archive_tune(good)
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
-        assert archive_main([str(good)]) == 0
+        assert recordlog_main([str(good)]) == 0
         assert "ok" in capsys.readouterr().out
-        assert archive_main([str(good), str(bad)]) == 1
+        assert recordlog_main([str(good), str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().out
         assert validate_archive(good) == len(read_archive(good)[1])
 

@@ -7,7 +7,11 @@ report.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,12 +28,13 @@ from repro.obs.events import (
     current_sink,
     emit,
     event_stream,
-    main,
     read_events,
     suppress_events,
     validate_event,
     validate_stream,
 )
+from repro.obs import recordlog
+from repro.obs.recordlog import main
 
 
 class TestCatalog:
@@ -102,7 +107,6 @@ class TestJsonlStream:
             emit("sweep.start", method="exhaustive", device="gtx580",
                  space_size=10)
             emit("sweep.finished", method="exhaustive", evaluated=10)
-        sink.close()
         header, events = read_events(path, strict=True)
         assert header == {
             "stream": "repro.obs.events",
@@ -120,7 +124,6 @@ class TestJsonlStream:
         with event_stream(sink):
             emit("cache.miss", key="a")
             emit("cache.hit", key="a")
-        sink.close()
         with open(path, "a") as fh:
             fh.write('{"event": "cache.pu')  # killed mid-append
         _header, events = read_events(path)
@@ -131,6 +134,33 @@ class TestJsonlStream:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(EventSchemaError, match="corrupt event record"):
             read_events(path)
+
+    def test_strict_validation_refuses_torn_final_record(self, tmp_path):
+        # A finished stream has no torn tail: the validator must refuse
+        # one, while a live (non-strict) reader still drops it.
+        path = tmp_path / "s.events"
+        sink = JsonlEventSink(path, session="k")
+        with event_stream(sink):
+            emit("sweep.start", method="exhaustive", device="gtx580",
+                 space_size=2)
+            emit("sweep.finished", method="exhaustive", evaluated=2)
+        whole = path.read_text()
+        path.write_text(whole[: whole.rindex('"method"')])
+        with pytest.raises(EventSchemaError, match="corrupt event record"):
+            validate_stream(path)
+        src = str(Path(recordlog.__file__).resolve().parents[2])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.obs.recordlog", str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "INVALID" in proc.stdout
+        _header, events = read_events(path)
+        assert [e.name for e in events] == ["sweep.start"]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "s.events"
@@ -143,11 +173,11 @@ class TestJsonlStream:
 
     def test_cli_validator(self, tmp_path, capsys):
         good = tmp_path / "good.events"
-        JsonlEventSink(good).close()
+        JsonlEventSink(good)
         bad = tmp_path / "bad.events"
         bad.write_text("nope\n")
         assert main([str(good)]) == 0
-        assert "ok (0 event(s))" in capsys.readouterr().out
+        assert "ok (stream, 0 event record(s))" in capsys.readouterr().out
         assert main([str(good), str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().out
 

@@ -17,6 +17,7 @@ from repro.cli import main
 from repro.gpusim.faults import FaultPlan
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
+from repro.obs.events import JsonlEventSink, emit, event_stream
 from repro.obs.live import (
     SessionSnapshot,
     follow_session,
@@ -215,20 +216,45 @@ class TestFollow:
         assert "? [running]" in text
         assert "0 trial(s)" in text
 
-    def test_journal_reader_skips_foreign_lines(self, tmp_path):
+    def test_journal_reader_skips_foreign_lines(self, tmp_path, caplog):
+        header = (
+            '{"journal": "repro.tuning.robust", "session": "k", '
+            '"version": 1}\n'
+        )
+        ok = (
+            '{"attempts": 2, "config": [32, 4], "faults": ["hang"], '
+            '"mpoints_per_s": 5.0, "status": "ok"}\n'
+        )
+        quarantined = (
+            '{"attempts": 4, "config": [16, 4], '
+            '"faults": ["launch_failure"], "status": "quarantined"}\n'
+        )
         path = tmp_path / "j.journal"
+        # An unknown status is skipped; a torn final line is dropped.
         path.write_text(
-            '{"journal": "repro.tuning.robust", "version": 1, '
-            '"session": "k"}\n'
-            '{"config": [32, 4], "status": "ok", "mpoints_per_s": 5.0, '
-            '"attempts": 2, "faults": ["hang"]}\n'
-            "not json at all\n"
-            '{"config": [16, 4], "status": "quarantined", "attempts": 4, '
-            '"faults": ["launch_failure"]}\n'
+            header + ok + '{"config": [8, 8], "status": "exploded"}\n'
+            + quarantined + '{"config": [16, 2], "status": "o'
         )
         snap = read_journal_counts(path)
+        assert snap.journal_trials == 2
         assert snap.trials["ok"] == 1
         assert snap.trials["quarantined"] == 1
         assert snap.retries == 1 + 3
         assert snap.faults == {"hang": 1, "launch_failure": 1}
         assert snap.best_config == "(32, 4)"
+
+        # Interior corruption: the journal contributes nothing, a warning
+        # says why, and the counts fall back to the event stream.
+        path.write_text(header + ok + "not json at all\n" + quarantined)
+        events = tmp_path / "j.events"
+        with event_stream(JsonlEventSink(events, session="k")):
+            emit("trial.measured", config="(16, 2)", mpoints_per_s=7.0,
+                 attempts=1)
+        with caplog.at_level("WARNING", logger="repro.obs.live"):
+            assert read_journal_counts(path).journal_trials is None
+        assert "corrupt journal record" in caplog.text
+        snap = snapshot_session(path, events)
+        assert snap.source == "events"
+        assert snap.session == "k"
+        assert snap.trials["ok"] == 1 and snap.completed == 1
+        assert snap.best_config == "(16, 2)"

@@ -7,6 +7,7 @@ journaled trial.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.gpusim.executor import DeviceExecutor
 from repro.gpusim.faults import FaultPlan
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
+from repro.obs.recordlog import main as recordlog_main
 from repro.stencils.spec import symmetric
 from repro.tuning.evaluator import (
     STATUS_OK,
@@ -211,11 +213,14 @@ class TestJournal:
         journal = TrialJournal.create(path, "k")
         journal.record(self.outcome(32, 4))
         journal.record(self.outcome(16, 2))
+        assert recordlog_main([str(path)]) == 0
         with open(path, "a") as fh:
             fh.write('{"config": [64, 1], "status": "ok", "mpo')  # killed here
         reloaded = TrialJournal.resume(path, "k")
         assert len(reloaded) == 2
         assert reloaded.get(BlockConfig(64, 1)) is None
+        # A finished journal has no torn tail: the strict validator refuses it.
+        assert recordlog_main([str(path)]) == 1
 
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "t.journal"
@@ -226,6 +231,43 @@ class TestJournal:
         path.write_text("\n".join(lines + ['{"also": "a trailing line"}']) + "\n")
         with pytest.raises(JournalError, match="corrupt journal record"):
             TrialJournal.resume(path, "k")
+
+    def test_insertion_order_journal_still_resumes(self, tmp_path):
+        # Journals used to be written with keys in insertion order; they
+        # must still resume, and sorting the keys changes no line length.
+        legacy = [
+            '{"journal": "repro.tuning.robust", "version": 1, "session": "k"}',
+            '{"config": [32, 4, 1, 1], "status": "ok", "mpoints_per_s": 100.0, '
+            '"info": {"occupancy": 0.5}, "attempts": 1, "faults": []}',
+            '{"config": [16, 2, 2, 1], "status": "quarantined", '
+            '"mpoints_per_s": 0.0, "info": {}, "attempts": 4, '
+            '"faults": ["launch_failure"]}',
+        ]
+        outcomes = [
+            self.outcome(32, 4),
+            TrialOutcome(
+                config=BlockConfig(16, 2, 2, 1), status=STATUS_QUARANTINED,
+                attempts=4, faults=("launch_failure",),
+            ),
+        ]
+        old = tmp_path / "old.journal"
+        old.write_text("\n".join(legacy) + "\n")
+        reloaded = TrialJournal.resume(old, "k")
+        assert len(reloaded) == len(outcomes)
+        for outcome in outcomes:
+            assert reloaded.get(outcome.config) == replace(outcome, replayed=True)
+
+        new = tmp_path / "new.journal"
+        journal = TrialJournal.create(new, "k")
+        for outcome in outcomes:
+            journal.record(outcome)
+        lines = new.read_text().splitlines()
+        assert [len(line) for line in lines] == [len(line) for line in legacy]
+        assert [json.loads(line) for line in lines] == [
+            json.loads(line) for line in legacy
+        ]
+        for line in lines:
+            assert list(json.loads(line)) == sorted(json.loads(line))
 
     def test_bad_record_fields_raise(self, tmp_path):
         path = tmp_path / "t.journal"

@@ -14,37 +14,31 @@ Runs, in order:
    recorded ``BENCH_profile.json`` trajectory: every record resimulated,
    exact tolerance — any slowdown fails the gate with the responsible
    counter named)
-5. the fault-injection smoke test (``repro tune`` under a seeded fault
-   storm with a journal, then a ``--resume`` of the same journal: both
-   must exit 0, exercising retry, quarantine, and crash-safe replay
-   end to end)
-6. the events/metrics lint (a seeded storm tune writes an ``--events``
-   stream and a ``--metrics-out`` exposition; the stream is validated
-   against the event catalog with ``python -m repro.obs.events``, the
-   exposition and the exporters' own sample output with
-   ``python -m repro.obs.export --lint``)
-7. the explain smoke test (a seeded storm tune writes an ``--archive``
-   trial archive; it must validate strictly with
-   ``python -m repro.obs.archive``, ``repro explain --json`` over it
-   must emit parseable JSON, and every exported Vega-Lite landscape
-   spec must parse)
-8. the cluster resilience smoke test (``repro cluster run`` under a
+5. the session smoke test (one seeded storm ``repro tune`` writes a
+   journal, an event stream, a trial archive and a metrics exposition;
+   ``python -m repro.obs.recordlog`` validates the three record logs
+   strictly, ``python -m repro.obs.export --lint`` lints the exposition
+   and the exporters' own sample output, ``repro explain --json`` over
+   the archive and every exported Vega-Lite landscape spec must parse,
+   and a ``--resume`` of the journal must exit 0 — retry, quarantine and
+   crash-safe replay end to end)
+6. the cluster resilience smoke test (``repro cluster run`` under a
    seeded dropout + corruption + degradation storm with checkpoints,
    then the same campaign stopped early and ``--resume``\ d: the
    resumed final-grid digest must be bit-identical to the
    uninterrupted run's, and the event stream must validate strictly)
-9. the batch-identity gate (``python -m repro.gpusim.batch``: every
+7. the batch-identity gate (``python -m repro.gpusim.batch``: every
    ``BENCH_profile.json`` record is resimulated through the scalar
    executor and the vectorized batch engine; the two SHA-256 report
    digests must be equal — the bit-identity contract of
    ``docs/SIMULATOR.md``)
-10. the estimator-reconciliation gate (``repro estimate --reconcile``:
-    every ``BENCH_profile.json`` record's plan is lowered to its
-    access-plan IR, the codegen-time estimate is compared bit-for-bit
-    against the resimulated hardware counters, and every distinct
-    plan's CUDA/OpenCL/HIP sources are re-parsed and verified against
-    the IR — any IR↔source or estimator↔counters mismatch fails)
-11. the tier-1 test suite (``pytest tests/``)
+8. the estimator-reconciliation gate (``repro estimate --reconcile``:
+   every ``BENCH_profile.json`` record's plan is lowered to its
+   access-plan IR, the codegen-time estimate is compared bit-for-bit
+   against the resimulated hardware counters, and every distinct
+   plan's CUDA/OpenCL/HIP sources are re-parsed and verified against
+   the IR — any IR↔source or estimator↔counters mismatch fails)
+9. the tier-1 test suite (``pytest tests/``)
 
 Static tools that are not installed are reported as *skipped* and do not
 fail the gate — the container bakes in the runtime toolchain but not
@@ -79,14 +73,46 @@ def run(label: str, cmd: list[str], *, required: bool, env: dict | None = None) 
     return status
 
 
-def fault_smoke(env: dict) -> str:
-    """Tune under a seeded fault storm, then resume the journal."""
+def run_phases(label: str, phases: list, env: dict) -> dict | None:
+    """Run ``(phase, cmd)`` steps in order; their stdout, or ``None``
+    (after echoing the failing step's output) on the first non-zero exit."""
+    out = {}
+    for phase, cmd in phases:
+        print(f"[check] {label}/{phase}: {' '.join(cmd)}")
+        proc = subprocess.run(cmd, cwd=REPO, env=env, capture_output=True)
+        if proc.returncode != 0:
+            sys.stdout.buffer.write(proc.stdout)
+            sys.stderr.buffer.write(proc.stderr)
+            print(f"[check] {label}: FAILED ({phase} exited "
+                  f"{proc.returncode})")
+            return None
+        out[phase] = proc.stdout
+    return out
+
+
+def session_smoke(env: dict) -> str:
+    """One logged storm session: validated, exported, explained, resumed.
+
+    A seeded storm tune writes a journal, an event stream, a trial
+    archive and a metrics exposition.  The three record logs must
+    validate strictly (``python -m repro.obs.recordlog``); the exposition
+    and the exporters' own sample output must pass the Prometheus lint;
+    ``repro explain --json`` over the archive must parse as JSON, as must
+    every exported Vega-Lite landscape spec; and a ``--resume`` of the
+    journal must exit 0.
+    """
+    import json
     import tempfile
 
-    label = "fault-smoke"
+    label = "session-smoke"
     with tempfile.TemporaryDirectory() as tmp:
-        journal = str(Path(tmp) / "smoke.journal")
-        base = [
+        journal, events, archive, metrics, land = (
+            str(Path(tmp) / name) for name in (
+                "gate.journal", "gate.events", "gate.archive", "gate.prom",
+                "landscape",
+            )
+        )
+        tune = [
             sys.executable, "-m", "repro.cli", "-q", "tune",
             "--kernel", "inplane_fullslice", "--order", "2",
             "--device", "gtx580", "--grid", "64,64,32",
@@ -94,105 +120,25 @@ def fault_smoke(env: dict) -> str:
             "--faults", "seed=7,launch=0.1,hang=0.02,throttle=0.05",
             "--journal", journal,
         ]
-        for phase, cmd in (("storm", base), ("resume", base + ["--resume"])):
-            print(f"[check] {label}/{phase}: {' '.join(cmd)}")
-            proc = subprocess.run(cmd, cwd=REPO, env=env, capture_output=True)
-            if proc.returncode != 0:
-                sys.stdout.buffer.write(proc.stdout)
-                sys.stderr.buffer.write(proc.stderr)
-                print(f"[check] {label}: FAILED ({phase} exited "
-                      f"{proc.returncode})")
-                return "FAILED"
-    print(f"[check] {label}: ok")
-    return "ok"
-
-
-def events_lint(env: dict) -> str:
-    """Generate a real event stream + metrics export, validate both.
-
-    One seeded storm tune with ``--events`` and ``--metrics-out`` is the
-    fixture; the stream must parse strictly against the event catalog
-    and the exposition must pass the Prometheus lint (alongside the
-    exporters' built-in sample self-lint).
-    """
-    import tempfile
-
-    label = "events-lint"
-    with tempfile.TemporaryDirectory() as tmp:
-        events = str(Path(tmp) / "gate.events")
-        metrics = str(Path(tmp) / "gate.prom")
-        steps = [
-            ("tune", [
-                sys.executable, "-m", "repro.cli", "-q", "tune",
-                "--kernel", "inplane_fullslice", "--order", "2",
-                "--device", "gtx580", "--grid", "64,64,32",
-                "--method", "auto",
-                "--faults", "seed=7,launch=0.1,hang=0.02,throttle=0.05",
-                "--events", events, "--metrics-out", metrics,
-            ]),
-            ("stream", [sys.executable, "-m", "repro.obs.events", events]),
+        out = run_phases(label, [
+            ("storm", tune + ["--events", events, "--archive", archive,
+                              "--metrics-out", metrics]),
+            ("validate", [sys.executable, "-m", "repro.obs.recordlog",
+                          journal, events, archive]),
             ("export", [
                 sys.executable, "-m", "repro.obs.export", "--lint", metrics,
             ]),
             ("sample", [sys.executable, "-m", "repro.obs.export", "--lint"]),
-        ]
-        for phase, cmd in steps:
-            print(f"[check] {label}/{phase}: {' '.join(cmd)}")
-            proc = subprocess.run(cmd, cwd=REPO, env=env, capture_output=True)
-            if proc.returncode != 0:
-                sys.stdout.buffer.write(proc.stdout)
-                sys.stderr.buffer.write(proc.stderr)
-                print(f"[check] {label}: FAILED ({phase} exited "
-                      f"{proc.returncode})")
-                return "FAILED"
-    print(f"[check] {label}: ok")
-    return "ok"
-
-
-def explain_smoke(env: dict) -> str:
-    """Archive a storm tune, then drive ``repro explain`` off it.
-
-    The fixture is one seeded storm tune with ``--archive``; the archive
-    must validate strictly against the schema
-    (``python -m repro.obs.archive``), ``repro explain --json`` over it
-    must parse as JSON, and every emitted Vega-Lite landscape spec must
-    parse as JSON too.
-    """
-    import json
-    import tempfile
-
-    label = "explain-smoke"
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = str(Path(tmp) / "gate.archive")
-        land = str(Path(tmp) / "landscape")
-        steps = [
-            ("tune", [
-                sys.executable, "-m", "repro.cli", "-q", "tune",
-                "--kernel", "inplane_fullslice", "--order", "2",
-                "--device", "gtx580", "--grid", "64,64,32",
-                "--method", "auto",
-                "--faults", "seed=7,launch=0.1,hang=0.02,throttle=0.05",
-                "--archive", archive,
-            ]),
-            ("validate", [sys.executable, "-m", "repro.obs.archive", archive]),
             ("explain", [
                 sys.executable, "-m", "repro.cli", "-q", "explain",
                 "--archive", archive, "--json", "--landscape-out", land,
             ]),
-        ]
-        for phase, cmd in steps:
-            print(f"[check] {label}/{phase}: {' '.join(cmd)}")
-            proc = subprocess.run(cmd, cwd=REPO, env=env, capture_output=True)
-            if proc.returncode != 0:
-                sys.stdout.buffer.write(proc.stdout)
-                sys.stderr.buffer.write(proc.stderr)
-                print(f"[check] {label}: FAILED ({phase} exited "
-                      f"{proc.returncode})")
-                return "FAILED"
-            if phase == "explain":
-                explain_stdout = proc.stdout
+            ("resume", tune + ["--resume"]),
+        ], env)
+        if out is None:
+            return "FAILED"
         try:
-            json.loads(explain_stdout)
+            json.loads(out["explain"])
         except json.JSONDecodeError as exc:
             print(f"[check] {label}: FAILED (explain --json unparseable: "
                   f"{exc})")
@@ -225,8 +171,8 @@ def cluster_smoke(env: dict) -> str:
     * ``resume``  — ``--resume`` from the partial checkpoint to N steps.
 
     The resumed final-grid SHA-256 must equal the uninterrupted run's
-    digest, and the event streams must validate strictly against the
-    catalog (``python -m repro.obs.events``).
+    digest, and the event stream must validate strictly
+    (``python -m repro.obs.recordlog``).
     """
     import json
     import tempfile
@@ -252,18 +198,15 @@ def cluster_smoke(env: dict) -> str:
             ("resume", base + ["--steps", "6", "--checkpoint", part_ckpt,
                                "--every", "3", "--resume"]),
         )
+        out = run_phases(label, list(runs) + [
+            ("events", [sys.executable, "-m", "repro.obs.recordlog", events]),
+        ], env)
+        if out is None:
+            return "FAILED"
         digests = {}
-        for phase, cmd in runs:
-            print(f"[check] {label}/{phase}: {' '.join(cmd)}")
-            proc = subprocess.run(cmd, cwd=REPO, env=env, capture_output=True)
-            if proc.returncode != 0:
-                sys.stdout.buffer.write(proc.stdout)
-                sys.stderr.buffer.write(proc.stderr)
-                print(f"[check] {label}: FAILED ({phase} exited "
-                      f"{proc.returncode})")
-                return "FAILED"
+        for phase, _cmd in runs:
             try:
-                digests[phase] = json.loads(proc.stdout)
+                digests[phase] = json.loads(out[phase])
             except json.JSONDecodeError as exc:
                 print(f"[check] {label}: FAILED ({phase} --json "
                       f"unparseable: {exc})")
@@ -277,14 +220,6 @@ def cluster_smoke(env: dict) -> str:
         if digests["resume"]["resumed_from"] != 3:
             print(f"[check] {label}: FAILED (resume replayed from step "
                   f"{digests['resume']['resumed_from']}, expected 3)")
-            return "FAILED"
-        validate = [sys.executable, "-m", "repro.obs.events", events]
-        print(f"[check] {label}/events: {' '.join(validate)}")
-        proc = subprocess.run(validate, cwd=REPO, env=env, capture_output=True)
-        if proc.returncode != 0:
-            sys.stdout.buffer.write(proc.stdout)
-            sys.stderr.buffer.write(proc.stderr)
-            print(f"[check] {label}: FAILED (event stream invalid)")
             return "FAILED"
     print(f"[check] {label}: ok (resume digest matches full run)")
     return "ok"
@@ -318,9 +253,7 @@ def main() -> int:
             required=True,
             env=env,
         ),
-        "fault-smoke": fault_smoke(env),
-        "events-lint": events_lint(env),
-        "explain-smoke": explain_smoke(env),
+        "session-smoke": session_smoke(env),
         "cluster-smoke": cluster_smoke(env),
         "batch-identity": run(
             "batch-identity",
