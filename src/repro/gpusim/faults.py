@@ -481,7 +481,7 @@ def observe_fault(tracer: Any, event: FaultEvent, **args: Any) -> None:
     typed as ``Any`` to keep this module import-light.  The event fires
     independently of the tracer, so a storm session's event stream is
     complete without tracing enabled — except during tuning measurement,
-    where emission is suppressed and the search loop derives
+    where emission is suppressed and the trial runner derives
     ``fault.observed`` events from the finished outcome instead
     (:func:`repro.tuning.evaluator.emit_trial_events`).
     """

@@ -20,7 +20,7 @@ Design contracts, in decreasing order of importance:
    only a per-sink sequence number and payload fields that are pure
    functions of the (seeded) campaign.  Trial-plane events are derived
    from completed :class:`~repro.tuning.evaluator.TrialOutcome` records
-   and emitted by the search loops **in input order**, never live from
+   and emitted by the trial runner **in input order**, never live from
    inside a measurement, so two runs of the same storm campaign write
    byte-identical stream files — the same guarantee the journal gives,
    extended to telemetry.
@@ -358,7 +358,7 @@ def suppress_events() -> Iterator[None]:
 
     Used around trial *measurement* (the resilient evaluator's inner
     call, the batch evaluator's plan construction): trial-plane events
-    are derived from the finished outcome by the search loop, so live
+    are derived from the finished outcome by the trial runner, so live
     emission from inside a measurement would double-report.
     """
     token = _ACTIVE.set(None)

@@ -1,9 +1,6 @@
 """The trial evaluator — the tuners' single seam for measuring a config.
 
-All three tuners (exhaustive, stochastic, model-based) used to call
-``DeviceExecutor.run`` inline; that made it impossible to interpose
-retry/quarantine/journal logic without forking each search loop.  This
-module extracts the per-trial measurement into a small protocol:
+This module holds the per-trial measurement protocol:
 
 * :meth:`TrialEvaluator.statically_rejected` — the static resource
   pre-filter (identical occupancy check the executor would run);
@@ -16,22 +13,21 @@ its feasibility pass (:func:`repro.tuning.exhaustive.feasible_trials`),
 and every later stage — the pre-filter, measurement, model scoring and
 archive derivation — reads that trial instead of rebuilding it.
 
-:class:`SimTrialEvaluator` is the default implementation and reproduces
-the tuners' historical behaviour exactly — a tuner built with
-``evaluator=None`` is bit-identical to the pre-evaluator code path.
-:class:`repro.tuning.robust.ResilientEvaluator` wraps it with retries,
-per-config quarantine and a crash-safe journal.
+:class:`SimTrialEvaluator` is the default implementation (one simulator
+launch per trial); :class:`repro.tuning.robust.ResilientEvaluator` wraps
+it with retries, per-config quarantine and a crash-safe journal.
 
-The tuners keep ownership of tracing (spans, instants, metric counters):
-the evaluator measures, the search loop narrates.  That split keeps the
-obs-layer semantics frozen by ``tests/test_obs_reconcile.py`` untouched
-regardless of which evaluator is plugged in.
+:class:`TrialRunner` is the only place a trial is narrated: it runs the
+pre-filter and the measurement, tallies the reject stats, and emits the
+``tune.trial`` span or instant, the ``tune.*`` counters, the trial-plane
+events and the archive record.  The evaluator measures, the runner
+narrates, and the three tuners differ only in which trials they hand it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol, Sequence
 
 from repro.analysis.resources import launch_failure
 from repro.errors import ResourceLimitError
@@ -39,6 +35,8 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.executor import DeviceExecutor
 from repro.kernels.config import BlockConfig
 from repro.obs.events import current_sink, emit as emit_event
+from repro.obs.schema import CAT_TUNE_TRIAL
+from repro.obs.tracer import current_tracer, maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpusim.workload import BlockWorkload
@@ -112,9 +110,10 @@ class TrialOutcome:
 def emit_trial_events(outcome: TrialOutcome) -> None:
     """Emit the trial-plane events one finished outcome implies.
 
-    The event-layer side of "the evaluator measures, the search loop
-    narrates": the loops call this **in input order** after a trial
-    completes, never live from inside a measurement (which runs under
+    The event-layer side of "the evaluator measures, the runner
+    narrates": :class:`TrialRunner` calls this (through
+    :func:`record_trial`) **in input order** after a trial completes,
+    never live from inside a measurement (which runs under
     :func:`repro.obs.events.suppress_events`).  The stream is thereby a
     pure function of the outcome sequence, and its counts match the
     journal by construction.
@@ -153,22 +152,21 @@ def emit_trial_events(outcome: TrialOutcome) -> None:
 def record_trial(
     outcome: TrialOutcome,
     *,
-    trial: Trial | None = None,
-    device: DeviceSpec | None = None,
-    grid_shape: tuple[int, int, int] | None = None,
+    trial: Trial,
+    device: DeviceSpec,
+    grid_shape: tuple[int, int, int],
     predicted: float | None = None,
 ) -> None:
     """Narrate one finished trial: events plus the provenance archive.
 
-    The one call the search loops make per completed outcome, **in input
-    order**.  It emits the trial-plane events
+    The one call :class:`TrialRunner` makes per completed outcome, **in
+    input order**.  It emits the trial-plane events
     (:func:`emit_trial_events`) and, when a
-    :class:`repro.obs.archive.TrialArchive` is installed and the plan
-    context (``trial`` / ``device`` / ``grid_shape``) was provided,
-    derives and appends the config's archive record from the trial's
-    already-built plan and workload.  Both planes are
-    pure functions of the outcome sequence plus the plan; with neither a
-    sink nor an archive installed the call is two contextvar lookups.
+    :class:`repro.obs.archive.TrialArchive` is installed, derives and
+    appends the config's archive record from the trial's already-built
+    plan and workload.  Both planes are pure functions of the outcome
+    sequence plus the plan; with neither a sink nor an archive installed
+    the call is two contextvar lookups.
 
     ``predicted`` forwards a model score the tuner already computed
     (the model-based shortlist) so the archive records exactly the
@@ -179,17 +177,11 @@ def record_trial(
     from repro.obs.archive import current_archive
 
     archive = current_archive()
-    if (
-        archive is None
-        or trial is None
-        or device is None
-        or grid_shape is None
-    ):
-        return
-    archive.capture(
-        outcome, trial=trial, device=device, grid_shape=grid_shape,
-        predicted=predicted,
-    )
+    if archive is not None:
+        archive.capture(
+            outcome, trial=trial, device=device, grid_shape=grid_shape,
+            predicted=predicted,
+        )
 
 
 class TrialEvaluator(Protocol):
@@ -243,6 +235,114 @@ def batch_capable(evaluator: TrialEvaluator) -> "BatchTrialEvaluator | None":
     if hasattr(evaluator, "measure_trials"):
         return evaluator  # type: ignore[return-value]
     return None
+
+
+class TrialRunner:
+    """Measure, classify and narrate trials — the tuners' one trial stage.
+
+    Every tuner hands its trials to a runner; the tuners differ only in
+    which trials they hand over.  Per trial, the runner applies the
+    static pre-filter, measures, calls :func:`record_trial`, and (when
+    tracing is on) emits one ``tune.trial`` event plus one ``tune.*``
+    counter: an instant for a static reject, otherwise a span around the
+    measurement whose args say how it ended.  ``stats`` tallies the
+    non-``ok`` outcomes: ``rejected_static`` and ``rejected_simulated``
+    always, ``quarantined`` from its first occurrence.
+
+    ``predicted`` is a model score the tuner already computed (the
+    model-based shortlist); it rides on the trace args and the archive.
+    """
+
+    def __init__(
+        self,
+        evaluator: TrialEvaluator,
+        device: DeviceSpec,
+        grid_shape: tuple[int, int, int],
+    ) -> None:
+        self.evaluator = evaluator
+        self.device = device
+        self.grid_shape = grid_shape
+        self.stats: dict[str, int] = {
+            STATUS_REJECTED_STATIC: 0,
+            STATUS_REJECTED_SIMULATED: 0,
+        }
+        self._tracer = current_tracer()
+
+    def one(self, trial: Trial, predicted: float | None = None) -> TrialOutcome:
+        """Run one trial: pre-filter, measure, narrate."""
+        return self._run(trial, predicted, None)
+
+    def all(
+        self,
+        trials: list[Trial],
+        predicted: Sequence[float] | None = None,
+    ) -> list[TrialOutcome]:
+        """Run every trial; outcomes in input order.
+
+        A batch-capable evaluator prices the whole list in one call
+        first; each outcome is then narrated exactly as :meth:`one`
+        would.  Otherwise each trial is measured inside its own span and
+        narrated before the next one is measured.
+        """
+        scores: Sequence[float | None] = (
+            [None] * len(trials) if predicted is None else predicted
+        )
+        batch = batch_capable(self.evaluator)
+        if batch is None:
+            return [self.one(t, p) for t, p in zip(trials, scores)]
+        outcomes = batch.measure_trials(trials, self.grid_shape)
+        return [
+            self._run(t, p, o) for t, p, o in zip(trials, scores, outcomes)
+        ]
+
+    def _run(
+        self,
+        trial: Trial,
+        predicted: float | None,
+        premeasured: TrialOutcome | None,
+    ) -> TrialOutcome:
+        cfg = trial.config
+        label = cfg.label()
+        tracer = self._tracer
+        args: dict[str, Any] = {"config": label}
+        if predicted is not None:
+            args["predicted_mpoints_per_s"] = predicted
+        if premeasured is None and self.evaluator.statically_rejected(trial.block):
+            premeasured = TrialOutcome(config=cfg, status=STATUS_REJECTED_STATIC)
+        if premeasured is not None and premeasured.status == STATUS_REJECTED_STATIC:
+            self._record(premeasured, trial, predicted)
+            if tracer is not None:
+                tracer.instant(label, CAT_TUNE_TRIAL, **args, rejected="static")
+                tracer.metrics.counter("tune.rejected_static").inc()
+            return premeasured
+        with maybe_span(tracer, label, CAT_TUNE_TRIAL, **args) as sp:
+            outcome = premeasured
+            if outcome is None:
+                outcome = self.evaluator.measure(
+                    cfg, trial.plan, self.grid_shape, trial.block
+                )
+            self._record(outcome, trial, predicted)
+            if sp is not None:
+                if outcome.status == STATUS_REJECTED_SIMULATED:
+                    sp.args["rejected"] = "simulated"
+                elif outcome.status == STATUS_QUARANTINED:
+                    sp.args["quarantined"] = True
+                    sp.args["attempts"] = outcome.attempts
+                else:
+                    sp.args["mpoints_per_s"] = outcome.mpoints_per_s
+                counter = "trials" if outcome.measured else outcome.status
+                tracer.metrics.counter(f"tune.{counter}").inc()
+        return outcome
+
+    def _record(
+        self, outcome: TrialOutcome, trial: Trial, predicted: float | None
+    ) -> None:
+        if not outcome.measured:
+            self.stats[outcome.status] = self.stats.get(outcome.status, 0) + 1
+        record_trial(
+            outcome, trial=trial, device=self.device,
+            grid_shape=self.grid_shape, predicted=predicted,
+        )
 
 
 class SimTrialEvaluator:

@@ -15,19 +15,14 @@ from repro.gpusim.device import DeviceSpec
 from repro.kernels.base import KernelPlan
 from repro.kernels.config import BlockConfig
 from repro.obs.events import emit as emit_event
-from repro.obs.schema import CAT_TUNE_RUN, CAT_TUNE_TRIAL
+from repro.obs.schema import CAT_TUNE_RUN
 from repro.obs.tracer import current_tracer, maybe_span
 from repro.tuning.evaluator import (
-    STATUS_QUARANTINED,
-    STATUS_REJECTED_SIMULATED,
-    STATUS_REJECTED_STATIC,
     SimTrialEvaluator,
     Trial,
     TrialEvaluator,
-    TrialOutcome,
-    batch_capable,
+    TrialRunner,
     build_trial,
-    record_trial,
 )
 from repro.tuning.result import TuneEntry, TuneResult
 from repro.tuning.space import ParameterSpace, default_space
@@ -56,7 +51,8 @@ def evaluate_configs(
     the executor would run, so the surviving set — and hence the chosen
     optimum — is unchanged.  ``stats`` (optional, mutated in place)
     receives ``rejected_static`` / ``rejected_simulated`` counts (and a
-    ``quarantined`` count when a resilient evaluator gave up on configs).
+    ``quarantined`` count when a resilient evaluator gave up on configs),
+    then ``jobs``.
 
     ``evaluator`` swaps the measurement backend (default: a plain
     :class:`~repro.tuning.evaluator.SimTrialEvaluator`; pass a
@@ -64,140 +60,18 @@ def evaluate_configs(
     quarantine / journal semantics).  When given, it owns the prefilter
     decision and the ``prefilter`` argument is ignored.
     """
-    evaluator = evaluator or SimTrialEvaluator(device, prefilter=prefilter)
-    batch = batch_capable(evaluator)
-    if batch is not None:
-        outcomes = batch.measure_trials(trials, grid_shape)
-        entries = _collect_outcomes(
-            trials, outcomes, stats, device=device, grid_shape=grid_shape,
-        )
-        if stats is not None:
-            stats["jobs"] = 1
-        return entries
-    tracer = current_tracer()
-    entries: list[TuneEntry] = []
-    rejected_static = 0
-    rejected_simulated = 0
-    quarantined = 0
-    for trial in trials:
-        cfg = trial.config
-        if evaluator.statically_rejected(trial.block):
-            rejected_static += 1
-            record_trial(
-                TrialOutcome(config=cfg, status=STATUS_REJECTED_STATIC),
-                trial=trial, device=device, grid_shape=grid_shape,
-            )
-            if tracer is not None:
-                tracer.instant(
-                    cfg.label(), CAT_TUNE_TRIAL,
-                    config=cfg.label(), rejected="static",
-                )
-                tracer.metrics.counter("tune.rejected_static").inc()
-            continue
-        with maybe_span(tracer, cfg.label(), CAT_TUNE_TRIAL,
-                        config=cfg.label()) as sp:
-            outcome = evaluator.measure(cfg, trial.plan, grid_shape, trial.block)
-            record_trial(
-                outcome, trial=trial, device=device, grid_shape=grid_shape
-            )
-            if outcome.status == STATUS_REJECTED_SIMULATED:
-                rejected_simulated += 1
-                if sp is not None:
-                    sp.args["rejected"] = "simulated"
-                    tracer.metrics.counter("tune.rejected_simulated").inc()
-                continue
-            if outcome.status == STATUS_QUARANTINED:
-                quarantined += 1
-                if sp is not None:
-                    sp.args["quarantined"] = True
-                    sp.args["attempts"] = outcome.attempts
-                    tracer.metrics.counter("tune.quarantined").inc()
-                continue
-            if sp is not None:
-                sp.args["mpoints_per_s"] = outcome.mpoints_per_s
-                tracer.metrics.counter("tune.trials").inc()
-        entries.append(
-            TuneEntry(
-                config=cfg,
-                mpoints_per_s=outcome.mpoints_per_s,
-                info=dict(outcome.info),
-            )
-        )
+    runner = TrialRunner(
+        evaluator or SimTrialEvaluator(device, prefilter=prefilter),
+        device, grid_shape,
+    )
+    outcomes = runner.all(trials)
     if stats is not None:
-        stats["rejected_static"] = rejected_static
-        stats["rejected_simulated"] = rejected_simulated
-        if quarantined:
-            stats["quarantined"] = quarantined
-        # Same stats shape as the batch path, so archives/JSON output
-        # don't change with the backend.
-        stats["jobs"] = 1
-    return entries
-
-
-def _collect_outcomes(
-    trials: list[Trial],
-    outcomes: list[TrialOutcome],
-    stats: dict[str, Any] | None,
-    *,
-    device: DeviceSpec,
-    grid_shape: tuple[int, int, int],
-) -> list[TuneEntry]:
-    """Batch-path bookkeeping: classify pre-measured outcomes.
-
-    Emits the identical instants/spans/metric counters the serial loop
-    emits (trial spans are near-zero here — the measurement already
-    happened inside ``measure_trials``) and tallies the same stats, so the
-    entry list and every counter are independent of which path produced
-    them.
-    """
-    tracer = current_tracer()
-    entries: list[TuneEntry] = []
-    rejected_static = 0
-    rejected_simulated = 0
-    quarantined = 0
-    for trial, outcome in zip(trials, outcomes):
-        cfg = trial.config
-        record_trial(outcome, trial=trial, device=device, grid_shape=grid_shape)
-        if outcome.status == STATUS_REJECTED_STATIC:
-            rejected_static += 1
-            if tracer is not None:
-                tracer.instant(
-                    cfg.label(), CAT_TUNE_TRIAL,
-                    config=cfg.label(), rejected="static",
-                )
-                tracer.metrics.counter("tune.rejected_static").inc()
-            continue
-        with maybe_span(tracer, cfg.label(), CAT_TUNE_TRIAL,
-                        config=cfg.label()) as sp:
-            if outcome.status == STATUS_REJECTED_SIMULATED:
-                rejected_simulated += 1
-                if sp is not None:
-                    sp.args["rejected"] = "simulated"
-                    tracer.metrics.counter("tune.rejected_simulated").inc()
-                continue
-            if outcome.status == STATUS_QUARANTINED:
-                quarantined += 1
-                if sp is not None:
-                    sp.args["quarantined"] = True
-                    sp.args["attempts"] = outcome.attempts
-                    tracer.metrics.counter("tune.quarantined").inc()
-                continue
-            if sp is not None:
-                sp.args["mpoints_per_s"] = outcome.mpoints_per_s
-                tracer.metrics.counter("tune.trials").inc()
-        entries.append(
-            TuneEntry(
-                config=cfg,
-                mpoints_per_s=outcome.mpoints_per_s,
-                info=dict(outcome.info),
-            )
-        )
-    if stats is not None:
-        stats["rejected_static"] = rejected_static
-        stats["rejected_simulated"] = rejected_simulated
-        if quarantined:
-            stats["quarantined"] = quarantined
-    return entries
+        stats.update(runner.stats, jobs=1)
+    return [
+        TuneEntry(config=o.config, mpoints_per_s=o.mpoints_per_s, info=dict(o.info))
+        for o in outcomes
+        if o.measured
+    ]
 
 
 def feasible_trials(

@@ -21,18 +21,13 @@ from repro.gpusim.device import DeviceSpec
 from repro.kernels.base import KernelPlan
 from repro.kernels.config import BlockConfig
 from repro.obs.events import emit as emit_event
-from repro.obs.schema import CAT_TUNE_RUN, CAT_TUNE_TRIAL
+from repro.obs.schema import CAT_TUNE_RUN
 from repro.obs.tracer import current_tracer, maybe_span
 from repro.tuning.evaluator import (
-    STATUS_QUARANTINED,
-    STATUS_REJECTED_SIMULATED,
-    STATUS_REJECTED_STATIC,
     SimTrialEvaluator,
     Trial,
     TrialEvaluator,
-    TrialOutcome,
-    batch_capable,
-    record_trial,
+    TrialRunner,
 )
 from repro.tuning.exhaustive import feasible_trials
 from repro.tuning.perfmodel import ModelInputs, PaperModel
@@ -93,25 +88,28 @@ def model_based_tune(
         n = max(1, math.ceil(beta * len(trials)))
         shortlist = predictions[:n]
 
-        ev = evaluator or SimTrialEvaluator(device, prefilter=prefilter)
-        entries: list[TuneEntry] = []
-        stats: dict[str, int] = {"rejected_static": 0, "rejected_simulated": 0}
-        batch = batch_capable(ev)
-        if batch is not None:
-            outcomes = batch.measure_trials(
-                [t for t, _ in shortlist], grid_shape
+        runner = TrialRunner(
+            evaluator or SimTrialEvaluator(device, prefilter=prefilter),
+            device, grid_shape,
+        )
+        outcomes = runner.all(
+            [t for t, _ in shortlist], [p for _, p in shortlist]
+        )
+        entries = [
+            TuneEntry(
+                config=o.config,
+                mpoints_per_s=o.mpoints_per_s,
+                predicted=predicted,
+                info={
+                    k: o.info[k]
+                    for k in ("load_efficiency", "occupancy")
+                    if k in o.info
+                },
             )
-            entries = _collect_shortlist(
-                shortlist, outcomes, stats, device=device, grid_shape=grid_shape,
-            )
-            stats["jobs"] = 1
-        else:
-            entries = _measure_shortlist_serial(
-                shortlist, device, grid_shape, ev, stats
-            )
-            # Same stats shape as the batch path, so archives/JSON output
-            # don't change with the backend.
-            stats["jobs"] = 1
+            for (_, predicted), o in zip(shortlist, outcomes)
+            if o.measured
+        ]
+        stats = {**runner.stats, "jobs": 1}
         if run_span is not None:
             run_span.args.update(
                 shortlist=n, evaluated=len(entries), **stats
@@ -132,126 +130,3 @@ def model_based_tune(
         info=stats,
     )
 
-
-def _measure_shortlist_serial(
-    shortlist: list[tuple[Trial, float]],
-    device: DeviceSpec,
-    grid_shape: tuple[int, int, int],
-    ev: TrialEvaluator,
-    stats: dict[str, int],
-) -> list[TuneEntry]:
-    """The historical one-config-at-a-time shortlist measurement."""
-    tracer = current_tracer()
-    entries: list[TuneEntry] = []
-    for trial, predicted in shortlist:
-        cfg = trial.config
-        if ev.statically_rejected(trial.block):
-            stats["rejected_static"] += 1
-            record_trial(
-                TrialOutcome(config=cfg, status=STATUS_REJECTED_STATIC),
-                trial=trial, device=device, grid_shape=grid_shape,
-                predicted=predicted,
-            )
-            if tracer is not None:
-                tracer.instant(
-                    cfg.label(), CAT_TUNE_TRIAL, config=cfg.label(),
-                    predicted_mpoints_per_s=predicted, rejected="static",
-                )
-                tracer.metrics.counter("tune.rejected_static").inc()
-            continue
-        with maybe_span(tracer, cfg.label(), CAT_TUNE_TRIAL,
-                        config=cfg.label(),
-                        predicted_mpoints_per_s=predicted) as sp:
-            outcome = ev.measure(cfg, trial.plan, grid_shape, trial.block)
-            record_trial(
-                outcome, trial=trial, device=device, grid_shape=grid_shape,
-                predicted=predicted,
-            )
-            if outcome.status == STATUS_REJECTED_SIMULATED:
-                stats["rejected_simulated"] += 1
-                if sp is not None:
-                    sp.args["rejected"] = "simulated"
-                    tracer.metrics.counter("tune.rejected_simulated").inc()
-                continue
-            if outcome.status == STATUS_QUARANTINED:
-                stats["quarantined"] = stats.get("quarantined", 0) + 1
-                if sp is not None:
-                    sp.args["quarantined"] = True
-                    sp.args["attempts"] = outcome.attempts
-                    tracer.metrics.counter("tune.quarantined").inc()
-                continue
-            if sp is not None:
-                sp.args["mpoints_per_s"] = outcome.mpoints_per_s
-                tracer.metrics.counter("tune.trials").inc()
-        entries.append(_shortlist_entry(cfg, predicted, outcome))
-    return entries
-
-
-def _collect_shortlist(
-    shortlist: list[tuple[Trial, float]],
-    outcomes: list[TrialOutcome],
-    stats: dict[str, int],
-    *,
-    device: DeviceSpec,
-    grid_shape: tuple[int, int, int],
-) -> list[TuneEntry]:
-    """Batch-path bookkeeping over pre-measured shortlist outcomes.
-
-    Same classification, tracing and stats as the serial loop (trial
-    spans are near-zero; the measurement happened inside
-    ``measure_trials``), so entries — and the winner — are
-    path-independent.
-    """
-    tracer = current_tracer()
-    entries: list[TuneEntry] = []
-    for (trial, predicted), outcome in zip(shortlist, outcomes):
-        cfg = trial.config
-        record_trial(
-            outcome, trial=trial, device=device, grid_shape=grid_shape,
-            predicted=predicted,
-        )
-        if outcome.status == STATUS_REJECTED_STATIC:
-            stats["rejected_static"] += 1
-            if tracer is not None:
-                tracer.instant(
-                    cfg.label(), CAT_TUNE_TRIAL, config=cfg.label(),
-                    predicted_mpoints_per_s=predicted, rejected="static",
-                )
-                tracer.metrics.counter("tune.rejected_static").inc()
-            continue
-        with maybe_span(tracer, cfg.label(), CAT_TUNE_TRIAL,
-                        config=cfg.label(),
-                        predicted_mpoints_per_s=predicted) as sp:
-            if outcome.status == STATUS_REJECTED_SIMULATED:
-                stats["rejected_simulated"] += 1
-                if sp is not None:
-                    sp.args["rejected"] = "simulated"
-                    tracer.metrics.counter("tune.rejected_simulated").inc()
-                continue
-            if outcome.status == STATUS_QUARANTINED:
-                stats["quarantined"] = stats.get("quarantined", 0) + 1
-                if sp is not None:
-                    sp.args["quarantined"] = True
-                    sp.args["attempts"] = outcome.attempts
-                    tracer.metrics.counter("tune.quarantined").inc()
-                continue
-            if sp is not None:
-                sp.args["mpoints_per_s"] = outcome.mpoints_per_s
-                tracer.metrics.counter("tune.trials").inc()
-        entries.append(_shortlist_entry(cfg, predicted, outcome))
-    return entries
-
-
-def _shortlist_entry(
-    cfg: BlockConfig, predicted: float, outcome: TrialOutcome
-) -> TuneEntry:
-    return TuneEntry(
-        config=cfg,
-        mpoints_per_s=outcome.mpoints_per_s,
-        predicted=predicted,
-        info={
-            k: outcome.info[k]
-            for k in ("load_efficiency", "occupancy")
-            if k in outcome.info
-        },
-    )

@@ -300,8 +300,8 @@ class ResilientEvaluator:
                 self._backoff(key, attempts - 1)
             attempts += 1
             try:
-                # Events are silenced across the measurement: the search
-                # loop derives fault instants from the finished outcome
+                # Events are silenced across the measurement: the trial
+                # runner derives fault instants from the finished outcome
                 # instead (emit_trial_events), so each trial is narrated
                 # once, in input order.
                 with suppress_events():
@@ -433,7 +433,7 @@ class RobustTuningSession:
         (:class:`repro.obs.archive.TrialArchive`: measured rate, model
         prediction, codegen-time estimate, derived counters and
         disposition per evaluated config — what ``repro explain``
-        reads).  Captured by the search loops in input order;
+        reads).  Captured by the trial runner in input order;
         ``None`` (default) keeps archiving off at zero perturbation.
     crash_report_path:
         Where the flight recorder dumps its ring of recent events when
@@ -558,10 +558,10 @@ class RobustTuningSession:
         ``method="auto"`` walks the full ladder
         (:data:`DEGRADATION_LADDER`); naming a single tier restricts the
         session to it (still resilient, no fallback).  A tier *fails*
-        when it raises :class:`~repro.errors.TuningError` or when its
-        best measured rate is not positive (every trial quarantined or
-        rejected) — either way the next tier starts with the journal's
-        accumulated knowledge, so nothing completed is re-run.
+        when it raises :class:`~repro.errors.TuningError` — every tuner
+        does when no trial measured ``ok`` (all quarantined or rejected)
+        — and the next tier starts with the journal's accumulated
+        knowledge, so nothing completed is re-run.
 
         When events are enabled (``events_path``, or a sink the caller
         already installed) the campaign additionally narrates itself:
@@ -647,19 +647,6 @@ class RobustTuningSession:
                 errors[tier] = str(exc)
                 emit_event("session.tier_failed", tier=tier, error=str(exc))
                 logger.warning("tier %r failed: %s", tier, exc)
-                continue
-            if result.best_mpoints <= 0.0:
-                failed.append(tier)
-                errors[tier] = (
-                    "no usable measurement (best rate "
-                    f"{result.best_mpoints:g} MPoint/s)"
-                )
-                emit_event(
-                    "session.tier_failed", tier=tier, error=errors[tier]
-                )
-                logger.warning(
-                    "tier %r produced no usable measurement, degrading", tier
-                )
                 continue
             return SessionResult(
                 result=result,

@@ -14,23 +14,20 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Callable
+from typing import Callable
 
 from repro.errors import TuningError
 from repro.gpusim.device import DeviceSpec
 from repro.kernels.base import KernelPlan
 from repro.kernels.config import BlockConfig
 from repro.obs.events import emit as emit_event
-from repro.obs.schema import CAT_TUNE_RUN, CAT_TUNE_TRIAL
+from repro.obs.schema import CAT_TUNE_RUN
 from repro.obs.tracer import current_tracer, maybe_span
 from repro.tuning.evaluator import (
-    STATUS_QUARANTINED,
-    STATUS_REJECTED_SIMULATED,
-    STATUS_REJECTED_STATIC,
     SimTrialEvaluator,
     TrialEvaluator,
     TrialOutcome,
-    record_trial,
+    TrialRunner,
 )
 from repro.tuning.exhaustive import feasible_trials
 from repro.tuning.result import TuneEntry, TuneResult
@@ -66,6 +63,11 @@ def _neighbours(
     return out
 
 
+def _score(outcome: TrialOutcome) -> float:
+    """The walk's view of a trial: its rate, or 0.0 when nothing ran."""
+    return outcome.mpoints_per_s if outcome.measured else 0.0
+
+
 def stochastic_tune(
     build: KernelBuilder,
     device: DeviceSpec,
@@ -90,7 +92,9 @@ def stochastic_tune(
     winner — is bit-identical with the filter on or off.  ``evaluator``
     swaps the measurement backend (and then owns the prefilter decision);
     quarantined configurations also score 0.0 and spend budget, keeping
-    the walk itself deterministic under fault storms.
+    the walk itself deterministic under fault storms.  When no walked
+    configuration measured ``ok`` it raises :class:`TuningError`, as the
+    other tuners do.
 
     The walk is inherently sequential — each step's candidate depends on
     the previous measurement — so even a batch-capable evaluator is
@@ -103,69 +107,30 @@ def stochastic_tune(
     configs = list(trials)
     feas = set(configs)
     rng = random.Random(seed)
-    evaluator = evaluator or SimTrialEvaluator(device, prefilter=prefilter)
-
-    measured: dict[BlockConfig, float] = {}
-    trial_info: dict[BlockConfig, dict[str, Any]] = {}
-    stats = {"rejected_static": 0, "rejected_simulated": 0}
-
-    tracer = current_tracer()
+    runner = TrialRunner(
+        evaluator or SimTrialEvaluator(device, prefilter=prefilter),
+        device, grid_shape,
+    )
+    measured: dict[BlockConfig, TrialOutcome] = {}
 
     def measure(cfg: BlockConfig) -> float | None:
-        if cfg in measured:
-            return measured[cfg]
-        if len(measured) >= budget:
-            return None
-        trial = trials[cfg]
-        with maybe_span(tracer, cfg.label(), CAT_TUNE_TRIAL,
-                        config=cfg.label()) as sp:
-            if evaluator.statically_rejected(trial.block):
-                stats["rejected_static"] += 1
-                rate = 0.0
-                record_trial(
-                    TrialOutcome(config=cfg, status=STATUS_REJECTED_STATIC),
-                    trial=trial, device=device, grid_shape=grid_shape,
-                )
-                if sp is not None:
-                    sp.args["rejected"] = "static"
-                    tracer.metrics.counter("tune.rejected_static").inc()
-            else:
-                outcome = evaluator.measure(cfg, trial.plan, grid_shape, trial.block)
-                record_trial(
-                    outcome, trial=trial, device=device, grid_shape=grid_shape
-                )
-                rate = outcome.mpoints_per_s if outcome.measured else 0.0
-                if outcome.measured:
-                    trial_info[cfg] = dict(outcome.info)
-                if outcome.status == STATUS_REJECTED_SIMULATED:
-                    stats["rejected_simulated"] += 1
-                    if sp is not None:
-                        sp.args["rejected"] = "simulated"
-                        tracer.metrics.counter("tune.rejected_simulated").inc()
-                elif outcome.status == STATUS_QUARANTINED:
-                    stats["quarantined"] = stats.get("quarantined", 0) + 1
-                    if sp is not None:
-                        sp.args["quarantined"] = True
-                        sp.args["attempts"] = outcome.attempts
-                        tracer.metrics.counter("tune.quarantined").inc()
-                elif sp is not None:
-                    sp.args["mpoints_per_s"] = rate
-                    tracer.metrics.counter("tune.trials").inc()
-        measured[cfg] = rate
-        return rate
+        if cfg not in measured:
+            if len(measured) >= budget:
+                return None
+            measured[cfg] = runner.one(trials[cfg])
+        return _score(measured[cfg])
 
     emit_event(
         "sweep.start", method="stochastic", device=device.name,
         space_size=len(configs),
     )
     with maybe_span(
-        tracer, f"stochastic on {device.name}", CAT_TUNE_RUN,
+        current_tracer(), f"stochastic on {device.name}", CAT_TUNE_RUN,
         method="stochastic", device=device.name, space_size=len(configs),
         budget=budget, seed=seed,
     ) as run_span:
         current = rng.choice(configs)
         current_rate = measure(current) or 0.0
-        best, best_rate = current, current_rate
 
         step = 0
         stale = 0
@@ -190,8 +155,6 @@ def stochastic_tune(
             rate = measure(candidate)
             if rate is None:
                 break
-            if rate > best_rate:
-                best, best_rate = candidate, rate
             # Metropolis acceptance on relative performance.
             if rate >= current_rate:
                 current, current_rate = candidate, rate
@@ -200,19 +163,24 @@ def stochastic_tune(
                 if rng.random() < math.exp(rel / max(temperature, 1e-6)):
                     current, current_rate = candidate, rate
         if run_span is not None:
-            run_span.args.update(evaluated=len(measured), **stats)
+            run_span.args.update(evaluated=len(measured), **runner.stats)
     emit_event("sweep.finished", method="stochastic", evaluated=len(measured))
+    if not any(o.measured for o in measured.values()):
+        raise TuningError(
+            f"no configuration could be launched on {device.name} for {grid_shape}"
+        )
 
     # Diagnostics ride along without touching the walk: the sort key is
-    # the measured rate alone, exactly as before, so the ranking (and the
-    # winner) is unchanged by the info payload.
+    # the measured rate alone, so the ranking (and the winner) does not
+    # depend on the info payload.
     entries = tuple(
         sorted(
             (
                 TuneEntry(
-                    config=c, mpoints_per_s=r, info=trial_info.get(c, {})
+                    config=c, mpoints_per_s=_score(o),
+                    info=dict(o.info) if o.measured else {},
                 )
-                for c, r in measured.items()
+                for c, o in measured.items()
             ),
             key=lambda e: e.mpoints_per_s,
             reverse=True,
@@ -224,5 +192,5 @@ def stochastic_tune(
         evaluated=len(entries),
         space_size=len(configs),
         method="stochastic",
-        info=dict(stats),
+        info=dict(runner.stats),
     )

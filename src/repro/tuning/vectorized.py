@@ -110,7 +110,7 @@ class VectorTrialEvaluator:
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
         """Measure every trial; outcomes in input order."""
-        # Pricing is event-silent: the search loop narrates from the
+        # Pricing is event-silent: the trial runner narrates from the
         # returned outcomes in input order.
         with suppress_events():
             classes = [

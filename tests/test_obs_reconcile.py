@@ -24,8 +24,12 @@ from repro.obs.schema import (
     COMPONENT_LANES,
 )
 from repro.stencils.spec import symmetric
+from repro.tuning.evaluator import SimTrialEvaluator
 from repro.tuning.exhaustive import exhaustive_tune
+from repro.tuning.modelbased import model_based_tune
 from repro.tuning.space import ParameterSpace
+from repro.tuning.stochastic import stochastic_tune
+from repro.tuning.vectorized import VectorTrialEvaluator
 
 CASES = [
     ("gtx580", "inplane_fullslice", 2, (32, 4, 1, 2), "sp"),
@@ -141,16 +145,41 @@ class TestTimelineReconciliation:
         assert m["sim.kernels"] == 1
 
 
+#: Every tuner, each set to price the whole space (beta 1, a stochastic
+#: budget above the space size) so every static reject is narrated.
+TUNERS = {
+    "exhaustive": lambda build, device, space, ev: exhaustive_tune(
+        build, device, GRID, space, evaluator=ev
+    ),
+    "model": lambda build, device, space, ev: model_based_tune(
+        build, device, GRID, beta=1.0, space=space, evaluator=ev
+    ),
+    "stochastic": lambda build, device, space, ev: stochastic_tune(
+        build, device, GRID, budget=100, seed=0, space=space,
+        evaluator=ev,
+    ),
+}
+
+
 class TestTunerTrace:
-    def test_one_trial_span_per_evaluated_config(self):
+    @pytest.mark.parametrize(
+        "backend", [SimTrialEvaluator, VectorTrialEvaluator],
+        ids=["sim", "vector"],
+    )
+    @pytest.mark.parametrize("tuner", sorted(TUNERS))
+    def test_one_trial_span_per_evaluated_config(self, tuner, backend):
+        """Every tuner on every backend narrates identically: one span per
+        priced config, one instant per static reject."""
+        # dp order 8 on gtx580: the ty=32 corner exceeds the register
+        # file, so the space holds static rejects.
         space = ParameterSpace(
-            tx_values=(32,), ty_values=(2, 4, 8), rx_values=(1, 2, 4),
+            tx_values=(32,), ty_values=(8, 16, 32), rx_values=(1, 2),
             ry_values=(1, 2, 4),
         )
-        spec = symmetric(4)
+        spec = symmetric(8)
 
         def build(cfg):
-            return make_kernel("inplane_fullslice", spec, cfg, "sp")
+            return make_kernel("inplane_fullslice", spec, cfg, "dp")
 
         from repro.gpusim.device import get_device
         from repro.tuning.exhaustive import feasible_configs
@@ -158,7 +187,7 @@ class TestTunerTrace:
         device = get_device("gtx580")
         feasible = feasible_configs(build, device, GRID, space)
         with obs.tracing() as tracer:
-            result = exhaustive_tune(build, device, GRID, space)
+            result = TUNERS[tuner](build, device, space, backend(device))
 
         trials = tracer.host_spans(CAT_TUNE_TRIAL)
         simulated = [s for s in trials if "mpoints_per_s" in s.args]
@@ -166,14 +195,61 @@ class TestTunerTrace:
         counters = tracer.metrics.snapshot()["counters"]
         assert len(simulated) == counters["tune.trials"]
         assert len(rejected_static) == counters.get("tune.rejected_static", 0)
-        # Every feasible config surfaces as exactly one trial event.
+        assert rejected_static, "space must contain static rejects"
+        # Every feasible config surfaces as exactly one trial event, and
+        # only static rejects are instants.
         assert len(trials) == len(feasible)
+        assert len(simulated) + len(rejected_static) == len(trials)
         assert all(s.args["rejected"] == "static" for s in rejected_static)
+        assert result.info["rejected_static"] == len(rejected_static)
 
         run = tracer.host_spans(CAT_TUNE_RUN)[0]
-        assert run.args["evaluated"] == len(simulated)
+        assert run.args["evaluated"] == result.evaluated
         best = max(s.args["mpoints_per_s"] for s in simulated)
         assert math.isclose(best, result.best_mpoints, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("tuner", sorted(TUNERS))
+    def test_narration_keeps_pace_with_measurement(self, tuner):
+        """Trial k is narrated before trial k+1 is measured: when the
+        k-th measurement raises, the stream holds exactly the first k-1
+        trials' events."""
+        from repro.gpusim.device import get_device
+        from repro.obs.events import MemoryEventSink, event_stream
+
+        space = ParameterSpace(
+            tx_values=(32,), ty_values=(2, 4, 8), rx_values=(1, 2),
+            ry_values=(1, 2),
+        )
+        spec = symmetric(2)
+
+        def build(cfg):
+            return make_kernel("inplane_fullslice", spec, cfg, "sp")
+
+        class FailsOnCall:
+            def __init__(self, inner, k):
+                self.inner, self.k, self.measured = inner, k, []
+
+            def statically_rejected(self, block):
+                return self.inner.statically_rejected(block)
+
+            def measure(self, cfg, plan, grid_shape, block):
+                if len(self.measured) + 1 == self.k:
+                    raise RuntimeError(f"measurement {self.k} failed")
+                self.measured.append(cfg.label())
+                return self.inner.measure(cfg, plan, grid_shape, block)
+
+        device = get_device("gtx580")
+        k = 4
+        evaluator = FailsOnCall(SimTrialEvaluator(device), k)
+        sink = MemoryEventSink()
+        with event_stream(sink), pytest.raises(RuntimeError):
+            TUNERS[tuner](build, device, space, evaluator)
+        narrated = [
+            dict(e.fields)["config"] for e in sink.events
+            if e.name.startswith("trial.")
+        ]
+        assert len(evaluator.measured) == k - 1
+        assert narrated == evaluator.measured
 
     def test_device_track_packs_trial_launches(self):
         """Each evaluated config is one kernel span on the device cursor,

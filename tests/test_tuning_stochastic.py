@@ -63,3 +63,25 @@ class TestStochastic:
     def test_budget_one(self, gtx580):
         res = stochastic_tune(builder(), gtx580, GRID, budget=1, seed=0)
         assert res.evaluated == 1
+
+    def test_nothing_launchable_raises(self, gtx580):
+        """A walk in which no trial measured ``ok`` has no winner: it
+        raises exactly as the exhaustive tuner does, instead of returning
+        an unlaunchable config at 0.0 MPoint/s."""
+        from repro.tuning.space import ParameterSpace
+
+        space = ParameterSpace(
+            tx_values=(32,), ty_values=(32,), rx_values=(1,), ry_values=(4,)
+        )
+        spec = symmetric(8)
+
+        def build(cfg):
+            return make_kernel("inplane_fullslice", spec, cfg, "dp")
+
+        grid = (512, 512, 64)
+        message = f"no configuration could be launched on {gtx580.name} for {grid}"
+        with pytest.raises(TuningError) as exhaustive_err:
+            exhaustive_tune(build, gtx580, grid, space)
+        with pytest.raises(TuningError) as stochastic_err:
+            stochastic_tune(build, gtx580, grid, budget=4, space=space)
+        assert str(exhaustive_err.value) == str(stochastic_err.value) == message

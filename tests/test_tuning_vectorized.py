@@ -5,10 +5,15 @@ The evaluator's contract: same outcomes (status, bit-identical rate, same
 :class:`~repro.tuning.evaluator.SimTrialEvaluator` loop — only faster.
 """
 
+import pytest
+
+import repro.obs as obs
 from repro.gpusim.batch import BatchEngine
 from repro.gpusim.device import get_device
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
+from repro.obs.events import MemoryEventSink, event_stream
+from repro.obs.schema import CAT_TUNE_TRIAL
 from repro.stencils.spec import symmetric
 from repro.tuning.evaluator import (
     STATUS_OK,
@@ -121,6 +126,46 @@ class TestTunerIdentity:
         assert [e.mpoints_per_s for e in fast.entries] == [
             e.mpoints_per_s for e in base.entries
         ]
+
+    @pytest.mark.parametrize("tuner", ["exhaustive", "model"])
+    def test_narration_identical(self, gtx580, tuner):
+        """The batch path narrates each premeasured outcome through the
+        serial loop's per-trial code: same trial trace (args in the same
+        order), counters, stats and event stream on both backends."""
+        # dp order 8: the ty=32 corner is statically rejected.
+        space = ParameterSpace(
+            tx_values=(32,), ty_values=(8, 16, 32), rx_values=(1, 2),
+            ry_values=(1, 2, 4),
+        )
+        build = builder(order=8, dtype="dp")
+
+        def narrate(evaluator):
+            sink = MemoryEventSink()
+            with obs.tracing() as tracer, event_stream(sink):
+                if tuner == "exhaustive":
+                    result = exhaustive_tune(
+                        build, gtx580, GRID, space, evaluator=evaluator
+                    )
+                else:
+                    result = model_based_tune(
+                        build, gtx580, GRID, beta=1.0, space=space,
+                        evaluator=evaluator,
+                    )
+            trials = [
+                (s.name, s.instant, list(s.args.items()))
+                for s in tracer.host_spans(CAT_TUNE_TRIAL)
+            ]
+            counters = {
+                k: v for k, v in tracer.metrics.snapshot()["counters"].items()
+                if k.startswith("tune.")
+            }
+            events = [e.to_obj() for e in sink.events]
+            return trials, counters, result.info, events
+
+        serial = narrate(SimTrialEvaluator(gtx580))
+        batch = narrate(VectorTrialEvaluator(gtx580))
+        assert serial[1]["tune.rejected_static"] > 0
+        assert serial == batch
 
     def test_autotune_accepts_evaluator(self, gtx580):
         import repro

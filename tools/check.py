@@ -15,9 +15,10 @@ Runs, in order:
    exact tolerance — any slowdown fails the gate with the responsible
    counter named)
 5. the session smoke test (one seeded storm ``repro tune`` writes a
-   journal, an event stream, a trial archive and a metrics exposition;
-   ``python -m repro.obs.recordlog`` validates the three record logs
-   strictly, ``python -m repro.obs.export --lint`` lints the exposition
+   journal, an event stream, a trial archive and a metrics exposition,
+   and a seeded stochastic storm writes its own event stream and
+   archive; ``python -m repro.obs.recordlog`` validates the five record
+   logs strictly, ``python -m repro.obs.export --lint`` lints the exposition
    and the exporters' own sample output, ``repro explain --json`` over
    the archive and every exported Vega-Lite landscape spec must parse,
    and a ``--resume`` of the journal must exit 0 — retry, quarantine and
@@ -93,8 +94,10 @@ def run_phases(label: str, phases: list, env: dict) -> dict | None:
 def session_smoke(env: dict) -> str:
     """One logged storm session: validated, exported, explained, resumed.
 
-    A seeded storm tune writes a journal, an event stream, a trial
-    archive and a metrics exposition.  The three record logs must
+    A seeded storm tune (``--method auto``, which settles on the model
+    tier) writes a journal, an event stream, a trial archive and a
+    metrics exposition; a seeded stochastic storm (the sequential walk)
+    writes its own event stream and archive.  All five record logs must
     validate strictly (``python -m repro.obs.recordlog``); the exposition
     and the exporters' own sample output must pass the Prometheus lint;
     ``repro explain --json`` over the archive must parse as JSON, as must
@@ -106,25 +109,30 @@ def session_smoke(env: dict) -> str:
 
     label = "session-smoke"
     with tempfile.TemporaryDirectory() as tmp:
-        journal, events, archive, metrics, land = (
+        journal, events, archive, metrics, land, walk_events, walk_archive = (
             str(Path(tmp) / name) for name in (
                 "gate.journal", "gate.events", "gate.archive", "gate.prom",
-                "landscape",
+                "landscape", "walk.events", "walk.archive",
             )
         )
-        tune = [
+        storm = [
             sys.executable, "-m", "repro.cli", "-q", "tune",
             "--kernel", "inplane_fullslice", "--order", "2",
             "--device", "gtx580", "--grid", "64,64,32",
-            "--method", "auto",
             "--faults", "seed=7,launch=0.1,hang=0.02,throttle=0.05",
-            "--journal", journal,
+        ]
+        tune = storm + ["--method", "auto", "--journal", journal]
+        walk = storm + [
+            "--method", "stochastic", "--budget", "12",
+            "--events", walk_events, "--archive", walk_archive,
         ]
         out = run_phases(label, [
             ("storm", tune + ["--events", events, "--archive", archive,
                               "--metrics-out", metrics]),
+            ("walk", walk),
             ("validate", [sys.executable, "-m", "repro.obs.recordlog",
-                          journal, events, archive]),
+                          journal, events, archive, walk_events,
+                          walk_archive]),
             ("export", [
                 sys.executable, "-m", "repro.obs.export", "--lint", metrics,
             ]),
