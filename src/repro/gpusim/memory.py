@@ -14,10 +14,14 @@ two counters derivable from this model:
 Their ratio is exactly the "global memory load efficiency" metric of the
 paper's Fig 9 (the CUDA profiler's ``gld_efficiency``).
 
-Kernels describe their per-plane traffic as a list of :class:`WarpAccess`
-records via region helpers (:func:`row_region_accesses`,
-:func:`column_strip_accesses`); the timing model aggregates them with
-:class:`MemoryStats`.
+Kernels describe their per-plane traffic through the region builders of
+:mod:`repro.kernels.loads` (row regions, column strips, corner patches),
+which average transaction counts over tile alignment phases and
+accumulate the fractional results with :meth:`MemoryStats.add_raw`,
+attaching one :class:`RegionRecord` per region.  :class:`WarpAccess`,
+:meth:`MemoryStats.add` and the helpers :func:`row_region_accesses` and
+:func:`column_strip_accesses` are a second, exact per-access path that
+prices one fixed-phase access; no kernel uses it.
 """
 
 from __future__ import annotations

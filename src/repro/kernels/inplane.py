@@ -34,7 +34,7 @@ from repro.gpusim.memory import KIND_HALO, KIND_INTERIOR, MemoryStats
 from repro.gpusim.workload import BlockWorkload
 from repro.kernels.config import BlockConfig
 from repro.kernels.layout import GridLayout
-from repro.kernels.loads import add_column_strip, add_row_region
+from repro.kernels.loads import add_column_strip, add_row_region, add_split_loads
 from repro.kernels.pipeline import inplane_sweep
 from repro.kernels.symmetric import SymmetricKernelPlan
 from repro.stencils.spec import SymmetricStencil
@@ -166,33 +166,7 @@ class InPlaneKernel(SymmetricKernelPlan):
             return
 
         # classical: nvstencil-style split loading of the current plane.
-        add_row_region(
-            stats,
-            layout,
-            x_start_rel=0,
-            width_elems=tx,
-            rows=ty,
-            tile_stride=tx,
-            kind=KIND_INTERIOR,
-            use_vectors=vec,
-        )
-        add_row_region(
-            stats,
-            layout,
-            x_start_rel=0,
-            width_elems=tx,
-            rows=2 * r,
-            tile_stride=tx,
-            kind=KIND_HALO,
-            use_vectors=vec,
-        )
-        add_column_strip(
-            stats, layout, x_start_rel=-r, width_elems=r, rows=ty, tile_stride=tx
-        )
-        add_column_strip(
-            stats, layout, x_start_rel=tx, width_elems=r, rows=ty, tile_stride=tx
-        )
-        stats.load_phases = 4
+        add_split_loads(stats, layout, radius=r, tile_x=tx, tile_y=ty, use_vectors=vec)
 
     # ------------------------------------------------------------------
     # Contract
@@ -202,11 +176,7 @@ class InPlaneKernel(SymmetricKernelPlan):
     ) -> BlockWorkload:
         self.check_grid_shape(grid_shape)
         r = self.spec.radius
-        layout = self.layout(grid_shape, aligned_x=self._aligned_x())
-
-        stats = MemoryStats(line_bytes=layout.line_bytes)
-        self._add_load_traffic(stats, layout)
-        self.add_store_traffic(stats, layout)
+        stats = self.plane_memory(self.layout(grid_shape, aligned_x=self._aligned_x()))
 
         # Pipeline shifts: r register moves per element per plane, plus
         # address arithmetic per load group and divergent per-row work for

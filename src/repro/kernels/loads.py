@@ -157,6 +157,41 @@ def add_column_strip(
     )
 
 
+def add_split_loads(
+    stats: MemoryStats,
+    layout: GridLayout,
+    *,
+    radius: int,
+    tile_x: int,
+    tile_y: int,
+    use_vectors: bool,
+) -> None:
+    """Account the classical split loading of Fig 4: four load groups.
+
+    Interior rows, top/bottom halo rows, then the left and right halo
+    columns (the uncoalesced strips), issued as four divergent phases.
+    nvstencil and the classical in-plane variant both load this way; they
+    differ only in whether the row loads may vectorize.
+    """
+    for rows, kind in ((tile_y, KIND_INTERIOR), (2 * radius, KIND_HALO)):
+        add_row_region(
+            stats,
+            layout,
+            x_start_rel=0,
+            width_elems=tile_x,
+            rows=rows,
+            tile_stride=tile_x,
+            kind=kind,
+            use_vectors=use_vectors,
+        )
+    for x_rel in (-radius, tile_x):
+        add_column_strip(
+            stats, layout, x_start_rel=x_rel, width_elems=radius, rows=tile_y,
+            tile_stride=tile_x,
+        )
+    stats.load_phases = 4
+
+
 def add_corner_patches(
     stats: MemoryStats,
     layout: GridLayout,
@@ -171,9 +206,10 @@ def add_corner_patches(
     The symmetric cross stencil never reads the diagonal corners, and the
     SDK baseline's halo loads cover the cross only — so neither nvstencil
     nor the classical in-plane variant moves corner *bytes* (their cost is
-    the extra divergent instructions, priced separately).  This builder is
-    used by the corner-loading ablation bench, which quantifies what a
-    naive rectangle-completing tile fill would add.
+    the extra divergent instructions, priced separately).  The forward
+    method of the multi-grid kernels (:mod:`repro.kernels.multigrid`)
+    calls it for every grid read with both x- and y-halos: its split
+    loading completes the halo rectangle, corners included.
     """
     if radius <= 0:
         return

@@ -21,9 +21,10 @@ import numpy as np
 
 from repro.gpusim.arch import WARP_SIZE
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.memory import KIND_HALO, KIND_INTERIOR, MemoryStats
+from repro.gpusim.memory import MemoryStats
 from repro.gpusim.workload import BlockWorkload
-from repro.kernels.loads import add_column_strip, add_row_region
+from repro.kernels.layout import GridLayout
+from repro.kernels.loads import add_split_loads
 from repro.kernels.pipeline import forward_sweep
 from repro.kernels.symmetric import SymmetricKernelPlan
 
@@ -42,57 +43,29 @@ class NvStencilKernel(SymmetricKernelPlan):
     #: The SDK kernel issues scalar loads only.
     use_vectors = False
 
+    def _add_load_traffic(self, stats: MemoryStats, layout: GridLayout) -> None:
+        # Interior rows feed the register pipeline (plane k + r); the halo
+        # rows and the uncoalesced columns of Fig 4 come from the current
+        # plane.  No corner bytes: the halo cross covers everything the
+        # symmetric stencil reads (the corner threads' extra loads of Fig 4
+        # cost divergent instructions, priced below, not extra lines).
+        add_split_loads(
+            stats, layout, radius=self.spec.radius, tile_x=self.block.tile_x,
+            tile_y=self.block.tile_y, use_vectors=self.use_vectors,
+        )
+
     def block_workload(
         self, device: DeviceSpec, grid_shape: tuple[int, int, int]
     ) -> BlockWorkload:
         self.check_grid_shape(grid_shape)
         r = self.spec.radius
-        tx, ty = self.block.tile_x, self.block.tile_y
-        layout = self.layout(grid_shape, aligned_x=0)
-
-        stats = MemoryStats(line_bytes=layout.line_bytes)
-        # Interior (register-pipeline feed, plane k + r).
-        add_row_region(
-            stats,
-            layout,
-            x_start_rel=0,
-            width_elems=tx,
-            rows=ty,
-            tile_stride=tx,
-            kind=KIND_INTERIOR,
-            use_vectors=self.use_vectors,
-        )
-        # Top/bottom halo rows of the current plane.
-        add_row_region(
-            stats,
-            layout,
-            x_start_rel=0,
-            width_elems=tx,
-            rows=2 * r,
-            tile_stride=tx,
-            kind=KIND_HALO,
-            use_vectors=self.use_vectors,
-        )
-        # Left/right halo columns — the uncoalesced pattern of Fig 4.
-        add_column_strip(
-            stats, layout, x_start_rel=-r, width_elems=r, rows=ty, tile_stride=tx
-        )
-        add_column_strip(
-            stats, layout, x_start_rel=tx, width_elems=r, rows=ty, tile_stride=tx
-        )
-        # No corner bytes: the halo cross covers everything the symmetric
-        # stencil reads (the corner threads' extra loads of Fig 4 cost
-        # divergent instructions, priced below, not extra lines).
-        self.add_store_traffic(stats, layout)
-        # Interior, top/bottom, left/right (+corners) are distinct,
-        # divergent load groups.
-        stats.load_phases = 4
+        stats = self.plane_memory(self.layout(grid_shape, aligned_x=0))
 
         # Register-pipeline shifts: 2r moves per element per plane, plus
         # light address arithmetic per load group and the divergent
         # branch/address work of the per-row halo loads (Fig 4).
         shifts = self.block.points_per_plane * 2 * r / WARP_SIZE
-        divergent_rows = 2 * ty + 4 * r
+        divergent_rows = 2 * self.block.tile_y + 4 * r
         extra = int(shifts + 2 * stats.load_phases + 2 * divergent_rows)
 
         return BlockWorkload(

@@ -14,6 +14,7 @@ from repro.errors import TuningError
 from repro.gpusim.device import DeviceSpec
 from repro.kernels.base import KernelPlan
 from repro.kernels.config import BlockConfig
+from repro.kernels.symmetric import plane_memory_memo
 from repro.obs.events import emit as emit_event
 from repro.obs.schema import CAT_TUNE_RUN
 from repro.obs.tracer import current_tracer, maybe_span
@@ -86,6 +87,10 @@ def feasible_trials(
     is read off its built block workload; the built plan and workload are
     kept and returned (in space order) so the rest of the sweep reuses
     them.  This is the only place a tune calls ``build``.
+
+    The builds run inside :func:`~repro.kernels.symmetric.plane_memory_memo`,
+    so trials whose plans share an effective tile share one plane-traffic
+    record; the memo ends with this call.
     """
     space = space or default_space()
     built: dict[BlockConfig, Trial] = {}
@@ -94,7 +99,9 @@ def feasible_trials(
         trial = built[cfg] = build_trial(build, cfg, device, grid_shape)
         return trial.block.smem_bytes
 
-    return [built[cfg] for cfg in space.feasible(device, grid_shape, smem_bytes_of)]
+    with plane_memory_memo():
+        feasible = space.feasible(device, grid_shape, smem_bytes_of)
+    return [built[cfg] for cfg in feasible]
 
 
 def feasible_configs(

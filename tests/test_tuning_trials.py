@@ -6,24 +6,28 @@ only in its feasibility pass
 model tier, both measurement backends, the resilient executor and the
 archive capture all read the :class:`~repro.tuning.evaluator.Trial` it
 built.  These tests count the builds through every tuner and check that
-no stage mutates the shared workload.
+no stage mutates the shared workload.  Inside that pass, plans with the
+same effective tile share one plane-traffic record; the last two classes
+pin the memo's scope and the completeness of its key.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
 from repro.gpusim.arch import HALF_WARP
 from repro.gpusim.device import get_device
+from repro.errors import TuningError
 from repro.gpusim.faults import FaultPlan
 from repro.kernels.factory import make_kernel
+from repro.kernels.symmetric import PLANE_MEMORY_MEMO
 from repro.obs.archive import read_archive
 from repro.stencils.spec import symmetric
 from repro.tuning.evaluator import SimTrialEvaluator
-from repro.tuning.exhaustive import exhaustive_tune
+from repro.tuning.exhaustive import exhaustive_tune, feasible_trials
 from repro.tuning.modelbased import model_based_tune
 from repro.tuning.robust import RobustTuningSession
-from repro.tuning.space import ParameterSpace
+from repro.tuning.space import ParameterSpace, default_space
 from repro.tuning.stochastic import stochastic_tune
 from repro.tuning.vectorized import VectorTrialEvaluator
 
@@ -172,3 +176,115 @@ class TestSharedWorkloadIsNotMutated:
                 "inplane_fullslice", symmetric(ORDER), plan.block
             ).block_workload(device, GRID)
             assert block == fresh
+
+
+PAPER_GRID = (512, 512, 256)
+
+
+def tile_of(trial):
+    return trial.config.tile_x, trial.config.tile_y
+
+
+class TestPlaneMemoryMemoScope:
+    def test_trials_with_one_tile_share_one_memory_record(self):
+        device = get_device(DEVICE)
+        build = CountingBuild()
+        trials = feasible_trials(build, device, PAPER_GRID, default_space())
+        tiles = {tile_of(t) for t in trials}
+        assert len(trials) > len(tiles)  # the space repeats tiles
+        assert len({id(t.block.memory) for t in trials}) == len(tiles)
+        for tile in tiles:
+            assert len({
+                id(t.block.memory) for t in trials if tile_of(t) == tile
+            }) == 1
+
+    def test_consecutive_tunes_share_no_memory_record(self):
+        device = get_device(DEVICE)
+        first, second = CountingBuild(), CountingBuild()
+        exhaustive_tune(first, device, PAPER_GRID)
+        exhaustive_tune(second, device, PAPER_GRID)
+        ids = [
+            {id(block.memory) for _plan, block in b.handed_out}
+            for b in (first, second)
+        ]
+        assert ids[0] and ids[1]
+        assert not ids[0] & ids[1]
+
+    def test_builds_outside_a_sweep_are_fresh(self):
+        device = get_device(DEVICE)
+        plan = make_kernel("inplane_fullslice", ORDER, (32, 4, 1, 2))
+        twin = make_kernel("inplane_fullslice", ORDER, (16, 4, 2, 2))
+        assert plan.block.tile_x == twin.block.tile_x
+        assert plan.block.tile_y == twin.block.tile_y
+        a = plan.block_workload(device, PAPER_GRID)
+        b = plan.block_workload(device, PAPER_GRID)
+        c = twin.block_workload(device, PAPER_GRID)
+        assert a.memory == b.memory == c.memory
+        assert len({id(a.memory), id(b.memory), id(c.memory)}) == 3
+
+    def test_memo_is_reset_when_the_sweep_raises(self):
+        device = get_device(DEVICE)
+        seen = []
+
+        def build(cfg):
+            seen.append(PLANE_MEMORY_MEMO.get())
+            return make_kernel("inplane_fullslice", ORDER, cfg)
+
+        # Every candidate reaches constraint (iii) and fails it.
+        space = ParameterSpace(
+            tx_values=(256,), ty_values=(2, 4), rx_values=(4,), ry_values=(8,)
+        )
+        with pytest.raises(TuningError, match="no feasible configuration"):
+            feasible_trials(build, device, GRID, space)
+        assert seen and all(memo is not None for memo in seen)
+        assert PLANE_MEMORY_MEMO.get() is None
+
+
+#: Every plan pricing its traffic through the memo.  The first three
+#: differ pairwise in one key component on the same layout: classical
+#: vs vertical in ``variant``, classical with and without vectors in
+#: ``use_vectors``.
+FLAVOURS = (
+    ("inplane_classical", {}),
+    ("inplane_vertical", {}),
+    ("inplane_classical", {"use_vectors": False}),
+    ("inplane_fullslice", {}),
+    ("inplane_horizontal", {}),
+    ("nvstencil", {}),
+    ("inplane_vertical", {"use_vectors": False}),
+    ("inplane_fullslice", {"use_vectors": False}),
+    ("inplane_horizontal", {"use_vectors": False}),
+)
+
+
+class TestPlaneMemoryKey:
+    @pytest.mark.parametrize("dtype", ["sp", "dp"])
+    @pytest.mark.parametrize("order", [2, 8, 12])
+    def test_every_trial_block_equals_a_fresh_build(self, dtype, order):
+        """One sweep whose plans rotate through :data:`FLAVOURS` per tile,
+        so a tile's first builds differ in one key component each: a key
+        missing that component hands a plan another flavour's traffic."""
+        device = get_device(DEVICE)
+        spec = symmetric(order)
+        builds_per_tile: Counter = Counter()
+        flavour_of = {}
+
+        def build(cfg):
+            tile = cfg.tile_x, cfg.tile_y
+            flavour_of[cfg] = FLAVOURS[builds_per_tile[tile] % len(FLAVOURS)]
+            builds_per_tile[tile] += 1
+            family, kw = flavour_of[cfg]
+            return make_kernel(family, spec, cfg, dtype, **kw)
+
+        trials = feasible_trials(build, device, PAPER_GRID, default_space())
+        flavours_by_tile = defaultdict(set)
+        for trial in trials:
+            flavours_by_tile[tile_of(trial)].add(flavour_of[trial.config][0])
+        assert any(len(f) >= 3 for f in flavours_by_tile.values())
+        for trial in trials:
+            family, kw = flavour_of[trial.config]
+            fresh = make_kernel(
+                family, spec, trial.config, dtype, **kw
+            ).block_workload(device, PAPER_GRID)
+            assert trial.block == fresh
+            assert repr(trial.block.memory) == repr(fresh.memory)
