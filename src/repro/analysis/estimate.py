@@ -34,8 +34,9 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.analysis.planir import DEFAULT_GRID, AccessPlanIR, lower_plan
 from repro.errors import ReproError
 from repro.gpusim.device import DeviceSpec, get_device
-from repro.gpusim.timing import params_for, time_kernel
-from repro.obs.counters import derive_counters
+from repro.gpusim.timing import TimingResult, params_for, time_kernel
+from repro.gpusim.workload import GridWorkload
+from repro.obs.counters import CounterSet, derive_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernels.symmetric import SymmetricKernelPlan
@@ -75,6 +76,34 @@ class PerfEstimate:
     shared_replay_rate: float
     achieved_occupancy: float
     limiter: str
+
+    @classmethod
+    def priced(
+        cls,
+        kernel: str,
+        device: DeviceSpec,
+        grid_shape: tuple[int, int, int],
+        grid: GridWorkload,
+        timing: TimingResult,
+        counters: CounterSet,
+    ) -> "PerfEstimate":
+        """The estimate one timing and its derived counters imply."""
+        time_s = timing.total_cycles / device.clock_hz
+        return cls(
+            kernel=kernel,
+            device=device.name,
+            grid_shape=grid_shape,
+            mpoints_per_s=grid.total_points / time_s / 1e6,
+            total_cycles=timing.total_cycles,
+            gld_transactions=counters["gld_transactions"],
+            gst_transactions=counters["gst_transactions"],
+            dram_bytes=counters["dram_bytes"],
+            dram_bw_fraction=counters["dram_bw_fraction"],
+            gld_efficiency=counters["gld_efficiency"],
+            shared_replay_rate=counters["shared_replay_rate"],
+            achieved_occupancy=counters["achieved_occupancy"],
+            limiter=counters.occupancy_limiter,
+        )
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -126,22 +155,7 @@ def estimate_ir(
     grid = ir.grid_workload(shape)
     timing = time_kernel(workload, grid, dev)
     counters = derive_counters(timing, workload, grid, dev, params_for(dev))
-    time_s = timing.total_cycles / dev.clock_hz
-    return PerfEstimate(
-        kernel=ir.kernel,
-        device=dev.name,
-        grid_shape=shape,
-        mpoints_per_s=grid.total_points / time_s / 1e6,
-        total_cycles=timing.total_cycles,
-        gld_transactions=counters["gld_transactions"],
-        gst_transactions=counters["gst_transactions"],
-        dram_bytes=counters["dram_bytes"],
-        dram_bw_fraction=counters["dram_bw_fraction"],
-        gld_efficiency=counters["gld_efficiency"],
-        shared_replay_rate=counters["shared_replay_rate"],
-        achieved_occupancy=counters["achieved_occupancy"],
-        limiter=counters.occupancy_limiter,
-    )
+    return PerfEstimate.priced(ir.kernel, dev, shape, grid, timing, counters)
 
 
 def estimate_plan(
@@ -151,24 +165,6 @@ def estimate_plan(
 ) -> PerfEstimate:
     """Lower ``plan`` and price it — the one-call form."""
     return estimate_ir(lower_plan(plan, grid_shape), device, grid_shape)
-
-
-def try_estimate(
-    plan: "SymmetricKernelPlan",
-    device: "DeviceSpec | str" = DEFAULT_DEVICE,
-    grid_shape: tuple[int, int, int] = DEFAULT_GRID,
-) -> tuple[PerfEstimate | None, str | None]:
-    """:func:`estimate_plan` as a non-raising ``(estimate, refusal)`` pair.
-
-    The trial archive (:mod:`repro.obs.archive`) records either the
-    estimate or the exact refusal for every evaluated config; returning
-    the refusal as ``"ErrorType: message"`` keeps that record a pure,
-    serializable function of the plan.
-    """
-    try:
-        return estimate_plan(plan, device, grid_shape), None
-    except ReproError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, cast
 
+from repro.errors import UnsupportedPlanError
 from repro.gpusim.memory import MemoryStats, RegionRecord
 from repro.gpusim.smem import SmemAccessProfile, padded_pitch_words
 from repro.gpusim.workload import BlockWorkload, GridWorkload
@@ -327,15 +328,21 @@ def _check_region_sums(regions: tuple[IRRegion, ...], traffic: TrafficIR) -> Non
 def lower_plan(
     plan: SymmetricKernelPlan,
     grid_shape: tuple[int, int, int] = DEFAULT_GRID,
+    workload: BlockWorkload | None = None,
 ) -> AccessPlanIR:
     """Lower one symmetric kernel plan to its access-plan IR.
 
-    Raises ``TypeError`` for plan families outside the emitter set and
-    :class:`LoweringError` when the plan's declared aggregates disagree
-    with its own region records (a kernel-model bug, not a user error).
+    ``workload`` is the plan's block workload for ``grid_shape`` when the
+    caller already built it (on any device: the supported families never
+    read it); otherwise it is built here.
+
+    Raises :class:`~repro.errors.UnsupportedPlanError` (a ``TypeError``)
+    for plan families outside the emitter set and :class:`LoweringError`
+    when the plan's declared aggregates disagree with its own region
+    records (a kernel-model bug, not a user error).
     """
     if not isinstance(plan, (InPlaneKernel, NvStencilKernel)):
-        raise TypeError(
+        raise UnsupportedPlanError(
             f"access-plan lowering supports the symmetric in-plane and "
             f"nvstencil kernels, not {type(plan).__name__}"
         )
@@ -347,7 +354,8 @@ def lower_plan(
     # the contract takes a device parameter for families that may need
     # one, but these never read it, which is precisely what makes the IR
     # (and the estimator riding on it) a pure function of the plan.
-    workload = plan.block_workload(cast("DeviceSpec", None), grid_shape)
+    if workload is None:
+        workload = plan.block_workload(cast("DeviceSpec", None), grid_shape)
     mem = workload.memory
 
     regions: list[IRRegion] = []

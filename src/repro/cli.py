@@ -419,15 +419,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_codegen(args: argparse.Namespace) -> int:
     from repro.codegen import generate_host_driver, generate_kernel
     from repro.codegen.manifest import BACKENDS, generate_backend
+    from repro.errors import UnsupportedPlanError
 
     block = BlockConfig(*_parse_ints(args.block))
     plan = make_kernel(args.kernel, symmetric(args.order), block, args.dtype)
     backends = BACKENDS if args.backend == "all" else (args.backend,)
     for backend in backends:
-        if backend == "cuda":
-            src = generate_kernel(plan, grid_shape=_parse_ints(args.grid, 3))
-        else:
-            src = generate_backend(plan, backend)
+        try:
+            if backend == "cuda":
+                src = generate_kernel(plan, grid_shape=_parse_ints(args.grid, 3))
+            else:
+                src = generate_backend(plan, backend)
+        except UnsupportedPlanError as exc:
+            log.error("cannot generate code: %s", exc)
+            return 1
         text = src.text
         if args.driver and backend == "cuda":
             text += "\n" + generate_host_driver(plan, _parse_ints(args.grid, 3))
@@ -446,7 +451,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.diagnostics import AnalysisReport
     from repro.analysis.dsl import diagnostic_from_error
     from repro.analysis.rules import CFG_POSITIVE
-    from repro.errors import ReproError
+    from repro.errors import ReproError, UnsupportedPlanError
 
     suppress = tuple(args.suppress or ())
 
@@ -462,7 +467,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for backend in BACKENDS:
             # Generate unverified: the point of lint is to *report* the
             # SRC-* findings, not to have the emitter refuse first.
-            src = generate_backend(plan, backend, verify=False)
+            try:
+                src = generate_backend(plan, backend, verify=False)
+            except UnsupportedPlanError as exc:
+                log.error("cannot generate code: %s", exc)
+                return 1
             report.merge(analyze_emitted(src, suppress=suppress))
         print(report.to_json() if args.json else report.render())
         return report.exit_code()
@@ -599,6 +608,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.estimate import estimate_plan, reconcile_profile
+    from repro.errors import UnsupportedPlanError
 
     if args.reconcile:
         report = reconcile_profile(
@@ -612,7 +622,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
     block = BlockConfig(*_parse_ints(args.block))
     plan = make_kernel(args.kernel, symmetric(args.order), block, args.dtype)
-    est = estimate_plan(plan, args.device, _parse_ints(args.grid, 3))
+    try:
+        est = estimate_plan(plan, args.device, _parse_ints(args.grid, 3))
+    except UnsupportedPlanError as exc:
+        log.error("cannot estimate: %s", exc)
+        return 1
     if args.json:
         print(json.dumps(est.to_json_obj(), indent=1))
     else:

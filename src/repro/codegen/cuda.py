@@ -24,7 +24,7 @@ from repro.analysis import gate_codegen
 from repro.analysis.diagnostics import Severity
 from repro.analysis.estimate import prediction_header
 from repro.analysis.planir import DEFAULT_GRID, AccessPlanIR, lower_plan
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnsupportedPlanError
 from repro.kernels.inplane import InPlaneKernel
 from repro.kernels.nvstencil import NvStencilKernel
 from repro.kernels.symmetric import SymmetricKernelPlan
@@ -272,7 +272,7 @@ def generate_kernel(
     returned.
     """
     if not isinstance(plan, (InPlaneKernel, NvStencilKernel)):
-        raise TypeError(
+        raise UnsupportedPlanError(
             f"code generation supports the symmetric in-plane and nvstencil "
             f"kernels, not {type(plan).__name__}"
         )

@@ -45,6 +45,16 @@ class ResourceLimitError(ReproError):
     """
 
 
+class UnsupportedPlanError(ReproError, TypeError):
+    """A plan family outside what a consumer of plans supports.
+
+    Access-plan lowering and code generation cover only the symmetric
+    in-plane and nvstencil kernels.  Still a :class:`TypeError` (the
+    family is the plan's type), and a :class:`ReproError` so callers
+    that record refusals catch it with the rest.
+    """
+
+
 class UnknownDeviceError(ReproError):
     """Requested device name is not present in the device registry."""
 

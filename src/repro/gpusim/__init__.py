@@ -19,13 +19,27 @@ granularity the paper's optimizations operate on:
 The top-level entry point is :class:`repro.gpusim.executor.DeviceExecutor`.
 """
 
+from typing import Any
+
 from repro.gpusim.device import DeviceSpec, get_device, list_devices, register_device
 from repro.gpusim.arch import Generation, WARP_SIZE
 from repro.gpusim.faults import FAULT_KINDS, FaultEvent, FaultPlan, flip_bit
 from repro.gpusim.occupancy import OccupancyResult, compute_occupancy
 from repro.gpusim.report import SimReport
 from repro.gpusim.executor import DeviceExecutor, simulate
-from repro.gpusim.batch import BatchEngine, BlockClass, batch_reports
+
+#: Exported lazily (PEP 562), so ``python -m repro.gpusim.batch`` does not
+#: find its own module imported by the package first.
+_BATCH_EXPORTS = ("BatchEngine", "BlockClass", "batch_reports")
+
+
+def __getattr__(name: str) -> Any:
+    if name in _BATCH_EXPORTS:
+        from repro.gpusim import batch
+
+        return getattr(batch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DeviceSpec",

@@ -42,7 +42,7 @@ resimulation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,8 +66,7 @@ _F = np.float64
 _I = np.int64
 
 
-@dataclass(frozen=True)
-class BlockClass:
+class BlockClass(NamedTuple):
     """Numeric fingerprint of a (block workload, grid workload) pair.
 
     Exactly the quantities the timing model and the counter derivations
@@ -77,7 +76,8 @@ class BlockClass:
     ``store_transactions`` keep their original numeric type (int for
     enumerated traffic, float for phase-averaged raw counts) because the
     scalar counter set preserves that type in ``gld_transactions`` /
-    ``gst_transactions``.
+    ``gst_transactions``.  A tuple, so building and hashing one (the
+    engine's memo key) run in C.
     """
 
     threads_per_block: int

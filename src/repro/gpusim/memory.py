@@ -18,18 +18,14 @@ Kernels describe their per-plane traffic through the region builders of
 :mod:`repro.kernels.loads` (row regions, column strips, corner patches),
 which average transaction counts over tile alignment phases and
 accumulate the fractional results with :meth:`MemoryStats.add_raw`,
-attaching one :class:`RegionRecord` per region.  :class:`WarpAccess`,
-:meth:`MemoryStats.add` and the helpers :func:`row_region_accesses` and
-:func:`column_strip_accesses` are a second, exact per-access path that
+attaching one :class:`RegionRecord` per region.  :class:`WarpAccess`
+and :meth:`MemoryStats.add` are a second, exact per-access path that
 prices one fixed-phase access; no kernel uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.gpusim.arch import WARP_SIZE
-from repro.utils.maths import ceil_div
 
 
 #: Classification of an access, used for the L2 halo-reuse effect and for
@@ -275,64 +271,3 @@ class MemoryStats:
         self.camped_bytes += other.camped_bytes
         self.regions.extend(other.regions)
 
-
-def row_region_accesses(
-    *,
-    start_byte: int,
-    width_elems: int,
-    rows: int,
-    elem_bytes: int,
-    vec_width: int = 1,
-    kind: str = KIND_INTERIOR,
-    stats: MemoryStats,
-) -> None:
-    """Account a rectangular region loaded/stored as contiguous row spans.
-
-    The region's rows are assumed to share one line phase (true when the
-    grid pitch is a multiple of the transaction line, which the layout
-    guarantees).  Each row of ``width_elems`` elements decomposes into
-    ``ceil(width / (WARP_SIZE * vec))`` warp instructions — the warp-based
-    assignment of section III-C-2 where loads are partitioned to warps in
-    aligned chunks.
-    """
-    if width_elems <= 0 or rows <= 0:
-        raise ValueError("region must be non-empty")
-    issues_per_row = ceil_div(width_elems, WARP_SIZE * vec_width)
-    access = WarpAccess(
-        start_byte=start_byte,
-        span_bytes=width_elems * elem_bytes,
-        useful_bytes=width_elems * elem_bytes,
-        count=rows,
-        kind=kind,
-    )
-    stats.add(access, instructions=issues_per_row * rows)
-
-
-def column_strip_accesses(
-    *,
-    start_byte: int,
-    width_elems: int,
-    rows: int,
-    elem_bytes: int,
-    kind: str = KIND_HALO,
-    stats: MemoryStats,
-) -> None:
-    """Account a narrow column strip loaded row-by-row by perimeter lanes.
-
-    This is the *nvstencil* left/right halo pattern of Fig 4: for each row,
-    a handful of lanes (``width_elems`` of them, width = stencil radius)
-    issue one load whose span is tiny compared to the 128-byte line it
-    drags in — the uncoalesced access the paper blames for the baseline's
-    low load efficiency.
-    """
-    if width_elems <= 0 or rows <= 0:
-        raise ValueError("strip must be non-empty")
-    access = WarpAccess(
-        start_byte=start_byte,
-        span_bytes=width_elems * elem_bytes,
-        useful_bytes=width_elems * elem_bytes,
-        count=rows,
-        kind=kind,
-    )
-    # One predicated warp instruction per row regardless of lane count.
-    stats.add(access, instructions=rows)

@@ -7,7 +7,10 @@ plus its launch configuration.  It must provide:
 * ``block_workload(device, grid_shape)`` — the per-block/per-plane traffic,
   resources and instruction mix the timing model prices;
 * ``grid_workload(device, grid_shape)`` — block/plane/point counts
-  (Eqn (6)).
+  (Eqn (6));
+* ``smem_bytes()`` — the shared-memory footprint per block, which the
+  block workload stores and the auto-tuner's constraint (iii) checks
+  without building one.
 
 Register-footprint estimation lives here because it is shared policy: the
 paper's two methods differ in per-element register state (the in-plane
@@ -85,6 +88,11 @@ class KernelPlan(abc.ABC):
     @abc.abstractmethod
     def halo_radius(self) -> int:
         """Halo width this kernel needs per axis."""
+
+    @abc.abstractmethod
+    def smem_bytes(self) -> int:
+        """Shared-memory footprint per block: the one source of both the
+        workload's ``smem_bytes`` and the tuner's constraint (iii)."""
 
     def grid_workload(
         self, device: DeviceSpec, grid_shape: tuple[int, int, int]

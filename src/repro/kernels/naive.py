@@ -29,6 +29,10 @@ class NaiveKernel(SymmetricKernelPlan):
     family = "naive"
     variant = "global"
 
+    def smem_bytes(self) -> int:
+        """No shared-memory staging."""
+        return 0
+
     def block_workload(
         self, device: DeviceSpec, grid_shape: tuple[int, int, int]
     ) -> BlockWorkload:
@@ -57,7 +61,7 @@ class NaiveKernel(SymmetricKernelPlan):
         return BlockWorkload(
             threads_per_block=self.block.threads,
             regs_per_thread=BASE_REGISTERS + 4 * self.block.register_tile,
-            smem_bytes=0,
+            smem_bytes=self.smem_bytes(),
             elem_bytes=self.elem_bytes,
             points_per_plane=self.block.points_per_plane,
             flops_per_point=self.spec.flops_forward,

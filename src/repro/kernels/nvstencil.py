@@ -54,31 +54,31 @@ class NvStencilKernel(SymmetricKernelPlan):
             tile_y=self.block.tile_y, use_vectors=self.use_vectors,
         )
 
-    def block_workload(
-        self, device: DeviceSpec, grid_shape: tuple[int, int, int]
-    ) -> BlockWorkload:
-        self.check_grid_shape(grid_shape)
-        r = self.spec.radius
-        stats = self.plane_memory(self.layout(grid_shape, aligned_x=0))
-
+    def _extra_instructions(self, load_phases: int) -> int:
         # Register-pipeline shifts: 2r moves per element per plane, plus
         # light address arithmetic per load group and the divergent
         # branch/address work of the per-row halo loads (Fig 4).
+        r = self.spec.radius
         shifts = self.block.points_per_plane * 2 * r / WARP_SIZE
         divergent_rows = 2 * self.block.tile_y + 4 * r
-        extra = int(shifts + 2 * stats.load_phases + 2 * divergent_rows)
+        return int(shifts + 2 * load_phases + 2 * divergent_rows)
 
+    def block_workload(
+        self, device: DeviceSpec, grid_shape: tuple[int, int, int]
+    ) -> BlockWorkload:
+        r = self.spec.radius
+        tile = self.tile_record(grid_shape, aligned_x=0)
         return BlockWorkload(
             threads_per_block=self.block.threads,
             regs_per_thread=self.estimate_registers(_per_element_state(r)),
-            smem_bytes=self.smem_bytes(),
+            smem_bytes=tile.smem_bytes,
             elem_bytes=self.elem_bytes,
             points_per_plane=self.block.points_per_plane,
             flops_per_point=self.spec.flops_forward,
             arith_instructions_per_point=6 * r + 1,
-            memory=stats,
-            smem_profile=self.smem_profile(),
-            extra_instructions=extra,
+            memory=tile.memory,
+            smem_profile=tile.smem_profile,
+            extra_instructions=tile.extra_instructions,
             ilp=float(self.block.register_tile),
             prologue_planes=2 * r,
         )

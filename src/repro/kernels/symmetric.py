@@ -6,19 +6,21 @@ shared-memory tile, the per-plane shared-memory instruction profile and
 the grid workload.  What differs — and what the subclasses define — is the
 *load* pattern, the flop count and the per-element register state.
 
-A plane's global traffic depends only on the effective tile
-(TX*RX x TY*RY), the radius, the layout and the loading variant (with
-its use of vector loads), not on how the tile splits into threads and
-register tiles.  Inside
-:func:`plane_memory_memo` — one tuning sweep — every plan with the same
-such key therefore shares one :class:`~repro.gpusim.memory.MemoryStats`.
+A plane's global traffic, the shared-memory footprint, the per-plane
+shared-memory profile and the bookkeeping instruction count depend only
+on the effective tile (TX*RX x TY*RY), the radius, the layout and the
+loading variant (with its use of vector loads), not on how the tile
+splits into threads and register tiles.  :meth:`SymmetricKernelPlan.tile_record`
+builds them together as one :class:`TileRecord`; inside
+:func:`tile_record_memo` — one tuning sweep — every plan with the same
+such key shares that record.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,31 +33,42 @@ from repro.kernels.layout import GridLayout
 from repro.kernels.loads import add_row_region
 from repro.stencils.spec import SymmetricStencil
 
-#: The plane-traffic memo of the running sweep; ``None`` outside one.
-PLANE_MEMORY_MEMO: ContextVar[dict[tuple[Any, ...], MemoryStats] | None] = (
-    ContextVar("repro_plane_memory_memo", default=None)
+
+class TileRecord(NamedTuple):
+    """The tile-determined part of a block workload."""
+
+    memory: MemoryStats
+    smem_bytes: int
+    smem_profile: SmemAccessProfile
+    extra_instructions: int
+
+
+#: The tile-record memo of the running sweep; ``None`` outside one.
+TILE_RECORD_MEMO: ContextVar[dict[tuple[Any, ...], TileRecord] | None] = (
+    ContextVar("repro_tile_record_memo", default=None)
 )
 
 
 @contextmanager
-def plane_memory_memo() -> Iterator[None]:
-    """Share plane traffic between same-tile plans until the block exits.
+def tile_record_memo() -> Iterator[None]:
+    """Share tile records between same-tile plans until the block exits.
 
-    The shared :class:`MemoryStats` objects are read-only for as long as
-    the trials holding them live; nothing outlives the block.
+    The shared records (and the :class:`MemoryStats` inside them) are
+    read-only for as long as the trials holding them live; nothing
+    outlives the block.
     """
-    token = PLANE_MEMORY_MEMO.set({})
+    token = TILE_RECORD_MEMO.set({})
     try:
         yield
     finally:
-        PLANE_MEMORY_MEMO.reset(token)
+        TILE_RECORD_MEMO.reset(token)
 
 
 class SymmetricKernelPlan(KernelPlan):
     """Base for kernels computing one symmetric Eqn (1) stencil."""
 
     #: Whether row loads may use vector types (set by the subclasses that
-    #: price their traffic through :meth:`plane_memory`).
+    #: build their workload through :meth:`tile_record`).
     use_vectors: bool
 
     def __init__(
@@ -75,32 +88,52 @@ class SymmetricKernelPlan(KernelPlan):
         return self.spec.radius
 
     # ------------------------------------------------------------------
-    # Shared traffic pieces
+    # The tile record
     # ------------------------------------------------------------------
     def _add_load_traffic(self, stats: MemoryStats, layout: GridLayout) -> None:
         """This variant's per-plane loads (and its ``load_phases``)."""
         raise NotImplementedError(f"{type(self).__name__} has no load pattern")
 
-    def plane_memory(self, layout: GridLayout) -> MemoryStats:
-        """One plane's global traffic: this variant's loads plus the stores.
+    def _extra_instructions(self, load_phases: int) -> int:
+        """This variant's per-plane bookkeeping instructions."""
+        raise NotImplementedError(f"{type(self).__name__} has no tile record")
 
-        Inside :func:`plane_memory_memo` the result is shared by every plan
-        with the same key, which holds everything the traffic code reads;
-        outside it each call builds fresh stats.
+    def tile_record(
+        self, grid_shape: tuple[int, int, int], aligned_x: int
+    ) -> TileRecord:
+        """Everything of the block workload the effective tile determines.
+
+        Checks the grid shape, then builds one plane's global traffic (this
+        variant's loads plus the stores), the shared-memory footprint and
+        profile and the bookkeeping instructions.  Inside
+        :func:`tile_record_memo` the record is shared by every plan with the
+        same key, which holds everything those builders read (the grid
+        shape, element size and alignment are the layout's fields); outside
+        it each call builds a fresh record.
         """
-        memo = PLANE_MEMORY_MEMO.get()
+        memo = TILE_RECORD_MEMO.get()
+        lx, ly, lz = grid_shape
         key = (
             type(self), self.variant, self.spec.radius, self.use_vectors,
-            self.block.tile_x, self.block.tile_y, layout,
+            self.block.tile_x, self.block.tile_y,
+            lx, ly, lz, self.elem_bytes, aligned_x,
         )
-        stats = memo.get(key) if memo is not None else None
-        if stats is None:
+        record = memo.get(key) if memo is not None else None
+        if record is None:
+            self.check_grid_shape(grid_shape)
+            layout = self.layout(grid_shape, aligned_x=aligned_x)
             stats = MemoryStats(line_bytes=layout.line_bytes)
             self._add_load_traffic(stats, layout)
             self.add_store_traffic(stats, layout)
+            record = TileRecord(
+                memory=stats,
+                smem_bytes=self.smem_bytes(),
+                smem_profile=self.smem_profile(),
+                extra_instructions=self._extra_instructions(stats.load_phases),
+            )
             if memo is not None:
-                memo[key] = stats
-        return stats
+                memo[key] = record
+        return record
 
     def add_store_traffic(self, stats: MemoryStats, layout: GridLayout) -> None:
         """Output writes: one coalesced row region of the effective tile.

@@ -181,22 +181,36 @@ def derive_record(
         except ReproError:
             predicted = None
 
-    from repro.analysis.estimate import try_estimate
+    from repro.analysis.estimate import PerfEstimate
+    from repro.analysis.planir import AccessPlanIR, lower_plan
+    from repro.obs.counters import derive_counters
 
-    est, estimate_error = try_estimate(plan, device, grid_shape)
-    estimate = est.to_json_obj() if est is not None else None
-
+    # One pricing serves the counters and the estimate: the plan lowers
+    # from the trial's own block, and the IR's workload equals that block
+    # field for field, so pricing the IR would repeat the same timing.
+    ir: AccessPlanIR | None = None
+    estimate: dict[str, Any] | None = None
     counters: dict[str, Any] | None = None
+    estimate_error: str | None = None
     try:
-        from repro.obs.counters import derive_counters
-
+        ir = lower_plan(plan, grid_shape, workload=block)
+    except ReproError as exc:
+        estimate_error = f"{type(exc).__name__}: {exc}"
+    try:
         grid = plan.grid_workload(device, grid_shape)
         timing = time_kernel(block, grid, device)
-        counters = derive_counters(
+        counter_set = derive_counters(
             timing, block, grid, device, params_for(device)
-        ).as_dict()
-    except ReproError:
-        counters = None
+        )
+    except ReproError as exc:
+        if ir is not None:
+            estimate_error = f"{type(exc).__name__}: {exc}"
+    else:
+        counters = counter_set.as_dict()
+        if ir is not None:
+            estimate = PerfEstimate.priced(
+                ir.kernel, device, grid_shape, grid, timing, counter_set
+            ).to_json_obj()
 
     return ArchiveRecord(
         config=outcome.config.as_tuple(),

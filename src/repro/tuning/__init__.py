@@ -17,6 +17,8 @@
   retries, per-config quarantine, resume journal, graceful degradation.
 """
 
+from typing import Any
+
 from repro.tuning.space import ParameterSpace, default_space
 from repro.tuning.result import TuneEntry, TuneResult
 from repro.tuning.evaluator import (
@@ -27,7 +29,6 @@ from repro.tuning.evaluator import (
     TrialOutcome,
     batch_capable,
 )
-from repro.tuning.vectorized import VectorTrialEvaluator
 from repro.tuning.exhaustive import exhaustive_tune
 from repro.tuning.perfmodel import PaperModel, ModelInputs
 from repro.tuning.modelbased import model_based_tune
@@ -40,6 +41,18 @@ from repro.tuning.robust import (
     SessionResult,
     TrialJournal,
 )
+
+
+def __getattr__(name: str) -> Any:
+    # Lazy (PEP 562): the vectorized evaluator pulls in
+    # repro.gpusim.batch, which ``python -m repro.gpusim.batch`` must be
+    # the first to import.
+    if name == "VectorTrialEvaluator":
+        from repro.tuning.vectorized import VectorTrialEvaluator
+
+        return VectorTrialEvaluator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ParameterSpace",

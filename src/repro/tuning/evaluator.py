@@ -63,9 +63,9 @@ class Trial(NamedTuple):
     sweep's device and grid.  Every stage treats it as read-only, which
     is what makes sharing one build across them safe.  That includes
     ``block.memory``: trials whose plans share an effective tile share
-    one :class:`~repro.gpusim.memory.MemoryStats` object (see
-    :func:`~repro.kernels.symmetric.plane_memory_memo`), so a write
-    through one trial would change the others' traffic.
+    one tile record and so one :class:`~repro.gpusim.memory.MemoryStats`
+    object (see :func:`~repro.kernels.symmetric.tile_record_memo`), so a
+    write through one trial would change the others' traffic.
     """
 
     config: BlockConfig

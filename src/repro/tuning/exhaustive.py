@@ -14,7 +14,7 @@ from repro.errors import TuningError
 from repro.gpusim.device import DeviceSpec
 from repro.kernels.base import KernelPlan
 from repro.kernels.config import BlockConfig
-from repro.kernels.symmetric import plane_memory_memo
+from repro.kernels.symmetric import tile_record_memo
 from repro.obs.events import emit as emit_event
 from repro.obs.schema import CAT_TUNE_RUN
 from repro.obs.tracer import current_tracer, maybe_span
@@ -23,7 +23,6 @@ from repro.tuning.evaluator import (
     Trial,
     TrialEvaluator,
     TrialRunner,
-    build_trial,
 )
 from repro.tuning.result import TuneEntry, TuneResult
 from repro.tuning.space import ParameterSpace, default_space
@@ -83,23 +82,27 @@ def feasible_trials(
 ) -> list[Trial]:
     """The constrained space, built: one :class:`Trial` per feasible config.
 
-    Constraint (iii) needs each candidate's shared-memory footprint, which
-    is read off its built block workload; the built plan and workload are
-    kept and returned (in space order) so the rest of the sweep reuses
-    them.  This is the only place a tune calls ``build``.
+    Constraint (iii) reads each candidate's shared-memory footprint off
+    its plan (``plan.smem_bytes()``); only the candidates that pass get a
+    block workload.  The built plan and workload are kept and returned
+    (in space order) so the rest of the sweep reuses them.  This is the
+    only place a tune calls ``build``.
 
-    The builds run inside :func:`~repro.kernels.symmetric.plane_memory_memo`,
-    so trials whose plans share an effective tile share one plane-traffic
-    record; the memo ends with this call.
+    The builds run inside :func:`~repro.kernels.symmetric.tile_record_memo`,
+    so trials whose plans share an effective tile share one tile record;
+    the memo ends with this call.
     """
     space = space or default_space()
     built: dict[BlockConfig, Trial] = {}
 
     def smem_bytes_of(cfg: BlockConfig) -> int:
-        trial = built[cfg] = build_trial(build, cfg, device, grid_shape)
-        return trial.block.smem_bytes
+        plan = build(cfg)
+        smem_bytes = plan.smem_bytes()
+        if smem_bytes <= device.smem_per_sm:
+            built[cfg] = Trial(cfg, plan, plan.block_workload(device, grid_shape))
+        return smem_bytes
 
-    with plane_memory_memo():
+    with tile_record_memo():
         feasible = space.feasible(device, grid_shape, smem_bytes_of)
     return [built[cfg] for cfg in feasible]
 

@@ -229,6 +229,67 @@ class TestCliExplain:
         assert obj["entries"]
 
 
+class TestCliUnsupportedFamilies:
+    """Families outside access-plan lowering and code generation: the
+    archive records the refusal, and ``estimate``/``codegen`` exit 1 with
+    one line on stderr instead of a traceback."""
+
+    FAMILIES = ("naive", "blocking3d", "temporal", "texture")
+    CLASSES = {
+        "naive": "NaiveKernel",
+        "blocking3d": "Blocking3DKernel",
+        "temporal": "TemporalInPlaneKernel",
+        "texture": "TexturePathKernel",
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_tune_archive_records_the_refusal(self, family, tmp_path, capsys):
+        from repro.obs.archive import read_archive
+
+        archive = tmp_path / "a.jsonl"
+        code = main([
+            "-q", "tune", "--kernel", family, "--order", "2",
+            "--device", "gtx580", "--grid", "64,64,32",
+            "--archive", str(archive),
+        ])
+        assert code == 0
+        records = read_archive(archive, strict=True)[1]
+        assert records
+        for record in records:
+            assert record.estimate is None
+            assert record.estimate_error.startswith("UnsupportedPlanError: ")
+            assert self.CLASSES[family] in record.estimate_error
+        assert any(record.counters is not None for record in records)
+
+    @pytest.mark.parametrize("command", ["estimate", "codegen"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_command_exits_1_with_one_line(self, family, command, capsys):
+        code = main([
+            command, "--kernel", family, "--order", "2", "--block", "32,4",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cannot ")
+        assert self.CLASSES[family] in lines[0]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lint_emitted_exits_1_with_one_line(self, family, capsys):
+        code = main([
+            "lint", "--emitted", "--kernel", family, "--order", "2",
+            "--block", "32,4",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "cannot generate code: code generation supports the symmetric "
+            f"in-plane and nvstencil kernels, not {self.CLASSES[family]}"
+        ]
+
+
 class TestCliImports:
     def test_cli_imports_no_multiprocessing(self):
         """Every command runs in-process, so startup never pays for it."""

@@ -68,6 +68,44 @@ class TestReportIdentity:
         assert "identical: yes" in summary
 
 
+class TestModuleEntryPoint:
+    def test_running_the_module_writes_nothing_to_stderr(self):
+        """The packages export the engine lazily, so ``python -m
+        repro.gpusim.batch`` is the first to import its own module."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.gpusim.batch",
+             "--baseline", "BENCH_profile.json"],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert "identical: yes" in out.stdout
+
+    def test_lazy_exports_resolve(self):
+        import repro.gpusim
+        import repro.tuning
+
+        assert repro.gpusim.BlockClass is BlockClass
+        assert repro.gpusim.BatchEngine is BatchEngine
+        assert repro.gpusim.batch_reports is batch_reports
+        for name in repro.gpusim.__all__:
+            assert hasattr(repro.gpusim, name), name
+        for name in repro.tuning.__all__:
+            assert hasattr(repro.tuning, name), name
+
+
 class TestUnlaunchable:
     def test_error_messages_match_scalar(self, gtx580):
         for cfg in DEAD_CONFIGS:

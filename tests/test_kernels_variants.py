@@ -8,17 +8,20 @@ claims about each variant's traffic).
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.gpusim.device import get_device
+from repro.errors import ConfigurationError, ReproError
+from repro.gpusim.device import PAPER_DEVICES, get_device
 from repro.kernels.blocking3d import Blocking3DKernel
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import KERNEL_FAMILIES, make_kernel
 from repro.kernels.inplane import INPLANE_VARIANTS, InPlaneKernel
+from repro.kernels.multigrid import METHODS, MultiGridKernel
 from repro.kernels.naive import NaiveKernel
 from repro.kernels.nvstencil import NvStencilKernel
+from repro.stencils.applications import APPLICATIONS
 from repro.stencils.catalog import redundant_corner_elems
 from repro.stencils.reference import apply_symmetric
 from repro.stencils.spec import symmetric
+from repro.tuning.space import default_space
 
 GRID = (256, 256, 64)
 BLOCK = BlockConfig(32, 4, 1, 2)
@@ -225,3 +228,31 @@ class TestTexturePath:
         g = rng.random((14, 16, 20)).astype(np.float32)
         ref = apply_symmetric(symmetric(4), g)
         plan.validate_against(ref, plan.execute(g))
+
+
+class TestSmemFootprint:
+    """``plan.smem_bytes()`` is what constraint (iii) checks before any
+    workload is built, so it must be exactly the workload's footprint."""
+
+    @pytest.mark.parametrize("device", [d.name for d in PAPER_DEVICES])
+    def test_plan_footprint_is_the_workload_footprint(self, device):
+        dev = get_device(device)
+        checked = 0
+        for cfg in default_space().candidates():
+            plans = [
+                make_kernel(family, symmetric(8), cfg, dtype)
+                for family in KERNEL_FAMILIES
+                for dtype in ("sp", "dp")
+            ] + [
+                MultiGridKernel(expr, cfg, method=method)
+                for expr in APPLICATIONS.values()
+                for method in METHODS
+            ]
+            for plan in plans:
+                try:
+                    block = plan.block_workload(dev, GRID)
+                except ReproError:
+                    continue  # the tile exceeds the grid
+                assert plan.smem_bytes() == block.smem_bytes, plan.name
+                checked += 1
+        assert checked > 1000

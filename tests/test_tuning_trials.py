@@ -2,13 +2,14 @@
 
 A tune calls ``build(cfg)`` and ``plan.block_workload(device, grid)``
 only in its feasibility pass
-(:func:`repro.tuning.exhaustive.feasible_trials`); the pre-filter, the
+(:func:`repro.tuning.exhaustive.feasible_trials`), and the workload only
+for configs whose plan passes constraint (iii); the pre-filter, the
 model tier, both measurement backends, the resilient executor and the
 archive capture all read the :class:`~repro.tuning.evaluator.Trial` it
 built.  These tests count the builds through every tuner and check that
 no stage mutates the shared workload.  Inside that pass, plans with the
-same effective tile share one plane-traffic record; the last two classes
-pin the memo's scope and the completeness of its key.
+same effective tile share one tile record; the last two classes pin the
+memo's scope and the completeness of its key.
 """
 
 from collections import Counter, defaultdict
@@ -20,7 +21,7 @@ from repro.gpusim.device import get_device
 from repro.errors import TuningError
 from repro.gpusim.faults import FaultPlan
 from repro.kernels.factory import make_kernel
-from repro.kernels.symmetric import PLANE_MEMORY_MEMO
+from repro.kernels.symmetric import TILE_RECORD_MEMO
 from repro.obs.archive import read_archive
 from repro.stencils.spec import symmetric
 from repro.tuning.evaluator import SimTrialEvaluator
@@ -45,10 +46,10 @@ STORM = "seed=5,launch=0.1,hang=0.02,throttle=0.05"
 class CountingBuild:
     """A ``build`` counting its calls; its plans count ``block_workload``.
 
-    ``workloads`` counts the calls bound to a device.  The access-plan
-    lowering behind the archive's estimate asks the in-plane plans for
-    their workload without one (it is device-free by construction); those
-    calls are tallied apart in ``lowered``.
+    ``workloads`` counts the calls bound to a device, per config.  A call
+    without one (the access-plan lowering is device-free by construction)
+    is tallied apart in ``lowered``: the archive's estimate lowers from
+    the trial's own block, so a sweep makes none.
     """
 
     def __init__(self) -> None:
@@ -67,9 +68,9 @@ class CountingBuild:
         def block_workload(device, grid_shape):
             block = unwrapped(device, grid_shape)
             if device is None:
-                self.lowered[id(plan)] += 1
+                self.lowered[cfg] += 1
             else:
-                self.workloads[id(plan)] += 1
+                self.workloads[cfg] += 1
                 self.handed_out.append((plan, block))
             return block
 
@@ -159,12 +160,18 @@ class TestOneBuildPerConfig:
         assert result.space_size < len(build.builds)  # (iii) rejected some
 
     def test_block_workload_runs_once_per_plan(self, swept):
-        _device, build, _result = swept
-        assert len(build.workloads) == len(build.builds)
+        """Once per feasible config, never for a constraint-(iii) reject."""
+        device, build, result = swept
+        passing = {
+            cfg for cfg in reaching_constraint_iii(device)
+            if make_kernel("inplane_fullslice", build.spec, cfg).smem_bytes()
+            <= device.smem_per_sm
+        }
+        assert len(passing) == result.space_size
+        assert set(build.workloads) == passing
         assert set(build.workloads.values()) == {1}
-        # The only other calls are the estimator's device-free lowering,
-        # once per archived config.
-        assert set(build.lowered.values()) <= {1}
+        assert set(build.builds) - passing  # (iii) rejected some, unbuilt
+        assert not build.lowered
 
 
 class TestSharedWorkloadIsNotMutated:
@@ -192,11 +199,13 @@ class TestPlaneMemoryMemoScope:
         trials = feasible_trials(build, device, PAPER_GRID, default_space())
         tiles = {tile_of(t) for t in trials}
         assert len(trials) > len(tiles)  # the space repeats tiles
-        assert len({id(t.block.memory) for t in trials}) == len(tiles)
-        for tile in tiles:
-            assert len({
-                id(t.block.memory) for t in trials if tile_of(t) == tile
-            }) == 1
+        for part in ("memory", "smem_profile"):
+            assert len({id(getattr(t.block, part)) for t in trials}) == len(tiles)
+            for tile in tiles:
+                assert len({
+                    id(getattr(t.block, part))
+                    for t in trials if tile_of(t) == tile
+                }) == 1
 
     def test_consecutive_tunes_share_no_memory_record(self):
         device = get_device(DEVICE)
@@ -227,7 +236,7 @@ class TestPlaneMemoryMemoScope:
         seen = []
 
         def build(cfg):
-            seen.append(PLANE_MEMORY_MEMO.get())
+            seen.append(TILE_RECORD_MEMO.get())
             return make_kernel("inplane_fullslice", ORDER, cfg)
 
         # Every candidate reaches constraint (iii) and fails it.
@@ -237,17 +246,18 @@ class TestPlaneMemoryMemoScope:
         with pytest.raises(TuningError, match="no feasible configuration"):
             feasible_trials(build, device, GRID, space)
         assert seen and all(memo is not None for memo in seen)
-        assert PLANE_MEMORY_MEMO.get() is None
+        assert TILE_RECORD_MEMO.get() is None
 
 
-#: Every plan pricing its traffic through the memo.  The first three
-#: differ pairwise in one key component on the same layout: classical
-#: vs vertical in ``variant``, classical with and without vectors in
-#: ``use_vectors``.
+#: Every plan building its workload through the memo.  The first four
+#: differ pairwise in one key component: classical vs vertical in
+#: ``variant``, classical with and without vectors in ``use_vectors``,
+#: and classical in the sweep's dtype vs the other one in element size.
 FLAVOURS = (
     ("inplane_classical", {}),
     ("inplane_vertical", {}),
     ("inplane_classical", {"use_vectors": False}),
+    ("inplane_classical", {"dtype": "other"}),
     ("inplane_fullslice", {}),
     ("inplane_horizontal", {}),
     ("nvstencil", {}),
@@ -257,13 +267,23 @@ FLAVOURS = (
 )
 
 
+def flavour_kernel(flavour, spec, cfg, dtype):
+    family, kw = flavour
+    kw = dict(kw)
+    if kw.pop("dtype", None) == "other":
+        dtype = "dp" if dtype == "sp" else "sp"
+    return make_kernel(family, spec, cfg, dtype, **kw)
+
+
 class TestPlaneMemoryKey:
     @pytest.mark.parametrize("dtype", ["sp", "dp"])
     @pytest.mark.parametrize("order", [2, 8, 12])
     def test_every_trial_block_equals_a_fresh_build(self, dtype, order):
         """One sweep whose plans rotate through :data:`FLAVOURS` per tile,
         so a tile's first builds differ in one key component each: a key
-        missing that component hands a plan another flavour's traffic."""
+        missing that component hands a plan another flavour's tile record.
+        Each trial's whole workload must equal (and print like) a build
+        made outside any sweep."""
         device = get_device(DEVICE)
         spec = symmetric(order)
         builds_per_tile: Counter = Counter()
@@ -271,20 +291,18 @@ class TestPlaneMemoryKey:
 
         def build(cfg):
             tile = cfg.tile_x, cfg.tile_y
-            flavour_of[cfg] = FLAVOURS[builds_per_tile[tile] % len(FLAVOURS)]
+            flavour_of[cfg] = builds_per_tile[tile] % len(FLAVOURS)
             builds_per_tile[tile] += 1
-            family, kw = flavour_of[cfg]
-            return make_kernel(family, spec, cfg, dtype, **kw)
+            return flavour_kernel(FLAVOURS[flavour_of[cfg]], spec, cfg, dtype)
 
         trials = feasible_trials(build, device, PAPER_GRID, default_space())
         flavours_by_tile = defaultdict(set)
         for trial in trials:
-            flavours_by_tile[tile_of(trial)].add(flavour_of[trial.config][0])
-        assert any(len(f) >= 3 for f in flavours_by_tile.values())
+            flavours_by_tile[tile_of(trial)].add(flavour_of[trial.config])
+        assert any(len(f) >= 4 for f in flavours_by_tile.values())
         for trial in trials:
-            family, kw = flavour_of[trial.config]
-            fresh = make_kernel(
-                family, spec, trial.config, dtype, **kw
+            fresh = flavour_kernel(
+                FLAVOURS[flavour_of[trial.config]], spec, trial.config, dtype
             ).block_workload(device, PAPER_GRID)
             assert trial.block == fresh
-            assert repr(trial.block.memory) == repr(fresh.memory)
+            assert repr(trial.block) == repr(fresh)
