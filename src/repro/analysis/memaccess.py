@@ -8,8 +8,8 @@ brute-force enumerator so the lint's verdicts are *checked*, not guessed:
   exactly with the counting loop in :func:`repro.gpusim.smem.conflict_degree`.
 * Region verdicts — read from the :class:`~repro.gpusim.memory.RegionRecord`
   geometry the load builders attach to every workload, whose phase-averaged
-  transaction counts agree exactly with the lane-by-lane
-  :func:`repro.gpusim.trace.average_region_trace` enumerator.
+  transaction counts agree exactly with a lane-by-lane address
+  enumerator the tests keep as a reference (``tests/oracles/trace.py``).
 
 The lint is *static* in the useful sense: it never prices a cycle, it only
 compares each region's transaction count against the aligned minimum the

@@ -9,7 +9,7 @@ granularity the paper's optimizations operate on:
 * occupancy — the interaction between a kernel's register / shared-memory /
   thread footprint and per-SM limits (:mod:`repro.gpusim.occupancy`);
 * instruction issue and arithmetic throughput, with per-device SP/DP ratios
-  (:mod:`repro.gpusim.issue`, :mod:`repro.gpusim.timing`);
+  (:mod:`repro.gpusim.timing`);
 * shared-memory bank conflicts (:mod:`repro.gpusim.smem`);
 * the wave ("stage") scheduler that places thread blocks onto SMs
   (:mod:`repro.gpusim.timing`), including per-block scheduling overhead and

@@ -302,16 +302,19 @@ class BatchEngine:
             0,
         )
 
+        # An unused resource sits one above the always-present block cap,
+        # so it never wins the argmin — the scalar path leaves it out.
+        absent = dev.max_blocks_per_sm + 1
         lim = np.stack([
             np.where(
                 regs_blk != 0,
                 dev.registers_per_sm // np.where(regs_blk != 0, regs_blk, 1),
-                dev.max_blocks_per_sm,
+                absent,
             ),
             np.where(
                 smem_blk != 0,
                 dev.smem_per_sm // np.where(smem_blk != 0, smem_blk, 1),
-                dev.max_blocks_per_sm,
+                absent,
             ),
             dev.max_warps_per_sm // warps_blk,
             np.full(n, dev.max_blocks_per_sm, dtype=_I),

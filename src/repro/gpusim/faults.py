@@ -3,7 +3,7 @@
 Real tuning campaigns lose hours to hung kernels, ECC events and crashed
 runs (the fragility that motivates the paper's section VI economy
 argument); this module gives the simulator the same failure modes so the
-resilient layers above it (:mod:`repro.tuning.robust`, the solver and
+resilient layers above it (:mod:`repro.tuning.robust`, the cluster
 halo-exchange guards) can be exercised deterministically:
 
 * **launch failures** — the launch dies before producing a result
@@ -20,8 +20,8 @@ Determinism is the core contract: a :class:`FaultPlan` is a pure function
 of ``(seed, stream, index)`` — the same plan replayed against the same
 sequence of launches injects the *identical* fault sequence, trial for
 trial, across processes (no ``PYTHONHASHSEED`` dependence).  Each
-consumer stream (device launches, halo exchanges, solver sweeps) has its
-own monotonic index, advanced by :meth:`next_index`.
+consumer stream (device launches, halo exchanges) has its own monotonic
+index, advanced by :meth:`next_index`.
 
 With no plan installed (``faults=None`` everywhere) every hook is a
 no-op branch — zero perturbation of the simulated numbers, which is what
@@ -57,8 +57,6 @@ FAULT_KINDS: tuple[str, ...] = (
 STREAM_LAUNCH = "launch"
 #: Exchange stream name used by :func:`repro.cluster.decompose.exchange_halos`.
 STREAM_EXCHANGE = "exchange"
-#: Sweep stream name used by :class:`repro.solvers.JacobiPoissonSolver`.
-STREAM_SOLVER = "solver"
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ class FaultPlan:
 
     # -- array-side ECC injection -----------------------------------------
 
-    def corrupt(self, array: np.ndarray, stream: str = STREAM_SOLVER) -> FaultEvent | None:
+    def corrupt(self, array: np.ndarray, stream: str) -> FaultEvent | None:
         """Maybe perturb ``array`` in place (one draw on ``stream``).
 
         Only ``ecc``-kind events touch the data; other kinds make no sense

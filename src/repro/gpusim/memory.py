@@ -18,9 +18,7 @@ Kernels describe their per-plane traffic through the region builders of
 :mod:`repro.kernels.loads` (row regions, column strips, corner patches),
 which average transaction counts over tile alignment phases and
 accumulate the fractional results with :meth:`MemoryStats.add_raw`,
-attaching one :class:`RegionRecord` per region.  :class:`WarpAccess`
-and :meth:`MemoryStats.add` are a second, exact per-access path that
-prices one fixed-phase access; no kernel uses it.
+attaching one :class:`RegionRecord` per region.
 """
 
 from __future__ import annotations
@@ -34,47 +32,6 @@ KIND_INTERIOR = "interior"
 KIND_HALO = "halo"
 KIND_WRITE = "write"
 KIND_SPILL = "spill"
-
-
-@dataclass(frozen=True)
-class WarpAccess:
-    """One warp-level global-memory instruction (possibly repeated).
-
-    Attributes
-    ----------
-    start_byte:
-        Byte offset (within the grid allocation) of the first byte the
-        instruction touches.  Only its alignment phase relative to the
-        transaction line matters.
-    span_bytes:
-        Contiguous extent accessed by the active lanes.
-    useful_bytes:
-        Bytes actually requested by live lanes (<= span_bytes; smaller when
-        some lanes are predicated off).
-    count:
-        Number of identical instructions with the same line phase (e.g. one
-        per row of a region whose pitch is line-aligned).
-    kind:
-        One of the ``KIND_*`` constants.
-    """
-
-    start_byte: int
-    span_bytes: int
-    useful_bytes: int
-    count: int = 1
-    kind: str = KIND_INTERIOR
-
-    def __post_init__(self) -> None:
-        if self.span_bytes <= 0:
-            raise ValueError("span_bytes must be positive")
-        if not 0 < self.useful_bytes <= self.span_bytes:
-            raise ValueError("useful_bytes must be in (0, span_bytes]")
-        if self.count <= 0:
-            raise ValueError("count must be positive")
-
-    def transactions_each(self, line_bytes: int) -> int:
-        """Distinct transaction lines touched by one instance."""
-        return line_span(self.start_byte, self.span_bytes, line_bytes)
 
 
 def line_span(start_byte: int, span_bytes: int, line_bytes: int = 128) -> int:
@@ -91,25 +48,6 @@ def line_span(start_byte: int, span_bytes: int, line_bytes: int = 128) -> int:
     first = start_byte // line_bytes
     last = (start_byte + span_bytes - 1) // line_bytes
     return int(last - first + 1)
-
-
-def best_vector_width(
-    start_byte: int, width_elems: int, elem_bytes: int, max_vec: int = 4
-) -> int:
-    """Largest usable vector width (elements/lane) for a contiguous load.
-
-    Section III-C-2: two-element vectors need 8-byte alignment, four-element
-    vectors 16-byte alignment, and the width must divide evenly so no lane
-    straddles the region edge.  Doubles cap at ``double2`` (16-byte units).
-    """
-    vec = max_vec
-    if elem_bytes == 8:
-        vec = min(vec, 2)
-    while vec > 1:
-        if width_elems % vec == 0 and start_byte % (vec * elem_bytes) == 0:
-            return vec
-        vec //= 2
-    return 1
 
 
 @dataclass(frozen=True)
@@ -168,33 +106,6 @@ class MemoryStats:
     #: :mod:`repro.kernels.loads`) for the static analyzer; purely
     #: informational — no counter above is derived from them.
     regions: list[RegionRecord] = field(default_factory=list)
-
-    def add(self, access: WarpAccess, instructions: int | None = None) -> None:
-        """Accumulate one :class:`WarpAccess`.
-
-        ``instructions`` overrides the default of one issue per instance;
-        region helpers pass the warp-decomposed count (e.g. a 256-element
-        row needs ceil(256 / (32*vec)) issues even though it is a single
-        logical access).
-        """
-        issues = access.count if instructions is None else instructions
-        tx = access.transactions_each(self.line_bytes) * access.count
-        moved = tx * self.line_bytes
-        if access.kind == KIND_WRITE:
-            self.store_instructions += issues
-            self.store_transactions += tx
-            self.requested_store_bytes += access.useful_bytes * access.count
-            self.store_transferred_bytes += moved
-        else:
-            self.load_instructions += issues
-            self.load_transactions += tx
-            self.requested_load_bytes += access.useful_bytes * access.count
-            if access.kind == KIND_HALO:
-                self.halo_transferred_bytes += moved
-            elif access.kind == KIND_SPILL:
-                self.spill_transferred_bytes += moved
-            else:
-                self.interior_transferred_bytes += moved
 
     def add_raw(
         self,

@@ -102,20 +102,15 @@ def compute_occupancy(
             f"{device.smem_per_sm}B on {device.name}"
         )
 
-    limits = {
-        "registers": (
-            device.registers_per_sm // regs_per_block
-            if regs_per_block
-            else device.max_blocks_per_sm
-        ),
-        "smem": (
-            device.smem_per_sm // smem_per_block
-            if smem_per_block
-            else device.max_blocks_per_sm
-        ),
-        "warps": device.max_warps_per_sm // warps_per_block,
-        "blocks": device.max_blocks_per_sm,
-    }
+    # A resource the block does not use cannot limit it, so it takes no
+    # part in the race; the block cap is always there.
+    limits: dict[str, int] = {}
+    if regs_per_block:
+        limits["registers"] = device.registers_per_sm // regs_per_block
+    if smem_per_block:
+        limits["smem"] = device.smem_per_sm // smem_per_block
+    limits["warps"] = device.max_warps_per_sm // warps_per_block
+    limits["blocks"] = device.max_blocks_per_sm
     limiter, active_blocks = min(limits.items(), key=lambda kv: kv[1])
     if active_blocks < 1:
         # Thread limit per SM can bind when warps_per_block > max_warps_per_sm,

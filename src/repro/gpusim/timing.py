@@ -33,7 +33,7 @@ relative behaviour under study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.gpusim.arch import WARP_SIZE, Generation
 from repro.gpusim.device import DeviceSpec
@@ -315,27 +315,6 @@ def _effective_plane_bytes(
         + camping_surcharge
     )
     return total, spill_bytes
-
-
-def effective_load_bytes(
-    workload: BlockWorkload, device: DeviceSpec, params: TimingParams | None = None
-) -> float:
-    """Effective DRAM service cost of one block's per-plane *loads*.
-
-    This is the denominator of the paper's Fig 9 metric ("bandwidth
-    requested as a percentage of the effective bandwidth used"): transferred
-    lines after L2 halo reuse, plus the partition-camping serialization
-    surcharge on column-walking traffic.
-    """
-    params = params or params_for(device)
-    mem = workload.memory
-    reuse = params.l2_halo_reuse if device.l2_bytes > 0 else 0.0
-    return (
-        mem.interior_transferred_bytes
-        + mem.halo_transferred_bytes * (1.0 - reuse)
-        + mem.spill_transferred_bytes
-        + mem.camped_bytes * (1.0 - reuse) * (params.partition_camping - 1.0)
-    )
 
 
 def _compute_cycles_per_block_plane(

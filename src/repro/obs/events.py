@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.obs import recordlog
 
 logger = logging.getLogger("repro.obs.events")
 
@@ -106,13 +105,6 @@ EVENT_SPECS: tuple[EventSpec, ...] = (
               ("kind", "index")),
     EventSpec("fault.observed", "a fault kind touched a finished trial",
               ("config", "kind")),
-    # -- cache plane (repro.tuning.cache) ----------------------------------
-    EventSpec("cache.hit", "a tuning-cache lookup was served", ("key",)),
-    EventSpec("cache.miss", "a tuning-cache lookup found nothing", ("key",)),
-    EventSpec("cache.put", "a tuning result was persisted",
-              ("key", "entries")),
-    EventSpec("cache.merge", "concurrent writers' keys were adopted on put",
-              ("adopted",)),
     # -- archive plane (repro.obs.archive) ---------------------------------
     EventSpec("archive.start", "a trial provenance archive opened",
               ("session",)),
@@ -241,6 +233,11 @@ class JsonlEventSink(EventSink):
     """
 
     def __init__(self, path: str | Path, *, session: str | None = None) -> None:
+        # recordlog is imported where it is used, never at module level:
+        # the package imports this module, and ``python -m
+        # repro.obs.recordlog`` must be the first to import its own module.
+        from repro.obs import recordlog
+
         super().__init__()
         self.path = Path(path)
         recordlog.create(self.path, recordlog.make_header(
@@ -248,6 +245,8 @@ class JsonlEventSink(EventSink):
         ))
 
     def write(self, event: Event) -> None:
+        from repro.obs import recordlog
+
         recordlog.append(self.path, event.to_obj())
 
 
@@ -388,6 +387,8 @@ def read_events(
     dropped unless ``strict``.  With ``strict`` every record is also
     validated against the catalog — the mode of :func:`validate_stream`.
     """
+    from repro.obs import recordlog
+
     header, records = recordlog.read(
         path, kind="stream", tool=_STREAM_TOOL, version=EVENTS_SCHEMA_VERSION,
         error=EventSchemaError, strict=strict,

@@ -19,14 +19,12 @@ the ``tools/check.py`` session-smoke step parse the exposition back.
 
 Service-shaped gauges
 ---------------------
-The instrumented engines maintain two service-level gauges in the
-active tracer's registry (no-ops when tracing is off), sized for the
-future ``repro serve`` daemon's scrape endpoint:
+The resilient session maintains one service-level gauge in the active
+tracer's registry (a no-op when tracing is off), sized for the future
+``repro serve`` daemon's scrape endpoint:
 
 * ``tune.quarantined`` — configurations the resilient ladder has given
-  up on so far (:mod:`repro.tuning.robust`);
-* ``cache.hit_ratio`` — hits / lookups of one
-  :class:`~repro.tuning.cache.TuningCache` instance.
+  up on so far (:mod:`repro.tuning.robust`).
 """
 
 from __future__ import annotations
@@ -39,8 +37,8 @@ from typing import Any
 
 from repro.obs.metrics import HISTOGRAM_PERCENTILES, MetricsRegistry
 
-#: The service-level gauge names above (documented export surface).
-SERVICE_GAUGES: tuple[str, ...] = ("tune.quarantined", "cache.hit_ratio")
+#: The service-level gauge name above (documented export surface).
+SERVICE_GAUGES: tuple[str, ...] = ("tune.quarantined",)
 
 #: Model-calibration gauges set by ``repro explain`` (per-model Spearman
 #: rank correlation of predicted vs measured rates, and top-k regret —
@@ -310,7 +308,6 @@ def _sample_registry() -> MetricsRegistry:
     reg.counter("tune.trials").inc(42)
     reg.counter("sim.fault.throttle").inc(3)
     reg.gauge("tune.inflight").set(8)
-    reg.gauge("cache.hit_ratio").set(0.75)
     h = reg.histogram("tune.trial_mpoints")
     for v in (110.0, 220.0, 330.0, 440.0, 550.0):
         h.observe(v)

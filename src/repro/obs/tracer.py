@@ -169,9 +169,9 @@ def current_tracer() -> Tracer | None:
 def set_gauge(name: str, value: float) -> None:
     """Set a gauge on the active tracer's registry (no-op when untraced).
 
-    The service-gauge hook (``tune.quarantined``, ``cache.hit_ratio``, ...):
-    the engines call this at state transitions and the cost with tracing
-    off stays one contextvar lookup, preserving the disabled-path bound.
+    The service-gauge hook (``tune.quarantined``): the engines call
+    this at state transitions and the cost with tracing off stays one
+    contextvar lookup, preserving the disabled-path bound.
     """
     tracer = _ACTIVE.get()
     if tracer is not None:

@@ -17,6 +17,7 @@
   retries, per-config quarantine, resume journal, graceful degradation.
 """
 
+import importlib
 from typing import Any
 
 from repro.tuning.space import ParameterSpace, default_space
@@ -33,25 +34,25 @@ from repro.tuning.exhaustive import exhaustive_tune
 from repro.tuning.perfmodel import PaperModel, ModelInputs
 from repro.tuning.modelbased import model_based_tune
 from repro.tuning.stochastic import stochastic_tune
-from repro.tuning.cache import TuningCache
-from repro.tuning.robust import (
-    ResilientEvaluator,
-    RetryPolicy,
-    RobustTuningSession,
-    SessionResult,
-    TrialJournal,
-)
+
+#: Exported lazily (PEP 562): the vectorized evaluator pulls in
+#: repro.gpusim.batch and the resilient session repro.obs.recordlog, and
+#: ``python -m`` on either module must be the first to import it.
+_LAZY_EXPORTS = {
+    "VectorTrialEvaluator": "repro.tuning.vectorized",
+    "ResilientEvaluator": "repro.tuning.robust",
+    "RetryPolicy": "repro.tuning.robust",
+    "RobustTuningSession": "repro.tuning.robust",
+    "SessionResult": "repro.tuning.robust",
+    "TrialJournal": "repro.tuning.robust",
+}
 
 
 def __getattr__(name: str) -> Any:
-    # Lazy (PEP 562): the vectorized evaluator pulls in
-    # repro.gpusim.batch, which ``python -m repro.gpusim.batch`` must be
-    # the first to import.
-    if name == "VectorTrialEvaluator":
-        from repro.tuning.vectorized import VectorTrialEvaluator
-
-        return VectorTrialEvaluator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
 
 
 __all__ = [
@@ -71,7 +72,6 @@ __all__ = [
     "ModelInputs",
     "model_based_tune",
     "stochastic_tune",
-    "TuningCache",
     "ResilientEvaluator",
     "RetryPolicy",
     "RobustTuningSession",

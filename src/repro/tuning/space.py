@@ -18,7 +18,6 @@ launch failure.  Configurations that merely *spill* run, just slowly.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -42,21 +41,6 @@ class ParameterSpace:
     ty_values: tuple[int, ...] = DEFAULT_TY
     rx_values: tuple[int, ...] = DEFAULT_RX
     ry_values: tuple[int, ...] = DEFAULT_RY
-
-    def signature(self) -> str:
-        """Stable content hash of the candidate value tuples.
-
-        This is the cache key component that keeps results tuned over
-        *different* spaces from colliding: two spaces share a signature
-        iff they enumerate identical (TX, TY, RX, RY) candidates.  The
-        hash is process-independent (no ``hash()`` / ``PYTHONHASHSEED``
-        dependence), so it is safe to persist in
-        :class:`repro.tuning.cache.TuningCache` files.
-        """
-        payload = repr(
-            (self.tx_values, self.ty_values, self.rx_values, self.ry_values)
-        ).encode("ascii")
-        return hashlib.sha256(payload).hexdigest()[:16]
 
     def raw_size(self) -> int:
         """Size of the unconstrained cross product."""

@@ -78,7 +78,7 @@ def coordinate_polynomial(
 ) -> np.ndarray:
     """``ax^2 + by^2 + cz^2`` — known discrete Laplacian ``2(a+b+c)``.
 
-    Used by solver examples/tests as a manufactured solution.
+    A manufactured solution for Laplacian and Poisson checks.
     """
     _check(shape)
     z, y, x = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in shape), indexing="ij")

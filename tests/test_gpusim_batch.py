@@ -61,6 +61,24 @@ class TestReportIdentity:
             assert got.mpoints_per_s == want.mpoints_per_s
             assert got.counters.as_dict() == want.counters.as_dict()
 
+    @pytest.mark.parametrize(
+        "family, cfg", [("naive", (16, 1, 1, 1)), ("texture", (32, 4, 1, 1))]
+    )
+    def test_zero_smem_limiter_agrees_with_scalar(self, gtx580, family, cfg):
+        """A block without shared memory is bound by the block cap on
+        both paths; the unused resource never names the limiter."""
+        plan = plan_for(cfg, family=family)
+        (got,) = batch_reports([(plan, GRID)], gtx580)
+        want = simulate(plan, gtx580, GRID)
+        assert got.occupancy == want.occupancy
+        assert got.counters.occupancy_limiter == want.counters.occupancy_limiter
+        assert got.counters.occupancy_limiter == "blocks"
+        cls = BlockClass.of(
+            plan.block_workload(gtx580, GRID), plan.grid_workload(gtx580, GRID)
+        )
+        (score,) = BatchEngine(gtx580).scores([cls])
+        assert score.limiter == "blocks"
+
     def test_profile_identity_gate(self):
         """The CI gate's own entry point over all trajectory records."""
         ok, summary = check_identity("BENCH_profile.json")

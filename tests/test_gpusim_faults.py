@@ -236,21 +236,21 @@ class TestArrayCorruption:
     def test_corrupt_nan_mode_plants_nan(self):
         plan = FaultPlan(ecc_rate=1.0, ecc_mode="nan")
         arr = np.ones((8, 8), dtype=np.float64)
-        event = plan.corrupt(arr)
+        event = plan.corrupt(arr, STREAM_EXCHANGE)
         assert event is not None and event.kind == "ecc"
         assert np.isnan(arr).sum() == 1
 
     def test_corrupt_flip_mode_changes_value(self):
         plan = FaultPlan(ecc_rate=1.0, ecc_mode="flip")
         arr = np.ones((8, 8), dtype=np.float64)
-        event = plan.corrupt(arr)
+        event = plan.corrupt(arr, STREAM_EXCHANGE)
         assert event is not None and event.kind == "ecc"
         assert not np.array_equal(arr, np.ones((8, 8)))
 
     def test_corrupt_reports_non_ecc_without_touching(self):
         plan = FaultPlan(launch_failure_rate=1.0)
         arr = np.ones(16, dtype=np.float32)
-        event = plan.corrupt(arr)
+        event = plan.corrupt(arr, STREAM_EXCHANGE)
         assert event is not None and event.kind == "launch_failure"
         assert np.array_equal(arr, np.ones(16, dtype=np.float32))
 
@@ -260,6 +260,6 @@ class TestArrayCorruption:
             plan = FaultPlan(seed=11, ecc_rate=0.5, ecc_mode="nan")
             arr = np.ones((4, 4), dtype=np.float64)
             for _ in range(10):
-                plan.corrupt(arr)
+                plan.corrupt(arr, STREAM_EXCHANGE)
             results.append(np.isnan(arr))
         assert np.array_equal(results[0], results[1])

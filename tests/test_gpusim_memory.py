@@ -9,10 +9,10 @@ from repro.gpusim.memory import (
     KIND_INTERIOR,
     KIND_WRITE,
     MemoryStats,
-    WarpAccess,
-    best_vector_width,
     line_span,
 )
+from repro.kernels.layout import GridLayout
+from tests.oracles.memory import add_access
 
 
 class TestLineSpan:
@@ -47,56 +47,68 @@ class TestLineSpan:
         assert line_span(start, span) == line_span(start + 128, span)
 
 
+def vector_width(x_start: int, width: int, elem: int, tile_stride: int = 64) -> int:
+    """Vector width of a row starting at element ``x_start`` of every tile."""
+    layout = GridLayout(lx=512, ly=8, lz=8, elem_bytes=elem)
+    return layout.vector_width_for(x_start, width, tile_stride)
+
+
 class TestBestVectorWidth:
     def test_full_vec4(self):
-        assert best_vector_width(0, 128, 4) == 4
+        assert vector_width(0, 128, 4) == 4
 
     def test_width_not_divisible(self):
-        assert best_vector_width(0, 130, 4) == 2
+        assert vector_width(0, 130, 4) == 2
 
     def test_odd_width_scalar(self):
-        assert best_vector_width(0, 33, 4) == 1
+        assert vector_width(0, 33, 4) == 1
 
     def test_misaligned_start(self):
-        assert best_vector_width(4, 128, 4) == 1  # 4B phase: not even 8B aligned
+        assert vector_width(1, 128, 4) == 1  # 4B phase: not even 8B aligned
 
     def test_8b_aligned_gives_vec2(self):
-        assert best_vector_width(8, 128, 4) == 2
+        assert vector_width(2, 128, 4) == 2
 
     def test_double_caps_at_two(self):
-        assert best_vector_width(0, 128, 8) == 2
+        assert vector_width(0, 128, 8) == 2
 
     @given(
-        start=st.integers(0, 256),
+        start=st.integers(-16, 64),
         width=st.integers(1, 512),
         elem=st.sampled_from([4, 8]),
+        stride=st.integers(1, 512),
     )
-    def test_returned_width_is_valid(self, start, width, elem):
-        vec = best_vector_width(start, width, elem)
+    def test_returned_width_is_valid(self, start, width, elem, stride):
+        vec = vector_width(start, width, elem, stride)
         assert vec in (1, 2, 4)
         if vec > 1:
             assert width % vec == 0
-            assert start % (vec * elem) == 0
+            # Aligned on every tile origin, not just the first.
+            assert (start * elem) % (vec * elem) == 0
+            assert (stride * elem) % (vec * elem) == 0
 
 
 class TestWarpAccess:
     def test_validation(self):
+        stats = MemoryStats()
         with pytest.raises(ValueError):
-            WarpAccess(start_byte=0, span_bytes=0, useful_bytes=0)
+            add_access(stats, start_byte=0, span_bytes=0, useful_bytes=0)
         with pytest.raises(ValueError):
-            WarpAccess(start_byte=0, span_bytes=4, useful_bytes=8)
+            add_access(stats, start_byte=0, span_bytes=4, useful_bytes=8)
         with pytest.raises(ValueError):
-            WarpAccess(start_byte=0, span_bytes=4, useful_bytes=4, count=0)
+            add_access(stats, start_byte=0, span_bytes=4, useful_bytes=4, count=0)
+        assert stats == MemoryStats()
 
     def test_transactions(self):
-        acc = WarpAccess(start_byte=124, span_bytes=8, useful_bytes=8)
-        assert acc.transactions_each(128) == 2
+        stats = MemoryStats()
+        add_access(stats, start_byte=124, span_bytes=8, useful_bytes=8)
+        assert stats.load_transactions == 2
 
 
 class TestMemoryStats:
     def test_load_accumulation(self):
         stats = MemoryStats()
-        stats.add(WarpAccess(start_byte=0, span_bytes=128, useful_bytes=128, count=4))
+        add_access(stats, start_byte=0, span_bytes=128, useful_bytes=128, count=4)
         assert stats.load_transactions == 4
         assert stats.load_transferred_bytes == 512
         assert stats.requested_load_bytes == 512
@@ -104,17 +116,15 @@ class TestMemoryStats:
 
     def test_halo_classified_separately(self):
         stats = MemoryStats()
-        stats.add(
-            WarpAccess(start_byte=0, span_bytes=4, useful_bytes=4, kind=KIND_HALO)
-        )
+        add_access(stats, start_byte=0, span_bytes=4, useful_bytes=4, kind=KIND_HALO)
         assert stats.halo_transferred_bytes == 128
         assert stats.interior_transferred_bytes == 0
         assert stats.load_efficiency == pytest.approx(4 / 128)
 
     def test_write_accounting(self):
         stats = MemoryStats()
-        stats.add(
-            WarpAccess(start_byte=0, span_bytes=128, useful_bytes=128, kind=KIND_WRITE)
+        add_access(
+            stats, start_byte=0, span_bytes=128, useful_bytes=128, kind=KIND_WRITE
         )
         assert stats.store_transactions == 1
         assert stats.load_transactions == 0
@@ -147,8 +157,8 @@ class TestMemoryStats:
 
     def test_merge(self):
         a, b = MemoryStats(), MemoryStats()
-        a.add(WarpAccess(start_byte=0, span_bytes=128, useful_bytes=128))
-        b.add(WarpAccess(start_byte=0, span_bytes=64, useful_bytes=64, kind=KIND_HALO))
+        add_access(a, start_byte=0, span_bytes=128, useful_bytes=128)
+        add_access(b, start_byte=0, span_bytes=64, useful_bytes=64, kind=KIND_HALO)
         b.load_phases = 2
         a.merge(b)
         assert a.load_transactions == 2

@@ -21,6 +21,19 @@ class TestBasics:
         assert occ.limiter == "registers"
         assert occ.active_blocks == 1
 
+    @pytest.mark.parametrize(
+        "threads, regs, smem",
+        [
+            (16, 20, 0),  # naive (16, 1, 1, 1) at order 2: no shared memory
+            (64, 0, 1024),  # no registers
+            (64, 0, 0),
+        ],
+    )
+    def test_unused_resource_is_never_the_limiter(self, gtx580, threads, regs, smem):
+        occ = compute_occupancy(gtx580, threads, regs, smem)
+        assert occ.active_blocks == gtx580.max_blocks_per_sm
+        assert occ.limiter == "blocks"
+
     def test_smem_limited(self, gtx580):
         occ = compute_occupancy(gtx580, 64, 8, 20 * 1024)
         assert occ.limiter == "smem"
@@ -83,6 +96,8 @@ class TestProperties:
         assert occ.active_warps <= dev.max_warps_per_sm
         assert occ.active_blocks <= dev.max_blocks_per_sm
         assert 0.0 < occ.occupancy <= 1.0
+        # The limiter is a resource the block actually uses.
+        assert occ.limiter != "smem" or smem > 0
 
     @given(threads=st.integers(1, 1024), regs=st.integers(1, 62))
     def test_more_registers_never_increases_occupancy(self, threads, regs):

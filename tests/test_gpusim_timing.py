@@ -14,12 +14,7 @@ from repro.gpusim.arch import Generation
 from repro.gpusim.device import get_device
 from repro.gpusim.memory import KIND_INTERIOR, KIND_WRITE, MemoryStats
 from repro.gpusim.smem import SmemAccessProfile
-from repro.gpusim.timing import (
-    TimingParams,
-    effective_load_bytes,
-    params_for,
-    time_kernel,
-)
+from repro.gpusim.timing import params_for, time_kernel
 from repro.gpusim.workload import BlockWorkload, GridWorkload
 
 
@@ -78,6 +73,11 @@ class TestMechanisms:
         camped = time_kernel(make_workload(camped=4096.0), GRID, gtx580)
         assert camped.total_cycles > base.total_cycles
 
+    def test_camping_raises_effective_bytes(self, gtx580):
+        base = time_kernel(make_workload(), GRID, gtx580)
+        camped = time_kernel(make_workload(camped=1280.0), GRID, gtx580)
+        assert camped.effective_bytes_per_plane > base.effective_bytes_per_plane
+
     def test_more_phases_cost_extra(self, gtx580):
         lo = time_kernel(make_workload(phases=1), GRID, gtx580)
         hi = time_kernel(make_workload(phases=4), GRID, gtx580)
@@ -112,6 +112,16 @@ class TestMechanisms:
             dataclasses.replace(params_for(gtx580), l2_halo_reuse=0.0),
         )
         assert off.total_cycles > on.total_cycles
+
+    def test_l2_reuse_discounts_halo_bytes(self, gtx580):
+        halo = make_workload()
+        halo.memory.halo_transferred_bytes = 4096
+        interior = make_workload()
+        interior.memory.interior_transferred_bytes += 4096
+        assert (
+            time_kernel(halo, GRID, gtx580).effective_bytes_per_plane
+            < time_kernel(interior, GRID, gtx580).effective_bytes_per_plane
+        )
 
 
 class TestWaveStructure:
@@ -151,18 +161,6 @@ class TestParams:
                 gen.value
             ]
             assert params_for(get_device(dev_name)) is not None
-
-    def test_effective_load_bytes_includes_camping(self, gtx580):
-        wl = make_workload(camped=1280.0)
-        base = make_workload()
-        assert effective_load_bytes(wl, gtx580) > effective_load_bytes(base, gtx580)
-
-    def test_effective_load_bytes_discounts_halo(self, gtx580):
-        wl = make_workload()
-        wl.memory.halo_transferred_bytes = 4096
-        wl2 = make_workload()
-        wl2.memory.interior_transferred_bytes += 4096
-        assert effective_load_bytes(wl, gtx580) < effective_load_bytes(wl2, gtx580)
 
 
 class TestWorkloadValidation:

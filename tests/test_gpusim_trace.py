@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim.memory import MemoryStats
-from repro.gpusim.trace import (
+from repro.kernels.layout import GridLayout
+from repro.kernels.loads import add_column_strip, add_row_region
+from tests.oracles.trace import (
     TracedInstruction,
     average_region_trace,
     trace_column_strip,
-    trace_row_region,
 )
-from repro.kernels.layout import GridLayout
-from repro.kernels.loads import add_column_strip, add_row_region
 
 
 class TestTracedInstruction:

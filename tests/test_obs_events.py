@@ -55,25 +55,25 @@ class TestCatalog:
         with pytest.raises(EventSchemaError, match="missing field"):
             validate_event({"event": "trial.measured", "seq": 0})
         with pytest.raises(EventSchemaError, match="seq"):
-            validate_event({"event": "cache.hit", "seq": -1, "key": "k"})
+            validate_event({"event": "archive.start", "seq": -1, "session": "k"})
 
     def test_event_roundtrips_with_sorted_keys(self):
-        event = Event("cache.put", 3, (("entries", 2), ("key", "k")))
+        event = Event("trial.rejected", 3, (("config", "c"), ("reason", "r")))
         obj = event.to_obj()
-        assert list(obj) == ["event", "seq", "entries", "key"]
+        assert list(obj) == ["event", "seq", "config", "reason"]
         assert Event.from_obj(obj) == event
 
 
 class TestSinks:
     def test_no_sink_by_default_and_emit_is_noop(self):
         assert current_sink() is None
-        assert emit("cache.miss", key="k") is None
+        assert emit("session.tier_start", tier="k") is None
 
     def test_memory_sink_sequences_and_rejects_uncatalogued(self):
         sink = MemoryEventSink()
         with event_stream(sink):
-            emit("cache.miss", key="a")
-            emit("cache.hit", key="a")
+            emit("session.tier_start", tier="a")
+            emit("archive.start", session="a")
             with pytest.raises(EventSchemaError, match="uncatalogued"):
                 emit("made.up")
         assert [e.seq for e in sink.events] == [0, 1]
@@ -83,20 +83,20 @@ class TestSinks:
         sink = MemoryEventSink()
         with event_stream(sink):
             with suppress_events():
-                emit("cache.miss", key="hidden")
-            emit("cache.miss", key="seen")
-        assert [dict(e.fields)["key"] for e in sink.events] == ["seen"]
+                emit("session.tier_start", tier="hidden")
+            emit("session.tier_start", tier="seen")
+        assert [dict(e.fields)["tier"] for e in sink.events] == ["seen"]
         # The suppressed emission must not burn a sequence number.
         assert sink.events[0].seq == 0
 
     def test_tee_fans_out_with_independent_policies(self):
         stream, flight = MemoryEventSink(), FlightRecorder(capacity=1)
         with event_stream(TeeEventSink([stream, flight])):
-            emit("cache.hit", key="k")
-            emit("cache.miss", key="k")
-        assert [e.name for e in stream.events] == ["cache.hit", "cache.miss"]
+            emit("archive.start", session="k")
+            emit("session.tier_start", tier="k")
+        assert [e.name for e in stream.events] == ["archive.start", "session.tier_start"]
         # The ring keeps only its capacity; its own sequence still counts.
-        assert [(e.name, e.seq) for e in flight.events] == [("cache.miss", 1)]
+        assert [(e.name, e.seq) for e in flight.events] == [("session.tier_start", 1)]
 
 
 class TestJsonlStream:
@@ -122,12 +122,12 @@ class TestJsonlStream:
         path = tmp_path / "s.events"
         sink = JsonlEventSink(path)
         with event_stream(sink):
-            emit("cache.miss", key="a")
-            emit("cache.hit", key="a")
+            emit("session.tier_start", tier="a")
+            emit("archive.start", session="a")
         with open(path, "a") as fh:
-            fh.write('{"event": "cache.pu')  # killed mid-append
+            fh.write('{"event": "session.ti')  # killed mid-append
         _header, events = read_events(path)
-        assert [e.name for e in events] == ["cache.miss", "cache.hit"]
+        assert [e.name for e in events] == ["session.tier_start", "archive.start"]
 
         lines = path.read_text().splitlines()
         lines[1] = "{corrupt"
@@ -182,12 +182,34 @@ class TestJsonlStream:
         assert "INVALID" in capsys.readouterr().out
 
 
+class TestModuleEntryPoint:
+    def test_running_the_module_writes_nothing_to_stderr(self, tmp_path):
+        """Nothing the packages import loads recordlog, so ``python -m
+        repro.obs.recordlog`` is the first to import its own module."""
+        path = tmp_path / "s.events"
+        with event_stream(JsonlEventSink(path, session="k")):
+            emit("sweep.start", method="exhaustive", device="gtx580",
+                 space_size=1)
+        src = str(Path(recordlog.__file__).resolve().parents[2])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.obs.recordlog", str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "ok (stream, 1 event record(s))" in proc.stdout
+
+
 class TestFlightRecorder:
     def test_ring_keeps_last_capacity_and_counts_dropped(self, tmp_path):
         flight = FlightRecorder(capacity=4)
         with event_stream(flight):
             for i in range(10):
-                emit("cache.miss", key=f"k{i}")
+                emit("session.tier_start", tier=f"k{i}")
         report_path = flight.dump(
             tmp_path / "crash.json", reason="TuningError",
             error=ValueError("boom"), session="s",
@@ -195,7 +217,7 @@ class TestFlightRecorder:
         report = json.loads(report_path.read_text())
         assert report["report"] == "repro.obs.flight"
         assert report["dropped"] == 6
-        assert [e["key"] for e in report["events"]] == [
+        assert [e["tier"] for e in report["events"]] == [
             "k6", "k7", "k8", "k9"
         ]
         assert report["error"] == {"type": "ValueError", "message": "boom"}
@@ -218,6 +240,6 @@ def test_disabled_overhead():
     n = 100_000
     start = time.perf_counter()
     for _ in range(n):
-        emit("cache.miss", key="k")
+        emit("session.tier_start", tier="k")
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"{n} disabled emits took {elapsed:.2f}s"

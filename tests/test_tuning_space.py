@@ -44,26 +44,6 @@ class TestSpace:
             assert opt in candidates, opt
 
 
-class TestSignature:
-    def test_stable_across_instances(self):
-        assert default_space().signature() == default_space().signature()
-        assert ParameterSpace().signature() == default_space().signature()
-
-    def test_distinct_spaces_distinct_signatures(self):
-        sigs = {
-            default_space().signature(),
-            ParameterSpace(rx_values=(1,), ry_values=(1,)).signature(),
-            ParameterSpace(tx_values=(16, 32)).signature(),
-            ParameterSpace(ty_values=(1, 2)).signature(),
-        }
-        assert len(sigs) == 4
-
-    def test_signature_shape(self):
-        sig = default_space().signature()
-        assert len(sig) == 16
-        assert int(sig, 16) >= 0  # hex digest prefix
-
-
 class TestConstraints:
     def test_all_feasible_satisfy_paper_constraints(self):
         dev = get_device("gtx580")
