@@ -27,6 +27,14 @@ Two contracts make it safe to substitute for the scalar path anywhere:
   repeated sweeps over the same class) are priced once; results are
   cached on the engine.
 
+The pipeline runs in two stages, split where the scalar path splits
+``time_kernel`` from ``derive_counters``.  The headline stage
+(occupancy, launch check, timing, rate and load efficiency) is all that
+:meth:`BatchEngine.scores` — the tuners' call — runs.  The counter stage
+(the masked wave loop, DRAM bytes, issued instructions, replay, store
+efficiency) runs only in :meth:`BatchEngine.outcomes`.  The identity
+gate checks both calls.
+
 Unlaunchable configurations do not raise: the vector pipeline carries a
 launchability mask and reports per-class failure strings identical to
 the :class:`repro.errors.ResourceLimitError` messages the scalar
@@ -150,6 +158,10 @@ class BlockClass(NamedTuple):
         )
 
 
+#: Field name -> position in a :class:`BlockClass` tuple.
+_FIELD = {name: i for i, name in enumerate(BlockClass._fields)}
+
+
 @dataclass(frozen=True)
 class ClassScore:
     """What the tuners consume per class: headline rate + trial info.
@@ -204,7 +216,10 @@ class BatchEngine:
     # public API
     # ------------------------------------------------------------------
     def scores(self, classes: Sequence[BlockClass]) -> list[ClassScore]:
-        """Tuner-grade results (rate / efficiency / occupancy / limiter)."""
+        """Tuner-grade results (rate / efficiency / occupancy / limiter).
+
+        Runs the headline stage only: no counter is derived.
+        """
         missing = self._missing(classes, self._scores)
         if missing:
             cols = self._pipeline(missing)
@@ -217,6 +232,7 @@ class BatchEngine:
         missing = self._missing(classes, self._full)
         if missing:
             cols = self._pipeline(missing)
+            self._counters(cols)
             for i, cls in enumerate(missing):
                 full = self._assemble(cols, i, cls)
                 self._full[cls] = full
@@ -237,21 +253,25 @@ class BatchEngine:
     # the vectorized pipeline
     # ------------------------------------------------------------------
     def _pipeline(self, classes: list[BlockClass]) -> dict[str, Any]:
-        """Mirror of occupancy → timing → counters, op for op, over arrays.
+        """The headline stage: occupancy → launch check → timing, over arrays.
 
-        Every expression below is annotated against its scalar original;
-        operand order and association are preserved so each float64 lane
-        is bit-identical to the scalar computation for that class.
+        It ends at the executor's headline (time, rate, load efficiency),
+        which is everything a :class:`ClassScore` reads; :meth:`_counters`
+        continues from its columns.  Every expression below is annotated
+        against its scalar original; operand order and association are
+        preserved so each float64 lane is bit-identical to the scalar
+        computation for that class.
         """
         dev = self.device
         p = self.params
         n = len(classes)
+        fields = list(zip(*classes))  # one tuple per BlockClass field
 
         def icol(attr: str) -> np.ndarray:
-            return np.array([getattr(c, attr) for c in classes], dtype=_I)
+            return np.array(fields[_FIELD[attr]], dtype=_I)
 
         def fcol(attr: str) -> np.ndarray:
-            return np.array([getattr(c, attr) for c in classes], dtype=_F)
+            return np.array(fields[_FIELD[attr]], dtype=_F)
 
         threads = icol("threads_per_block")
         regs = icol("regs_per_thread")
@@ -376,12 +396,12 @@ class BatchEngine:
         # ---- issue_slots -------------------------------------------------
         dp_factor = dp_conflict_factor(8, rules)
         conflict = np.where(elem_l == 4, 1.0, dp_factor)
-        smem_base = (lv(smem_read) + lv(smem_write)).astype(_F)
+        smem_rw = lv(smem_read) + lv(smem_write)
         arith_instr = lv(points) * lv(arith_pp)
         slot_gl = lv(load_instr) * (1.0 + p.load_addressing_instructions)
         slot_gs = lv(store_instr)
         # issue_cost() = (reads + writes) * profile factor, then the DP factor.
-        slot_smem = ((lv(smem_read) + lv(smem_write)) * lv(smem_conflict)) * conflict
+        slot_smem = (smem_rw * lv(smem_conflict)) * conflict
         slot_arith = arith_instr / WARP_SIZE
         slot_spill = np.where(
             spilled_l != 0, spilled_l * threads_l / WARP_SIZE * 2, 0.0
@@ -463,24 +483,63 @@ class BatchEngine:
         mpoints = lv(total_points) / time_s / 1e6
         gflops = mpoints * 1e6 * lv(flops) / 1e9
 
-        # ---- derive_counters --------------------------------------------
-        dram_bytes = bytes_blk * planes_l * blocks_l
-        inst_issued = slots_total * planes_blk * blocks_l
+        # ---- counters.load_efficiency: the one counter a score reads ----
+        eff_loads = load_transferred + lv(camped) * (p.partition_camping - 1.0)
+        gld_eff = np.where(
+            eff_loads != 0,
+            np.minimum(
+                1.0, lv(req_load) / np.where(eff_loads != 0, eff_loads, 1.0)
+            ),
+            1.0,
+        )
+        cols.update(
+            act=act_l, warps_blk=warps_l, active_warps=active_warps,
+            occ_frac=occ_frac, lim_idx=lv(lim_idx),
+            regs_blk_l=lv(regs_blk), smem_blk_l=lv(smem_blk),
+            spilled=spilled_l, stages=stages, rem=rem, planes_blk=planes_blk,
+            bytes_blk=bytes_blk, total_cycles=total_cycles,
+            full_cost=full, rem_cost=rem_c,
+            time_s=time_s, mpoints=mpoints, gflops=gflops, gld_eff=gld_eff,
+            l2_reuse=reuse, spill_bytes=spill_bytes,
+            # read only by the counter stage
+            planes_l=planes_l, blocks_l=blocks_l, slots_total=slots_total,
+            smem_rw=smem_rw, slot_smem=slot_smem,
+            req_store=lv(req_store), store_b=lv(store_b),
+        )
+        return cols
+
+    def _counters(self, cols: dict[str, Any]) -> None:
+        """The counter stage: ``derive_counters``' arrays, added to ``cols``.
+
+        Runs over the launchable rows of a finished :meth:`_pipeline`;
+        only :meth:`outcomes` calls it, since no :class:`ClassScore`
+        field reads a counter.
+        """
+        if not cols["live_index"]:
+            return
+        planes_l, blocks_l = cols["planes_l"], cols["blocks_l"]
+        planes_blk = cols["planes_blk"]
+        smem_base = cols["smem_rw"].astype(_F)
+        dram_bytes = cols["bytes_blk"] * planes_l * blocks_l
+        inst_issued = cols["slots_total"] * planes_blk * blocks_l
         replay = np.where(
             smem_base != 0,
-            (slot_smem - smem_base) / np.where(smem_base != 0, smem_base, 1.0),
+            (cols["slot_smem"] - smem_base)
+            / np.where(smem_base != 0, smem_base, 1.0),
             0.0,
         )
         # Wave cycle shares: the scalar loop *adds* one full wave at a
         # time — repeated fp addition, not multiplication — so replay the
         # identical additions under a stages mask.
+        sched = self.params.sched_overhead_cycles
+        full, rem_c, rem = cols["full_cost"], cols["rem_cost"], cols["rem"]
         t_mem = full[1] * planes_blk
         t_comp = full[2] * planes_blk
         t_exp = full[3] * planes_blk
         t_sync = full[4] * planes_blk
-        t_sched = act_l * sched
-        acc = [np.zeros(live.size) for _ in range(5)]
-        n_full = stages - 1
+        t_sched = cols["act"] * sched
+        acc = [np.zeros(planes_blk.size) for _ in range(5)]
+        n_full = cols["stages"] - 1
         for w in range(int(n_full.max(initial=0))):
             m = n_full > w
             for a, t in zip(acc, (t_mem, t_comp, t_exp, t_sync, t_sched)):
@@ -493,35 +552,19 @@ class BatchEngine:
             a += t
         comp_total = acc[0] + acc[1] + acc[2] + acc[3] + acc[4]
 
-        eff_loads = load_transferred + lv(camped) * (p.partition_camping - 1.0)
-        gld_eff = np.where(
-            eff_loads != 0,
-            np.minimum(
-                1.0, lv(req_load) / np.where(eff_loads != 0, eff_loads, 1.0)
-            ),
-            1.0,
-        )
+        store_b = cols["store_b"]
         gst_eff = np.where(
-            lv(store_b) != 0,
+            store_b != 0,
             np.minimum(
-                1.0, lv(req_store) / np.where(lv(store_b) != 0, lv(store_b), 1.0)
+                1.0,
+                cols["req_store"] / np.where(store_b != 0, store_b, 1.0),
             ),
             1.0,
         )
         cols.update(
-            act=act_l, warps_blk=warps_l, active_warps=active_warps,
-            occ_frac=occ_frac, lim_idx=lv(lim_idx),
-            regs_blk_l=lv(regs_blk), smem_blk_l=lv(smem_blk),
-            spilled=spilled_l, stages=stages, rem=rem, planes_blk=planes_blk,
-            bytes_blk=bytes_blk, total_cycles=total_cycles,
-            full_cost=full, rem_cost=rem_c,
-            time_s=time_s, mpoints=mpoints, gflops=gflops,
             dram_bytes=dram_bytes, inst_issued=inst_issued, replay=replay,
-            acc=acc, comp_total=comp_total,
-            gld_eff=gld_eff, gst_eff=gst_eff,
-            l2_reuse=reuse, spill_bytes=spill_bytes,
+            acc=acc, comp_total=comp_total, gst_eff=gst_eff,
         )
-        return cols
 
     # ------------------------------------------------------------------
     # per-class assembly
@@ -788,6 +831,10 @@ def report_payload(report: SimReport) -> dict[str, Any]:
 def check_identity(baseline: str) -> tuple[bool, str]:
     """Resimulate every baseline record through both paths; compare exactly.
 
+    The batch path is checked twice per record: the full report from
+    :meth:`BatchEngine.outcomes`, and the four tuner fields of a fresh
+    engine's :meth:`BatchEngine.scores`, which stops before the counter
+    stage and so could drift from ``outcomes()`` unseen.
     Returns ``(ok, summary)``; the summary carries the per-path digests
     so CI logs show *what* diverged, not just that something did.
     """
@@ -816,12 +863,30 @@ def check_identity(baseline: str) -> tuple[bool, str]:
                 f"launchable record ({batch_result})"
             )
             continue
-        classes_seen.add(
-            BlockClass.of(
-                plan.block_workload(dev, record.grid),
-                plan.grid_workload(dev, record.grid),
-            )
+        cls = BlockClass.of(
+            plan.block_workload(dev, record.grid),
+            plan.grid_workload(dev, record.grid),
         )
+        classes_seen.add(cls)
+        # The tuners' path: a fresh engine's headline stage alone.
+        score = BatchEngine(dev).scores([cls])[0]
+        score_diffs = [
+            key for key, a, b in (
+                ("mpoints_per_s", score.mpoints_per_s, scalar_report.mpoints_per_s),
+                ("load_efficiency", score.load_efficiency,
+                 scalar_report.load_efficiency),
+                ("occupancy", score.occupancy, scalar_report.occupancy.occupancy),
+                ("limiter", score.limiter, scalar_report.occupancy.limiter),
+            )
+            if _num(a) != _num(b)
+        ]
+        if score.launch_error is not None:
+            score_diffs = [f"launch ({score.launch_error})"]
+        if score_diffs:
+            mismatches.append(
+                f"{record.kernel} on {record.device} [{record.source}]: "
+                f"scores() diverged in {', '.join(score_diffs)}"
+            )
         sp = report_payload(scalar_report)
         bp = report_payload(batch_result)
         scalar_payloads.append(sp)

@@ -9,7 +9,7 @@ paper-vs-measured side by side (EXPERIMENTS.md is generated from these).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ResourceLimitError
@@ -18,7 +18,6 @@ from repro.gpusim.executor import DeviceExecutor
 from repro.harness.runner import (
     FULL_SPACE,
     PAPER_GRID,
-    ExperimentRunner,
     tune_family,
 )
 from repro.kernels.config import BlockConfig
@@ -38,7 +37,7 @@ from repro.stencils.spec import symmetric
 from repro.tuning.modelbased import model_based_tune
 from repro.tuning.space import ParameterSpace
 from repro.utils.charts import bar_chart, grouped_bar_chart
-from repro.utils.tables import format_series, format_table
+from repro.utils.tables import format_table
 
 #: Paper Table IV: (optimal params, MPoint/s, speedup) we compare against.
 PAPER_TABLE4: dict[tuple[str, str, int], tuple[tuple[int, int, int, int], float, float]] = {

@@ -11,7 +11,6 @@ factors where the experiment says so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.kernels.base import KernelPlan
@@ -20,7 +19,7 @@ from repro.kernels.factory import make_kernel
 from repro.obs.schema import CAT_HARNESS
 from repro.obs.telemetry import TelemetryRecord
 from repro.obs.tracer import current_tracer, maybe_span
-from repro.stencils.spec import SymmetricStencil, symmetric
+from repro.stencils.spec import symmetric
 from repro.tuning.evaluator import TrialEvaluator
 from repro.tuning.exhaustive import exhaustive_tune
 from repro.tuning.result import TuneResult

@@ -106,6 +106,15 @@ class KernelPlan(abc.ABC):
             total_points=lx * ly * lz,
         )
 
+    def grid_key(self) -> tuple[int, ...]:
+        """Everything :meth:`grid_workload` reads besides its arguments.
+
+        Plans with equal keys get equal grid workloads on one device and
+        grid, so a sweep builds one per key.  A subclass that overrides
+        :meth:`grid_workload` to read more extends this key.
+        """
+        return (self.block.tile_x, self.block.tile_y, self.halo_radius())
+
     def check_grid_shape(self, grid_shape: tuple[int, int, int]) -> None:
         """Reject grids smaller than the stencil extent or tile."""
         lx, ly, lz = grid_shape

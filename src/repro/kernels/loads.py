@@ -26,7 +26,6 @@ from repro.gpusim.memory import (
     KIND_WRITE,
     MemoryStats,
     RegionRecord,
-    line_span,
 )
 from repro.kernels.layout import GridLayout
 from repro.utils.maths import ceil_div

@@ -15,7 +15,7 @@ flop counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import StencilDefinitionError
 

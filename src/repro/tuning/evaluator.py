@@ -251,7 +251,8 @@ class TrialRunner:
     counter: an instant for a static reject, otherwise a span around the
     measurement whose args say how it ended.  ``stats`` tallies the
     non-``ok`` outcomes: ``rejected_static`` and ``rejected_simulated``
-    always, ``quarantined`` from its first occurrence.
+    always, ``quarantined`` from its first occurrence.  :meth:`all`
+    skips the narration when no plane listens; the tally stays.
 
     ``predicted`` is a model score the tuner already computed (the
     model-based shortlist); it rides on the trace args and the archive.
@@ -287,17 +288,52 @@ class TrialRunner:
         first; each outcome is then narrated exactly as :meth:`one`
         would.  Otherwise each trial is measured inside its own span and
         narrated before the next one is measured.
+
+        With no tracer, event sink or archive installed nothing listens,
+        so the trials are only measured and ``stats`` tallied: no label,
+        span args or :func:`record_trial` call per trial.
         """
+        batch = batch_capable(self.evaluator)
+        if not self._narrated():
+            outcomes = (
+                [self._measure(t) for t in trials] if batch is None
+                else batch.measure_trials(trials, self.grid_shape)
+            )
+            for outcome in outcomes:
+                self._tally(outcome)
+            return outcomes
         scores: Sequence[float | None] = (
             [None] * len(trials) if predicted is None else predicted
         )
-        batch = batch_capable(self.evaluator)
         if batch is None:
             return [self.one(t, p) for t, p in zip(trials, scores)]
         outcomes = batch.measure_trials(trials, self.grid_shape)
         return [
             self._run(t, p, o) for t, p, o in zip(trials, scores, outcomes)
         ]
+
+    def _narrated(self) -> bool:
+        """Is any plane listening: a tracer, an event sink or an archive?"""
+        # Deferred import: repro.obs.archive imports this module.
+        from repro.obs.archive import current_archive
+
+        return (
+            self._tracer is not None
+            or current_sink() is not None
+            or current_archive() is not None
+        )
+
+    def _measure(self, trial: Trial) -> TrialOutcome:
+        """Pre-filter and measure one trial, narrating nothing."""
+        if self.evaluator.statically_rejected(trial.block):
+            return TrialOutcome(config=trial.config, status=STATUS_REJECTED_STATIC)
+        return self.evaluator.measure(
+            trial.config, trial.plan, self.grid_shape, trial.block
+        )
+
+    def _tally(self, outcome: TrialOutcome) -> None:
+        if not outcome.measured:
+            self.stats[outcome.status] = self.stats.get(outcome.status, 0) + 1
 
     def _run(
         self,
@@ -341,8 +377,7 @@ class TrialRunner:
     def _record(
         self, outcome: TrialOutcome, trial: Trial, predicted: float | None
     ) -> None:
-        if not outcome.measured:
-            self.stats[outcome.status] = self.stats.get(outcome.status, 0) + 1
+        self._tally(outcome)
         record_trial(
             outcome, trial=trial, device=self.device,
             grid_shape=self.grid_shape, predicted=predicted,

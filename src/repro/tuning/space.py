@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import product
 
 from repro.errors import ReproError, TuningError
 from repro.gpusim.arch import HALF_WARP
@@ -53,11 +54,10 @@ class ParameterSpace:
 
     def candidates(self) -> Iterator[BlockConfig]:
         """All cross-product configurations, unconstrained."""
-        for tx in self.tx_values:
-            for ty in self.ty_values:
-                for rx in self.rx_values:
-                    for ry in self.ry_values:
-                        yield BlockConfig(tx=tx, ty=ty, rx=rx, ry=ry)
+        for tx, ty, rx, ry in product(
+            self.tx_values, self.ty_values, self.rx_values, self.ry_values
+        ):
+            yield BlockConfig(tx=tx, ty=ty, rx=rx, ry=ry)
 
     def feasible(
         self,
@@ -69,19 +69,30 @@ class ParameterSpace:
 
         ``smem_bytes_of(config)`` returns the kernel's shared-memory
         footprint for a candidate (it depends on the stencil radius, which
-        the space does not know).
+        the space does not know).  Constraints (i), (ii) and (iv) are
+        checked on the integer values, so only their survivors become
+        :class:`BlockConfig` objects and reach ``smem_bytes_of``; the
+        result is in :meth:`candidates` order.
         """
         lx, ly, _lz = grid_shape
+        max_threads = device.max_threads_per_block
         out: list[BlockConfig] = []
-        for cfg in self.candidates():
-            if cfg.tx % HALF_WARP != 0:  # (i)
+        for tx, ty, rx, ry in product(
+            self.tx_values, self.ty_values, self.rx_values, self.ry_values
+        ):
+            if tx <= 0 or ty <= 0 or rx <= 0 or ry <= 0:
+                BlockConfig(tx, ty, rx, ry)  # raises CFG-POSITIVE
+            if tx % HALF_WARP != 0:  # (i)
                 continue
-            if cfg.threads > device.max_threads_per_block:  # (ii)
+            if tx * ty > max_threads:  # (ii)
                 continue
-            if ly % cfg.tile_y != 0 or cfg.tile_y > ly:  # (iv)
+            tile_y = ty * ry
+            if ly % tile_y != 0 or tile_y > ly:  # (iv)
                 continue
-            if lx % cfg.tile_x != 0 or cfg.tile_x > lx:  # analogous on x
+            tile_x = tx * rx
+            if lx % tile_x != 0 or tile_x > lx:  # analogous on x
                 continue
+            cfg = BlockConfig(tx, ty, rx, ry)
             try:
                 if smem_bytes_of(cfg) > device.smem_per_sm:  # (iii)
                     continue

@@ -49,8 +49,29 @@ from repro.tuning.evaluator import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.gpusim.workload import BlockWorkload
+    from repro.gpusim.workload import BlockWorkload, GridWorkload
     from repro.kernels.base import KernelPlan
+
+
+def shared_grid_workloads(
+    trials: list[Trial],
+    device: DeviceSpec,
+    grid_shape: tuple[int, int, int],
+) -> list["GridWorkload"]:
+    """Each trial's grid workload, built once per distinct plan grid key.
+
+    Trials whose plans share a :meth:`~repro.kernels.base.KernelPlan.grid_key`
+    share one (frozen) :class:`~repro.gpusim.workload.GridWorkload`.
+    """
+    built: dict[tuple[int, ...], "GridWorkload"] = {}
+    grids: list["GridWorkload"] = []
+    for t in trials:
+        key = t.plan.grid_key()
+        grid = built.get(key)
+        if grid is None:
+            grid = built[key] = t.plan.grid_workload(device, grid_shape)
+        grids.append(grid)
+    return grids
 
 
 class VectorTrialEvaluator:
@@ -113,10 +134,8 @@ class VectorTrialEvaluator:
         # Pricing is event-silent: the trial runner narrates from the
         # returned outcomes in input order.
         with suppress_events():
-            classes = [
-                BlockClass.of(t.block, t.plan.grid_workload(self.device, grid_shape))
-                for t in trials
-            ]
+            grids = shared_grid_workloads(trials, self.device, grid_shape)
+            classes = [BlockClass.of(t.block, g) for t, g in zip(trials, grids)]
             scores = self.engine.scores(classes)
         return [
             self._classify(t.config, score, prefiltered=self.prefilter)

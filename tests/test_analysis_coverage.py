@@ -2,7 +2,6 @@
 tiling, temporal ghosts, slab decompositions."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

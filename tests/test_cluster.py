@@ -15,7 +15,6 @@ from repro.cluster import (
     split_grid,
 )
 from repro.errors import ConfigurationError, GridShapeError
-from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
 from repro.stencils.reference import iterate_symmetric
 from repro.stencils.spec import symmetric

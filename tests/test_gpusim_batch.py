@@ -7,14 +7,24 @@ is *bit-identical* (``==`` on floats, not ``approx``) to running the
 scalar :func:`repro.gpusim.executor.simulate` per configuration.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.errors import ResourceLimitError
-from repro.gpusim.batch import BatchEngine, BlockClass, batch_reports, check_identity
+from repro.errors import ReproError, ResourceLimitError
+from repro.gpusim.batch import (
+    BatchEngine,
+    BlockClass,
+    _score_of,
+    batch_reports,
+    check_identity,
+    main,
+)
 from repro.gpusim.executor import simulate
 from repro.kernels.factory import make_kernel
 from repro.stencils.spec import symmetric
 from repro.kernels.config import BlockConfig
+from repro.tuning.space import default_space
 
 GRID = (256, 256, 128)
 
@@ -84,6 +94,73 @@ class TestReportIdentity:
         ok, summary = check_identity("BENCH_profile.json")
         assert ok, summary
         assert "identical: yes" in summary
+
+
+    def test_gate_names_a_record_whose_scores_diverge(self, monkeypatch, capsys):
+        """``scores()`` is checked on its own: a drift in the headline
+        stage fails the gate even though ``outcomes()`` still agrees."""
+        real = BatchEngine.scores
+
+        def drifted(self, classes):
+            return [
+                dataclasses.replace(s, occupancy=s.occupancy + 1.0)
+                for s in real(self, classes)
+            ]
+
+        monkeypatch.setattr(BatchEngine, "scores", drifted)
+        assert main(["--baseline", "BENCH_profile.json"]) == 1
+        out = capsys.readouterr().out
+        assert "scores() diverged in occupancy" in out
+        assert "MISMATCH: inplane" in out
+        assert "identical: NO" in out
+
+
+#: Grids giving the default space multi-wave rows (the paper plane) and
+#: one-wave rows (a plane of at most a few dozen blocks).
+SPLIT_GRIDS = [(512, 512, 64), (64, 64, 16)]
+
+
+def default_space_classes(device, family, dtype):
+    """A class for every default-space candidate that builds, on both grids."""
+    classes = []
+    for cfg in default_space().candidates():
+        plan = make_kernel(family, symmetric(4), cfg, dtype)
+        for grid in SPLIT_GRIDS:
+            try:
+                classes.append(BlockClass.of(
+                    plan.block_workload(device, grid),
+                    plan.grid_workload(device, grid),
+                ))
+            except ReproError:  # tile wider than the small grid, say
+                continue
+    return classes
+
+
+class TestSplitStages:
+    """``scores()`` runs the headline stage only, ``outcomes()`` both."""
+
+    @pytest.mark.parametrize("dtype", ["sp", "dp"])
+    @pytest.mark.parametrize("family", ["inplane_fullslice", "nvstencil"])
+    def test_fresh_scores_equal_outcome_scores(self, paper_device, family, dtype):
+        classes = default_space_classes(paper_device, family, dtype)
+        scores = BatchEngine(paper_device).scores(classes)
+        full = BatchEngine(paper_device).outcomes(classes)
+        assert scores == [_score_of(f) for f in full]
+        stages = [f.timing.stages for f in full if f.launch_error is None]
+        assert len(stages) < len(full)  # unlaunchable rows are covered
+        assert 1 in stages and max(stages) > 1
+
+    def test_scores_never_run_the_counter_stage(self, gtx580, monkeypatch):
+        classes = default_space_classes(gtx580, "inplane_fullslice", "dp")
+        expected = [_score_of(f) for f in BatchEngine(gtx580).outcomes(classes)]
+
+        def refuse(self, cols):
+            raise AssertionError("the counter stage ran")
+
+        monkeypatch.setattr(BatchEngine, "_counters", refuse)
+        assert BatchEngine(gtx580).scores(classes) == expected
+        with pytest.raises(AssertionError, match="counter stage"):
+            BatchEngine(gtx580).outcomes(classes)
 
 
 class TestModuleEntryPoint:

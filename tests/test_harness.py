@@ -4,8 +4,6 @@ The full paper-scale sweeps live in ``benchmarks/``; here we verify the
 drivers' mechanics and the headline shape criteria on reduced settings.
 """
 
-import pytest
-
 from repro.harness import (
     fig7_variants,
     fig8_surface,
@@ -19,7 +17,7 @@ from repro.harness import (
     table4_autotune,
 )
 from repro.harness.export import to_csv, to_json, write_result
-from repro.harness.runner import PAPER_GRID, ExperimentRunner, tune_family
+from repro.harness.runner import ExperimentRunner, tune_family
 
 
 class TestRunner:

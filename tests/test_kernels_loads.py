@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gpusim.memory import MemoryStats, KIND_HALO, KIND_INTERIOR, KIND_WRITE
+from repro.gpusim.memory import MemoryStats, KIND_WRITE
 from repro.kernels.layout import GridLayout
 from repro.kernels.loads import add_column_strip, add_corner_patches, add_row_region
 

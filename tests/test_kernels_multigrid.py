@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, StencilDefinitionError
-from repro.gpusim.device import get_device
 from repro.kernels.config import BlockConfig
 from repro.kernels.multigrid import MultiGridKernel
 from repro.stencils.applications import APPLICATIONS

@@ -15,7 +15,6 @@ from repro.kernels.config import BlockConfig
 from repro.kernels.factory import KERNEL_FAMILIES, make_kernel
 from repro.kernels.inplane import INPLANE_VARIANTS, InPlaneKernel
 from repro.kernels.multigrid import METHODS, MultiGridKernel
-from repro.kernels.naive import NaiveKernel
 from repro.kernels.nvstencil import NvStencilKernel
 from repro.stencils.applications import APPLICATIONS
 from repro.stencils.catalog import redundant_corner_elems

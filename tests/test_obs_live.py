@@ -11,8 +11,6 @@ The two headline acceptance properties of the event plane:
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.gpusim.faults import FaultPlan
 from repro.kernels.config import BlockConfig

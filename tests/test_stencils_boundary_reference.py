@@ -14,7 +14,7 @@ from repro.stencils.boundary import (
 )
 from repro.stencils.expr import symmetric_expr
 from repro.stencils.reference import apply_expr, apply_symmetric, iterate_symmetric
-from repro.stencils.spec import default_coefficients, symmetric
+from repro.stencils.spec import symmetric
 
 
 class TestBoundaryHelpers:

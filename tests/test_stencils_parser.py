@@ -9,7 +9,7 @@ from repro.errors import StencilDefinitionError
 from repro.stencils.expr import symmetric_expr
 from repro.stencils.parser import parse_stencil
 from repro.stencils.reference import apply_expr
-from repro.stencils.spec import default_coefficients, symmetric
+from repro.stencils.spec import default_coefficients
 
 
 class TestBasics:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.cli import main
 from repro.errors import JournalError, TuningError
-from repro.gpusim.device import get_device
 from repro.gpusim.executor import DeviceExecutor
 from repro.gpusim.faults import FaultPlan
 from repro.kernels.config import BlockConfig

@@ -1,11 +1,12 @@
 """Parameter-space constraint tests (section IV-C)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TuningError
-from repro.gpusim.device import get_device
+from repro.errors import ConfigurationError, ReproError, TuningError
+from repro.gpusim.arch import HALF_WARP
+from repro.gpusim.device import get_device, list_devices
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
 from repro.stencils.spec import symmetric
@@ -164,3 +165,101 @@ class TestFeasibleEdgeCases:
 
         with pytest.raises(ValueError):
             space.feasible(dev, (64, 64, 32), smem_of)
+
+
+def brute_force_feasible(space, device, grid_shape, smem_of):
+    """Constraints (i)-(iv) over :meth:`ParameterSpace.candidates`, one
+    :class:`BlockConfig` per candidate: the reference for ``feasible``."""
+    lx, ly, _lz = grid_shape
+    out = []
+    for cfg in space.candidates():
+        if cfg.tx % HALF_WARP != 0:
+            continue
+        if cfg.threads > device.max_threads_per_block:
+            continue
+        if ly % cfg.tile_y != 0 or cfg.tile_y > ly:
+            continue
+        if lx % cfg.tile_x != 0 or cfg.tile_x > lx:
+            continue
+        try:
+            if smem_of(cfg) > device.smem_per_sm:
+                continue
+        except ReproError:
+            continue
+        out.append(cfg)
+    return out
+
+
+class Footprint:
+    """A made-up footprint probe: pseudo-random per config, raising
+    ``ReproError`` for about one config in five, recording every call."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.calls = []
+
+    def __call__(self, cfg):
+        self.calls.append(cfg)
+        h = hash((self.seed, cfg.as_tuple()))  # ints only: stable per run
+        if h % 5 == 0:
+            raise ReproError("no layout")
+        return h % 64_000
+
+
+#: Mostly values a real space holds (so most examples keep survivors),
+#: plus any positive integer.
+THREADS_X = st.one_of(st.sampled_from([16, 32, 48, 64, 128, 256]), st.integers(1, 600))
+FACTOR = st.one_of(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 12))
+EXTENT = st.one_of(
+    st.sampled_from([64, 128, 256, 512, 1024]),
+    st.integers(1, 64).map(lambda k: 16 * k),
+    st.integers(1, 1100),
+)
+
+
+def value_tuples(values):
+    return st.lists(values, min_size=1, max_size=5).map(tuple)
+
+
+class TestFeasibleMatchesBruteForce:
+    """``feasible`` checks (i), (ii) and (iv) on integers; the result and
+    the footprint probes must be those of the per-candidate filter."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tx=value_tuples(THREADS_X), ty=value_tuples(FACTOR),
+        rx=value_tuples(FACTOR), ry=value_tuples(FACTOR),
+        grid=st.tuples(EXTENT, EXTENT, st.integers(1, 64)),
+        device=st.sampled_from(list_devices()),
+        seed=st.integers(0, 7),
+    )
+    def test_same_list_same_order_same_probes(
+        self, tx, ty, rx, ry, grid, device, seed
+    ):
+        dev = get_device(device)
+        space = ParameterSpace(tx, ty, rx, ry)
+        want_probe, got_probe = Footprint(seed), Footprint(seed)
+        want = brute_force_feasible(space, dev, grid, want_probe)
+        if want:
+            assert space.feasible(dev, grid, got_probe) == want
+        else:
+            with pytest.raises(TuningError):
+                space.feasible(dev, grid, got_probe)
+        assert got_probe.calls == want_probe.calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tx=value_tuples(st.integers(-2, 64)), ty=value_tuples(st.integers(-2, 8)),
+        rx=value_tuples(st.integers(-2, 4)), ry=value_tuples(st.integers(-2, 4)),
+        device=st.sampled_from(list_devices()),
+    )
+    def test_non_positive_value_raises_the_same_error(self, tx, ty, rx, ry, device):
+        assume(min(tx + ty + rx + ry) <= 0)
+        dev = get_device(device)
+        space = ParameterSpace(tx, ty, rx, ry)
+        with pytest.raises(ConfigurationError) as want:
+            brute_force_feasible(space, dev, (64, 64, 16), Footprint(0))
+        with pytest.raises(ConfigurationError) as got:
+            space.feasible(dev, (64, 64, 16), Footprint(0))
+        assert str(got.value) == str(want.value)
+        assert got.value.rule == want.value.rule == "CFG-POSITIVE"

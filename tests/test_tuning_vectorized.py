@@ -5,13 +5,15 @@ The evaluator's contract: same outcomes (status, bit-identical rate, same
 :class:`~repro.tuning.evaluator.SimTrialEvaluator` loop — only faster.
 """
 
+from contextlib import ExitStack
+
 import pytest
 
 import repro.obs as obs
 from repro.gpusim.batch import BatchEngine
-from repro.gpusim.device import get_device
 from repro.kernels.config import BlockConfig
-from repro.kernels.factory import make_kernel
+from repro.kernels.factory import KERNEL_FAMILIES, make_kernel
+from repro.obs.archive import TrialArchive, archive_stream, read_archive
 from repro.obs.events import MemoryEventSink, event_stream
 from repro.obs.schema import CAT_TUNE_TRIAL
 from repro.stencils.spec import symmetric
@@ -20,7 +22,9 @@ from repro.tuning.evaluator import (
     STATUS_REJECTED_SIMULATED,
     STATUS_REJECTED_STATIC,
     SimTrialEvaluator,
+    TrialRunner,
     batch_capable,
+    build_trial,
 )
 from repro.tuning.exhaustive import (
     evaluate_configs,
@@ -29,8 +33,8 @@ from repro.tuning.exhaustive import (
     feasible_trials,
 )
 from repro.tuning.modelbased import model_based_tune
-from repro.tuning.space import ParameterSpace
-from repro.tuning.vectorized import VectorTrialEvaluator
+from repro.tuning.space import ParameterSpace, default_space
+from repro.tuning.vectorized import VectorTrialEvaluator, shared_grid_workloads
 
 GRID = (256, 256, 128)
 SMALL_SPACE = ParameterSpace(
@@ -216,3 +220,118 @@ class TestStatsShape:
         assert serial.info["jobs"] == 1
         assert batch.info["jobs"] == 1
         assert set(serial.info) == set(batch.info)
+
+
+#: dp order 8 on this space: the ty=32 corner is statically rejected.
+NARRATED_SPACE = ParameterSpace(
+    tx_values=(32,), ty_values=(8, 16, 32), rx_values=(1, 2), ry_values=(1, 2, 4),
+)
+PLANES = ("tracer", "events", "archive")
+
+
+class TestQuietRunner:
+    """With no tracer, event sink or archive, :meth:`TrialRunner.all`
+    only measures and tallies; any one plane brings the narration back."""
+
+    @staticmethod
+    def trials(device):
+        return feasible_trials(
+            builder(order=8, dtype="dp"), device, GRID, NARRATED_SPACE
+        )
+
+    @staticmethod
+    def run(evaluator, device, trials, planes, tmp_path):
+        """Run ``trials`` with ``planes`` installed; return what each says."""
+        sink = MemoryEventSink()
+        path = tmp_path / f"{'-'.join(planes) or 'quiet'}.archive"
+        with ExitStack() as stack:
+            tracer = (
+                stack.enter_context(obs.tracing()) if "tracer" in planes else None
+            )
+            if "events" in planes:
+                stack.enter_context(event_stream(sink))
+            if "archive" in planes:
+                stack.enter_context(
+                    archive_stream(TrialArchive(path, session="quiet-runner"))
+                )
+            runner = TrialRunner(evaluator, device, GRID)
+            outcomes = runner.all(trials)
+        heard = {
+            "tracer": None if tracer is None else (
+                [(s.name, s.instant, list(s.args.items()))
+                 for s in tracer.host_spans(CAT_TUNE_TRIAL)],
+                {k: v for k, v in tracer.metrics.snapshot()["counters"].items()
+                 if k.startswith("tune.")},
+            ),
+            "events": [e.to_obj() for e in sink.events],
+            "archive": (
+                [r.to_obj() for r in read_archive(path)[1]]
+                if path.exists() else None
+            ),
+        }
+        return outcomes, runner.stats, heard
+
+    @pytest.mark.parametrize("backend", [SimTrialEvaluator, VectorTrialEvaluator])
+    def test_quiet_and_narrated_runs_agree(self, gtx580, backend, tmp_path):
+        trials = self.trials(gtx580)
+        quiet = self.run(backend(gtx580), gtx580, trials, (), tmp_path)
+        loud = self.run(backend(gtx580), gtx580, trials, PLANES, tmp_path)
+        assert quiet[0] == loud[0]
+        assert list(quiet[1].items()) == list(loud[1].items())
+        assert quiet[1][STATUS_REJECTED_STATIC] > 0
+        assert quiet[2] == {"tracer": None, "events": [], "archive": None}
+
+    @pytest.mark.parametrize("plane", PLANES)
+    @pytest.mark.parametrize("backend", [SimTrialEvaluator, VectorTrialEvaluator])
+    def test_one_plane_hears_every_trial(self, gtx580, backend, plane, tmp_path):
+        """Each plane alone narrates exactly what it does with all three on."""
+        trials = self.trials(gtx580)
+        alone = self.run(backend(gtx580), gtx580, trials, (plane,), tmp_path)
+        loud = self.run(backend(gtx580), gtx580, trials, PLANES, tmp_path)
+        assert alone[2][plane] == loud[2][plane]
+        if plane == "tracer":
+            spans, counters = alone[2]["tracer"]
+            assert len(spans) == len(trials)
+            assert sum(counters.values()) == len(trials)
+        else:
+            assert len(alone[2][plane]) == len(trials)
+
+
+#: Every family once, plus temporal at two fusion depths.
+GRID_FAMILIES = [(f, {}) for f in sorted(KERNEL_FAMILIES)] + [
+    ("temporal", {"time_steps": 1}), ("temporal", {"time_steps": 3}),
+]
+
+
+class TestSharedGridWorkloads:
+    """One grid workload per distinct plan grid key, equal to a fresh one."""
+
+    @pytest.mark.parametrize(
+        "family, kwargs", GRID_FAMILIES,
+        ids=[f"{f}-{kw}" if kw else f for f, kw in GRID_FAMILIES],
+    )
+    def test_every_shared_grid_equals_a_fresh_build(self, gtx580, family, kwargs):
+        spec = symmetric(4)
+
+        def build(cfg):
+            return make_kernel(family, spec, cfg, "sp", **kwargs)
+
+        trials = feasible_trials(build, gtx580, GRID, default_space())
+        grids = shared_grid_workloads(trials, gtx580, GRID)
+        assert len({id(g) for g in grids}) < len(trials)  # some are shared
+        for trial, grid in zip(trials, grids):
+            assert grid == trial.plan.grid_workload(gtx580, GRID)
+
+    def test_fusion_depth_splits_the_key(self, gtx580):
+        """Same tile and radius, different ``time_steps``: never shared."""
+        cfg = BlockConfig(32, 4, 1, 2)
+        plans = [
+            make_kernel("temporal", symmetric(4), cfg, "sp", time_steps=t)
+            for t in (1, 2)
+        ] + [make_kernel("inplane_fullslice", symmetric(4), cfg, "sp")]
+        trials = [
+            build_trial(lambda _cfg, p=p: p, cfg, gtx580, GRID) for p in plans
+        ]
+        grids = shared_grid_workloads(trials, gtx580, GRID)
+        assert grids == [p.grid_workload(gtx580, GRID) for p in plans]
+        assert grids[0].total_points != grids[1].total_points

@@ -31,8 +31,9 @@ Runs, in order:
 7. the batch-identity gate (``python -m repro.gpusim.batch``: every
    ``BENCH_profile.json`` record is resimulated through the scalar
    executor and the vectorized batch engine; the two SHA-256 report
-   digests must be equal — the bit-identity contract of
-   ``docs/SIMULATOR.md``)
+   digests must be equal, and each record's fresh-engine ``scores()``
+   must match the scalar report's rate, load efficiency, occupancy and
+   limiter — the bit-identity contract of ``docs/SIMULATOR.md``)
 8. the estimator-reconciliation gate (``repro estimate --reconcile``:
    every ``BENCH_profile.json`` record's plan is lowered to its
    access-plan IR, the codegen-time estimate is compared bit-for-bit
