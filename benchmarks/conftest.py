@@ -9,9 +9,10 @@ expensive part, exactly as in the paper's methodology).
 The suite also seeds the repository's performance trajectory: after each
 bench, the winning configuration of every tuning run it performed is
 re-simulated and recorded through the :mod:`repro.obs.telemetry`
-exporter; at session end the consolidated ``BENCH_profile.json`` (device,
-kernel, MPoint/s, cycles, frozen breakdown) is written at the repo root
-so successive PRs produce diffable perf numbers.
+exporter; at the end of a passing run of the whole suite the
+consolidated ``BENCH_profile.json`` (device, kernel, MPoint/s, cycles,
+frozen breakdown) is written at the repo root so successive PRs produce
+diffable perf numbers.  A run of a subset leaves the file untouched.
 """
 
 from __future__ import annotations
@@ -56,9 +57,34 @@ def save_render(request):
     return _save
 
 
+#: Set when any collected test was deselected (``-k``, ``-m``, ...).
+_DESELECTED: list = []
+
+
+def pytest_deselected(items):
+    _DESELECTED.extend(items)
+
+
+def full_suite_passed(session, exitstatus) -> bool:
+    """Whether this session ran the whole suite, and it passed.
+
+    Only then is the trajectory complete: every ``benchmarks/test_*.py``
+    module collected, no test deselected and no node id selected on the
+    command line.  A subset run would replace the recorded trajectory
+    with the records of the benches it happened to run.
+    """
+    if exitstatus != 0 or _DESELECTED:
+        return False
+    if any("::" in str(arg) for arg in session.config.args):
+        return False
+    modules = set(Path(__file__).parent.glob("test_*.py"))
+    collected = {Path(item.path) for item in session.items}
+    return modules <= collected
+
+
 def pytest_sessionfinish(session, exitstatus):
-    """Write the consolidated perf-trajectory document."""
-    if not _TELEMETRY:
+    """Write the consolidated perf-trajectory document after a full run."""
+    if not _TELEMETRY or not full_suite_passed(session, exitstatus):
         return
     from repro.obs.telemetry import TelemetryCollector
 

@@ -1,45 +1,46 @@
 """Batched, vectorized evaluation engine — whole candidate sets at once.
 
-The scalar pipeline (:func:`repro.gpusim.timing.time_kernel` plus
-:func:`repro.obs.counters.derive_counters`) prices one configuration per
-call; an exhaustive sweep therefore pays the full Python pipeline N
-times.  This module computes the identical quantities as NumPy array
-operations over *whole candidate sets*: occupancy, block-class analysis,
-coalescing/transaction totals, shared-memory bank-conflict replay, the
-wave-scheduled cycle accumulation and the derived hardware-counter set.
+The simulator's model is written once, over an op table
+(:mod:`repro.gpusim.ops`): the headline stage
+(:func:`repro.gpusim.timing.time_stage` — spill cap, occupancy, launch
+check, plane costs, wave schedule, load efficiency — then
+:func:`repro.gpusim.timing.sweep_rates`) and the counter stage
+(:func:`repro.obs.counters.counter_stage`).  The scalar path
+(:func:`~repro.gpusim.timing.time_kernel`,
+:func:`~repro.obs.counters.derive_counters`) runs them on one
+configuration's Python numbers through the builtins table.  This module
+supplies the NumPy table, :data:`VECTOR`, and runs the same functions on
+*whole candidate sets*: it builds columns, calls the shared stages and
+assembles per-class results, with no model arithmetic of its own.
 
 Two contracts make it safe to substitute for the scalar path anywhere:
 
-* **Bit identity.**  Every elementwise operation mirrors the scalar
-  code in the identical order on IEEE-754 doubles, so each derived
-  float is *bit-identical* to the scalar result — not merely close.
-  The executable proof is ``python -m repro.gpusim.batch --baseline
+* **Bit identity.**  Both op tables perform the identical IEEE-754
+  operations in the identical order, so each derived float is
+  *bit-identical* to the scalar result — not merely close.  The
+  executable proof is ``python -m repro.gpusim.batch --baseline
   BENCH_profile.json``, which resimulates every trajectory record
-  through both paths and compares every report field exactly (the
-  ``batch-identity`` step of ``tools/check.py``).  The scalar loop in
-  :func:`derive_counters` accumulates wave cycle shares by repeated
-  addition, which is *not* associative in floating point — the batch
-  engine replays the same additions with a masked loop rather than
-  collapsing them into a multiplication.
+  through both tables and compares every report field exactly (the
+  ``batch-identity`` step of ``tools/check.py``).  The counter stage
+  accumulates wave cycle shares by repeated addition, which is *not*
+  associative in floating point — :data:`VECTOR` replays the same
+  additions with a masked loop rather than collapsing them into a
+  multiplication.
 * **Block-class memoization.**  The timing model only sees the numeric
   fingerprint of a (block workload, grid workload) pair — its
   :class:`BlockClass`.  Distinct configurations that share a class (and
   repeated sweeps over the same class) are priced once; results are
   cached on the engine.
 
-The pipeline runs in two stages, split where the scalar path splits
-``time_kernel`` from ``derive_counters``.  The headline stage
-(occupancy, launch check, timing, rate and load efficiency) is all that
-:meth:`BatchEngine.scores` — the tuners' call — runs.  The counter stage
-(the masked wave loop, DRAM bytes, issued instructions, replay, store
-efficiency) runs only in :meth:`BatchEngine.outcomes`.  The identity
-gate checks both calls.
+:meth:`BatchEngine.scores` — the tuners' call — runs the headline stage
+only; :meth:`BatchEngine.outcomes` runs the counter stage after it.  The
+identity gate checks both calls.
 
-Unlaunchable configurations do not raise: the vector pipeline carries a
-launchability mask and reports per-class failure strings identical to
-the :class:`repro.errors.ResourceLimitError` messages the scalar
-occupancy calculator raises, so callers can reproduce the scalar
-control flow without exceptions.
+Unlaunchable configurations do not raise: the stages carry a per-row
+failure reason, and each failing class reports the
+:func:`repro.gpusim.occupancy.launch_error` message the scalar path
+raises, so callers can reproduce the scalar control flow without
+exceptions.
 
 Consumers: :class:`repro.tuning.vectorized.VectorTrialEvaluator` (the
 ``repro tune`` backend), :func:`repro.obs.regress.diff_baseline` and
@@ -49,117 +50,92 @@ resimulation).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.gpusim.arch import WARP_SIZE
 from repro.gpusim.device import DeviceSpec, get_device
-from repro.gpusim.occupancy import OccupancyResult
+from repro.gpusim.executor import launch_report, simulate
+from repro.gpusim.occupancy import launch_error
+from repro.gpusim.ops import Ops
 from repro.gpusim.report import SimReport
-from repro.gpusim.smem import dp_conflict_factor
-from repro.gpusim.timing import PlaneCost, TimingParams, TimingResult, params_for
-from repro.gpusim.workload import BlockWorkload, GridWorkload
-from repro.obs.counters import CounterSet
+from repro.gpusim.timing import (
+    BlockClass,
+    TimingParams,
+    TimingResult,
+    params_for,
+    sweep_rates,
+    time_stage,
+)
+from repro.obs.counters import CounterSet, counter_stage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.kernels.base import KernelPlan
 
-#: Limiter names in the exact insertion order of the scalar limits dict;
-#: ``np.argmin`` picks the first minimum, matching ``min(dict.items())``.
-_LIMITERS = ("registers", "smem", "warps", "blocks")
 
-_F = np.float64
-_I = np.int64
+def _first_min(names: Sequence[str], values: Sequence[Any]) -> tuple[Any, Any]:
+    stacked = np.stack(np.broadcast_arrays(*values))
+    return np.asarray(names)[np.argmin(stacked, axis=0)], np.min(stacked, axis=0)
 
 
-class BlockClass(NamedTuple):
-    """Numeric fingerprint of a (block workload, grid workload) pair.
-
-    Exactly the quantities the timing model and the counter derivations
-    read — two configurations with equal fingerprints are
-    indistinguishable to the simulator, which is what makes per-class
-    memoization exact rather than approximate.  ``load_transactions`` /
-    ``store_transactions`` keep their original numeric type (int for
-    enumerated traffic, float for phase-averaged raw counts) because the
-    scalar counter set preserves that type in ``gld_transactions`` /
-    ``gst_transactions``.  A tuple, so building and hashing one (the
-    engine's memo key) run in C.
-    """
-
-    threads_per_block: int
-    regs_per_thread: int
-    smem_bytes: int
-    elem_bytes: int
-    points_per_plane: int
-    flops_per_point: float
-    arith_instructions: float
-    extra_instructions: int
-    ilp: float
-    prologue_planes: int
-    syncs_per_plane: int
-    # -- global-memory traffic (per block-plane) --
-    load_instructions: float
-    store_instructions: float
-    load_transactions: int | float
-    store_transactions: int | float
-    requested_load_bytes: float
-    requested_store_bytes: float
-    interior_transferred_bytes: float
-    halo_transferred_bytes: float
-    store_transferred_bytes: float
-    spill_transferred_bytes: float
-    load_phases: int
-    camped_bytes: float
-    # -- shared-memory profile --
-    smem_read_instructions: int
-    smem_write_instructions: int
-    smem_conflict_factor: float
-    # -- grid --
-    blocks: int
-    planes: int
-    total_points: int
-
-    @classmethod
-    def of(cls, workload: BlockWorkload, grid: GridWorkload) -> "BlockClass":
-        mem = workload.memory
-        prof = workload.smem_profile
-        return cls(
-            threads_per_block=workload.threads_per_block,
-            regs_per_thread=workload.regs_per_thread,
-            smem_bytes=workload.smem_bytes,
-            elem_bytes=workload.elem_bytes,
-            points_per_plane=workload.points_per_plane,
-            flops_per_point=workload.flops_per_point,
-            arith_instructions=workload.arith_instructions,
-            extra_instructions=workload.extra_instructions,
-            ilp=workload.ilp,
-            prologue_planes=workload.prologue_planes,
-            syncs_per_plane=workload.syncs_per_plane,
-            load_instructions=mem.load_instructions,
-            store_instructions=mem.store_instructions,
-            load_transactions=mem.load_transactions,
-            store_transactions=mem.store_transactions,
-            requested_load_bytes=mem.requested_load_bytes,
-            requested_store_bytes=mem.requested_store_bytes,
-            interior_transferred_bytes=mem.interior_transferred_bytes,
-            halo_transferred_bytes=mem.halo_transferred_bytes,
-            store_transferred_bytes=mem.store_transferred_bytes,
-            spill_transferred_bytes=mem.spill_transferred_bytes,
-            load_phases=mem.load_phases,
-            camped_bytes=mem.camped_bytes,
-            smem_read_instructions=prof.read_instructions,
-            smem_write_instructions=prof.write_instructions,
-            smem_conflict_factor=prof.conflict_factor,
-            blocks=grid.blocks,
-            planes=grid.planes,
-            total_points=grid.total_points,
-        )
+def _repeat_add(terms: Sequence[np.ndarray], n: np.ndarray) -> list[np.ndarray]:
+    acc = [np.zeros(n.shape) for _ in terms]
+    for w in range(int(n.max(initial=0))):
+        rows = n > w
+        for a, term in zip(acc, terms):
+            a[rows] += term[rows]
+    return acc
 
 
-#: Field name -> position in a :class:`BlockClass` tuple.
-_FIELD = {name: i for i, name in enumerate(BlockClass._fields)}
+def _rows(selection: np.ndarray, x: Any) -> Any:
+    if isinstance(x, np.ndarray):
+        return x[selection]
+    if isinstance(x, tuple):
+        return type(x)(*(col[selection] for col in x))
+    return type(x)(*(
+        getattr(x, f.name)[selection] for f in dataclasses.fields(x)
+    ))
+
+
+#: The NumPy op table: every stage over columns, one row per class.
+VECTOR = Ops(
+    maximum=np.maximum,
+    minimum=np.minimum,
+    where=np.where,
+    select=lambda conds, choices, default: np.select(conds, choices, default),
+    first_min=_first_min,
+    repeat_add=_repeat_add,
+    ceil=np.ceil,
+    launchable=lambda reason, error: np.flatnonzero(reason == 0),
+    rows=_rows,
+)
+
+#: Column dtype per :class:`BlockClass` field.  The transaction counts
+#: stay Python objects: the counter set keeps their int/float type.
+_INT_FIELDS = {
+    "threads_per_block", "regs_per_thread", "smem_bytes", "elem_bytes",
+    "points_per_plane", "prologue_planes", "syncs_per_plane", "load_phases",
+    "smem_read_instructions", "smem_write_instructions", "blocks", "planes",
+    "total_points",
+}
+_DTYPES = tuple(
+    object if name in ("load_transactions", "store_transactions")
+    else np.int64 if name in _INT_FIELDS
+    else np.float64
+    for name in BlockClass._fields
+)
+
+
+def _unstack(x: Any, n: int) -> list[Any]:
+    """Per-row records of a columnar record (constants repeat)."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if dataclasses.is_dataclass(x):
+        cols = [_unstack(getattr(x, f.name), n) for f in dataclasses.fields(x)]
+        return [type(x)(*row) for row in zip(*cols)]
+    return [x] * n
 
 
 @dataclass(frozen=True)
@@ -187,13 +163,6 @@ class ClassOutcome:
     time_s: float = 0.0
     mpoints_per_s: float = 0.0
     gflops: float = 0.0
-    load_efficiency: float = 0.0
-    bandwidth_gbs: float = 0.0
-
-
-def _cdiv(a: np.ndarray, b: Any) -> np.ndarray:
-    """Vectorized ``ceil_div`` for non-negative int64 operands."""
-    return -((-a) // b)
 
 
 class BatchEngine:
@@ -223,8 +192,16 @@ class BatchEngine:
         missing = self._missing(classes, self._scores)
         if missing:
             cols = self._pipeline(missing)
-            for i, cls in enumerate(missing):
-                self._scores[cls] = self._light(cols, i)
+            t = cols["timing"]
+            live = zip(
+                cols["mpoints"].tolist(), t.load_efficiency.tolist(),
+                t.occupancy.occupancy.tolist(), t.occupancy.limiter.tolist(),
+            )
+            for i, (cls, reason) in enumerate(zip(missing, cols["reason"].tolist())):
+                self._scores[cls] = (
+                    ClassScore(launch_error=self._error(cols, i, reason))
+                    if reason else ClassScore(None, *next(live))
+                )
         return [self._scores[c] for c in classes]
 
     def outcomes(self, classes: Sequence[BlockClass]) -> list[ClassOutcome]:
@@ -233,8 +210,29 @@ class BatchEngine:
         if missing:
             cols = self._pipeline(missing)
             self._counters(cols)
-            for i, cls in enumerate(missing):
-                full = self._assemble(cols, i, cls)
+            n = len(cols["live"])
+            keys = list(cols["counters"])
+            live = zip(
+                _unstack(cols["timing"], n),
+                zip(*(cols["counters"][k].tolist() for k in keys)),
+                zip(*(cols[k].tolist() for k in ("time_s", "mpoints", "gflops"))),
+            )
+            for i, (cls, reason) in enumerate(zip(missing, cols["reason"].tolist())):
+                if reason:
+                    full = ClassOutcome(launch_error=self._error(cols, i, reason))
+                else:
+                    timing, counted, (time_s, mpoints, gflops) = next(live)
+                    full = ClassOutcome(
+                        launch_error=None,
+                        timing=timing,
+                        counters=CounterSet(
+                            values=dict(zip(keys, counted)),
+                            occupancy_limiter=timing.occupancy.limiter,
+                        ),
+                        time_s=time_s,
+                        mpoints_per_s=mpoints,
+                        gflops=gflops,
+                    )
                 self._full[cls] = full
                 self._scores.setdefault(cls, _score_of(full))
         return [self._full[c] for c in classes]
@@ -250,448 +248,48 @@ class BatchEngine:
         return list(seen)
 
     # ------------------------------------------------------------------
-    # the vectorized pipeline
+    # the two stages over columns
     # ------------------------------------------------------------------
     def _pipeline(self, classes: list[BlockClass]) -> dict[str, Any]:
-        """The headline stage: occupancy → launch check → timing, over arrays.
+        """The headline stage over ``classes``' columns.
 
-        It ends at the executor's headline (time, rate, load efficiency),
+        Ends at the executor's headline (time, rate, load efficiency),
         which is everything a :class:`ClassScore` reads; :meth:`_counters`
-        continues from its columns.  Every expression below is annotated
-        against its scalar original; operand order and association are
-        preserved so each float64 lane is bit-identical to the scalar
-        computation for that class.
+        continues from its columns.
         """
-        dev = self.device
-        p = self.params
-        n = len(classes)
-        fields = list(zip(*classes))  # one tuple per BlockClass field
-
-        def icol(attr: str) -> np.ndarray:
-            return np.array(fields[_FIELD[attr]], dtype=_I)
-
-        def fcol(attr: str) -> np.ndarray:
-            return np.array(fields[_FIELD[attr]], dtype=_F)
-
-        threads = icol("threads_per_block")
-        regs = icol("regs_per_thread")
-        smem_bytes = icol("smem_bytes")
-        elem = icol("elem_bytes")
-        points = icol("points_per_plane")
-        flops = fcol("flops_per_point")
-        arith_pp = fcol("arith_instructions")
-        extra = fcol("extra_instructions")
-        ilp = fcol("ilp")
-        prologue = icol("prologue_planes")
-        syncs = icol("syncs_per_plane")
-        load_instr = fcol("load_instructions")
-        store_instr = fcol("store_instructions")
-        req_load = fcol("requested_load_bytes")
-        req_store = fcol("requested_store_bytes")
-        interior_b = fcol("interior_transferred_bytes")
-        halo_b = fcol("halo_transferred_bytes")
-        store_b = fcol("store_transferred_bytes")
-        spill_b = fcol("spill_transferred_bytes")
-        phases = icol("load_phases")
-        camped = fcol("camped_bytes")
-        smem_read = icol("smem_read_instructions")
-        smem_write = icol("smem_write_instructions")
-        smem_conflict = fcol("smem_conflict_factor")
-        blocks = icol("blocks")
-        planes = icol("planes")
-        total_points = icol("total_points")
-
-        # ---- time_kernel: spill cap (scalar max/min on the raw regs) ----
-        cap = dev.rules.max_regs_per_thread
-        spilled = np.maximum(0, regs - cap)
-        eff_regs = np.minimum(regs, cap)
-
-        # ---- compute_occupancy ------------------------------------------
-        rules = dev.rules
-        warps_blk = _cdiv(threads, WARP_SIZE)
-        # round_up(regs*WARP_SIZE, granularity) — garbage on (masked)
-        # negative-footprint rows is fine, the error mask wins below.
-        regs_warp = _cdiv(eff_regs * WARP_SIZE, rules.register_alloc_granularity) * (
-            rules.register_alloc_granularity
+        c = BlockClass(*(
+            np.array(col, dtype=dtype)
+            for col, dtype in zip(zip(*classes), _DTYPES)
+        ))
+        reason, occ, timing = time_stage(VECTOR, self.device, self.params, c)
+        live = np.flatnonzero(reason == 0)
+        time_s, mpoints, gflops = sweep_rates(
+            self.device, timing.total_cycles, c.total_points[live],
+            c.flops_per_point[live],
         )
-        regs_blk = regs_warp * warps_blk
-        smem_blk = np.where(
-            smem_bytes != 0,
-            _cdiv(np.abs(smem_bytes), rules.smem_alloc_granularity)
-            * rules.smem_alloc_granularity,
-            0,
-        )
-
-        # An unused resource sits one above the always-present block cap,
-        # so it never wins the argmin — the scalar path leaves it out.
-        absent = dev.max_blocks_per_sm + 1
-        lim = np.stack([
-            np.where(
-                regs_blk != 0,
-                dev.registers_per_sm // np.where(regs_blk != 0, regs_blk, 1),
-                absent,
-            ),
-            np.where(
-                smem_blk != 0,
-                dev.smem_per_sm // np.where(smem_blk != 0, smem_blk, 1),
-                absent,
-            ),
-            dev.max_warps_per_sm // warps_blk,
-            np.full(n, dev.max_blocks_per_sm, dtype=_I),
-        ])
-        lim_idx = np.argmin(lim, axis=0)  # first minimum == dict-order min
-        act = np.min(lim, axis=0)
-
-        # Launch-failure classification in the scalar check order.
-        reason = np.select(
-            [
-                threads > dev.max_threads_per_block,
-                (eff_regs < 0) | (smem_bytes < 0),
-                regs_blk > dev.registers_per_sm,
-                smem_blk > dev.smem_per_sm,
-                act < 1,
-            ],
-            [1, 2, 3, 4, 5],
-            default=0,
-        )
-        launch = reason == 0
-        live = np.flatnonzero(launch)
-
-        cols: dict[str, Any] = {
-            "classes": classes,
-            "reason": reason,
-            "live_index": {int(g): k for k, g in enumerate(live)},
-            "threads": threads,
-            "regs_blk": regs_blk,
-            "smem_blk": smem_blk,
+        return {
+            "c": c, "reason": reason, "occ": occ, "live": live,
+            "timing": timing, "time_s": time_s, "mpoints": mpoints,
+            "gflops": gflops,
         }
-        if live.size == 0:
-            return cols
-
-        # ---- compress to launchable rows --------------------------------
-        def lv(a: np.ndarray) -> np.ndarray:
-            return a[live]
-
-        threads_l = lv(threads)
-        act_l = lv(act)
-        warps_l = lv(warps_blk)
-        spilled_l = lv(spilled)
-        elem_l = lv(elem)
-        blocks_l = lv(blocks)
-        planes_l = lv(planes)
-
-        active_warps = act_l * warps_l
-        occ_frac = active_warps / dev.max_warps_per_sm
-
-        # ---- _effective_plane_bytes -------------------------------------
-        reuse = p.l2_halo_reuse if dev.l2_bytes > 0 else 0.0
-        halo_eff = lv(halo_b) * (1.0 - reuse)
-        spill_bytes = spilled_l * threads_l * p.spill_bytes_per_reg
-        camping = lv(camped) * (1.0 - reuse) * (p.partition_camping - 1.0)
-        bytes_blk = (
-            lv(interior_b) + halo_eff + lv(spill_b) + lv(store_b)
-            + spill_bytes + camping
-        )
-
-        # ---- issue_slots -------------------------------------------------
-        dp_factor = dp_conflict_factor(8, rules)
-        conflict = np.where(elem_l == 4, 1.0, dp_factor)
-        smem_rw = lv(smem_read) + lv(smem_write)
-        arith_instr = lv(points) * lv(arith_pp)
-        slot_gl = lv(load_instr) * (1.0 + p.load_addressing_instructions)
-        slot_gs = lv(store_instr)
-        # issue_cost() = (reads + writes) * profile factor, then the DP factor.
-        slot_smem = (smem_rw * lv(smem_conflict)) * conflict
-        slot_arith = arith_instr / WARP_SIZE
-        slot_spill = np.where(
-            spilled_l != 0, spilled_l * threads_l / WARP_SIZE * 2, 0.0
-        )
-        slot_extra = lv(extra)
-        slot_loop = float(p.loop_overhead_instructions)
-        slots_total = (
-            slot_gl + slot_gs + slot_smem + slot_arith + slot_spill
-            + slot_extra + slot_loop
-        )
-
-        # ---- _compute_cycles_per_block_plane ----------------------------
-        dtype_ratio = np.where(elem_l == 4, 1.0, dev.dp_ratio)
-        lanes = dev.cores_per_sm * dtype_ratio
-        arith_cycles = arith_instr / (lanes * p.arith_efficiency)
-        issue_cycles = slots_total / rules.issue_width
-        compute_blk = np.maximum(arith_cycles, issue_cycles)
-
-        # ---- _latency_hiding --------------------------------------------
-        li = lv(load_instr)
-        has_loads = li != 0
-        load_transferred = (lv(interior_b) + lv(halo_b)) + lv(spill_b)
-        bytes_per_li = load_transferred / np.where(has_loads, li, 1.0)
-        loads_per_warp = li / np.maximum(1, warps_l)
-        outstanding = np.minimum(
-            p.outstanding_loads_per_warp, np.maximum(1.0, loads_per_warp)
-        )
-        in_flight = bytes_per_li * outstanding
-        pipe_bytes = (
-            dev.bandwidth_per_sm_bytes_per_cycle * dev.dram_latency_cycles
-        )
-        warps_needed = pipe_bytes / np.maximum(1.0, in_flight)
-        capacity = active_warps * (1.0 + p.ilp_bonus * (ilp[live] - 1.0))
-        # clamp(x, 0, 1) is max(0, min(1, x)) — mirror the min-then-max order.
-        hide = np.maximum(0.0, np.minimum(1.0, capacity / np.maximum(1.0, warps_needed)))
-        hide = np.where(has_loads, hide, 1.0)
-
-        # ---- _plane_cost (shared sub-terms) -----------------------------
-        phases_eff = np.maximum(1, lv(phases))
-        raw_exposure = (
-            dev.dram_latency_cycles * p.latency_exposure
-        ) * (1.0 + p.phase_straggler * (phases_eff - 1))
-        sync_cycles = lv(syncs) * (
-            p.sync_base_cycles + p.sync_per_warp_cycles * warps_l
-        )
-        bw = dev.bandwidth_per_sm_bytes_per_cycle
-
-        def plane_cost(res: np.ndarray) -> tuple[np.ndarray, ...]:
-            mem_c = res * bytes_blk / bw
-            comp_c = res * compute_blk
-            block_hide = 1.0 / (1.0 + p.block_overlap * (res - 1))
-            exposed = raw_exposure * block_hide * (1.0 - 0.5 * hide)
-            overlap = hide * (1.0 - 1.0 / (2 * res - 1))
-            total = (
-                np.maximum(mem_c, comp_c)
-                + (1.0 - overlap) * np.minimum(mem_c, comp_c)
-                + exposed
-                + sync_cycles
-            )
-            return total, mem_c, comp_c, exposed, sync_cycles
-
-        # ---- time_kernel wave schedule ----------------------------------
-        stages = _cdiv(blocks_l, dev.sm_count * act_l)
-        rem = _cdiv(blocks_l - (stages - 1) * act_l * dev.sm_count, dev.sm_count)
-        rem = np.maximum(1, np.minimum(rem, act_l))
-        planes_blk = planes_l + lv(prologue)
-
-        full = plane_cost(act_l)
-        rem_c = plane_cost(rem)
-        sched = p.sched_overhead_cycles
-        stage_cycles = planes_blk * full[0] + act_l * sched
-        total_cycles = (
-            np.where(stages > 1, (stages - 1) * stage_cycles, 0.0)
-            + (planes_blk * rem_c[0] + rem * sched)
-        )
-
-        # ---- executor headline ------------------------------------------
-        time_s = total_cycles / dev.clock_hz  # derate == 1.0 on clean launches
-        mpoints = lv(total_points) / time_s / 1e6
-        gflops = mpoints * 1e6 * lv(flops) / 1e9
-
-        # ---- counters.load_efficiency: the one counter a score reads ----
-        eff_loads = load_transferred + lv(camped) * (p.partition_camping - 1.0)
-        gld_eff = np.where(
-            eff_loads != 0,
-            np.minimum(
-                1.0, lv(req_load) / np.where(eff_loads != 0, eff_loads, 1.0)
-            ),
-            1.0,
-        )
-        cols.update(
-            act=act_l, warps_blk=warps_l, active_warps=active_warps,
-            occ_frac=occ_frac, lim_idx=lv(lim_idx),
-            regs_blk_l=lv(regs_blk), smem_blk_l=lv(smem_blk),
-            spilled=spilled_l, stages=stages, rem=rem, planes_blk=planes_blk,
-            bytes_blk=bytes_blk, total_cycles=total_cycles,
-            full_cost=full, rem_cost=rem_c,
-            time_s=time_s, mpoints=mpoints, gflops=gflops, gld_eff=gld_eff,
-            l2_reuse=reuse, spill_bytes=spill_bytes,
-            # read only by the counter stage
-            planes_l=planes_l, blocks_l=blocks_l, slots_total=slots_total,
-            smem_rw=smem_rw, slot_smem=slot_smem,
-            req_store=lv(req_store), store_b=lv(store_b),
-        )
-        return cols
 
     def _counters(self, cols: dict[str, Any]) -> None:
-        """The counter stage: ``derive_counters``' arrays, added to ``cols``.
+        """The counter stage over a finished :meth:`_pipeline`'s columns.
 
-        Runs over the launchable rows of a finished :meth:`_pipeline`;
-        only :meth:`outcomes` calls it, since no :class:`ClassScore`
-        field reads a counter.
+        Only :meth:`outcomes` calls it, since no :class:`ClassScore` field
+        reads a counter.
         """
-        if not cols["live_index"]:
-            return
-        planes_l, blocks_l = cols["planes_l"], cols["blocks_l"]
-        planes_blk = cols["planes_blk"]
-        smem_base = cols["smem_rw"].astype(_F)
-        dram_bytes = cols["bytes_blk"] * planes_l * blocks_l
-        inst_issued = cols["slots_total"] * planes_blk * blocks_l
-        replay = np.where(
-            smem_base != 0,
-            (cols["slot_smem"] - smem_base)
-            / np.where(smem_base != 0, smem_base, 1.0),
-            0.0,
-        )
-        # Wave cycle shares: the scalar loop *adds* one full wave at a
-        # time — repeated fp addition, not multiplication — so replay the
-        # identical additions under a stages mask.
-        sched = self.params.sched_overhead_cycles
-        full, rem_c, rem = cols["full_cost"], cols["rem_cost"], cols["rem"]
-        t_mem = full[1] * planes_blk
-        t_comp = full[2] * planes_blk
-        t_exp = full[3] * planes_blk
-        t_sync = full[4] * planes_blk
-        t_sched = cols["act"] * sched
-        acc = [np.zeros(planes_blk.size) for _ in range(5)]
-        n_full = cols["stages"] - 1
-        for w in range(int(n_full.max(initial=0))):
-            m = n_full > w
-            for a, t in zip(acc, (t_mem, t_comp, t_exp, t_sync, t_sched)):
-                a[m] += t[m]
-        last = (
-            rem_c[1] * planes_blk, rem_c[2] * planes_blk,
-            rem_c[3] * planes_blk, rem_c[4] * planes_blk, rem * sched,
-        )
-        for a, t in zip(acc, last):
-            a += t
-        comp_total = acc[0] + acc[1] + acc[2] + acc[3] + acc[4]
-
-        store_b = cols["store_b"]
-        gst_eff = np.where(
-            store_b != 0,
-            np.minimum(
-                1.0,
-                cols["req_store"] / np.where(store_b != 0, store_b, 1.0),
-            ),
-            1.0,
-        )
-        cols.update(
-            dram_bytes=dram_bytes, inst_issued=inst_issued, replay=replay,
-            acc=acc, comp_total=comp_total, gst_eff=gst_eff,
+        cols["counters"] = counter_stage(
+            VECTOR, self.device, self.params,
+            VECTOR.rows(cols["live"], cols["c"]), cols["timing"],
         )
 
-    # ------------------------------------------------------------------
-    # per-class assembly
-    # ------------------------------------------------------------------
-    def _error_for(self, cols: dict[str, Any], i: int) -> str:
-        """The exact ResourceLimitError message the scalar path raises."""
-        dev = self.device
-        reason = int(cols["reason"][i])
-        threads = int(cols["threads"][i])
-        if reason == 1:
-            return (
-                f"{threads} threads/block exceeds device limit "
-                f"{dev.max_threads_per_block} on {dev.name}"
-            )
-        if reason == 2:
-            return "resource footprints must be non-negative"
-        if reason == 3:
-            return (
-                f"one block needs {int(cols['regs_blk'][i])} registers, SM has "
-                f"{dev.registers_per_sm} on {dev.name}"
-            )
-        if reason == 4:
-            return (
-                f"one block needs {int(cols['smem_blk'][i])}B shared memory, "
-                f"SM has {dev.smem_per_sm}B on {dev.name}"
-            )
-        return f"no block of {threads} threads fits an SM on {dev.name}"
-
-    def _light(self, cols: dict[str, Any], i: int) -> ClassScore:
-        if cols["reason"][i]:
-            return ClassScore(launch_error=self._error_for(cols, i))
-        k = cols["live_index"][i]
-        return ClassScore(
-            launch_error=None,
-            mpoints_per_s=float(cols["mpoints"][k]),
-            load_efficiency=float(cols["gld_eff"][k]),
-            occupancy=float(cols["occ_frac"][k]),
-            limiter=_LIMITERS[int(cols["lim_idx"][k])],
-        )
-
-    def _assemble(
-        self, cols: dict[str, Any], i: int, cls: BlockClass
-    ) -> ClassOutcome:
-        if cols["reason"][i]:
-            return ClassOutcome(launch_error=self._error_for(cols, i))
-        k = cols["live_index"][i]
-        occ = OccupancyResult(
-            active_blocks=int(cols["act"][k]),
-            warps_per_block=int(cols["warps_blk"][k]),
-            active_warps=int(cols["active_warps"][k]),
-            occupancy=float(cols["occ_frac"][k]),
-            limiter=_LIMITERS[int(cols["lim_idx"][k])],
-            regs_per_block=int(cols["regs_blk_l"][k]),
-            smem_per_block=int(cols["smem_blk_l"][k]),
-        )
-
-        def cost(which: str) -> PlaneCost:
-            total, mem_c, comp_c, exposed, sync = cols[which]
-            return PlaneCost(
-                cycles=float(total[k]),
-                mem_cycles=float(mem_c[k]),
-                compute_cycles=float(comp_c[k]),
-                exposed_cycles=float(exposed[k]),
-                sync_cycles=float(sync[k]),
-            )
-
-        timing = TimingResult(
-            total_cycles=float(cols["total_cycles"][k]),
-            occupancy=occ,
-            stages=int(cols["stages"][k]),
-            blocks=cls.blocks,
-            rem_blocks_per_sm=int(cols["rem"][k]),
-            plane_cost=cost("full_cost"),
-            rem_plane_cost=cost("rem_cost"),
-            planes_per_block=int(cols["planes_blk"][k]),
-            sched_overhead_cycles=self.params.sched_overhead_cycles,
-            spilled_regs=int(cols["spilled"][k]),
-            effective_bytes_per_plane=float(cols["bytes_blk"][k]),
-        )
-
-        # sweep is an int product in the scalar path; the two transaction
-        # counters inherit the class's original numeric type through it.
-        sweep = cls.planes * cls.blocks
-        acc = cols["acc"]
-        comp_total = float(cols["comp_total"][k])
-        time_s = float(cols["time_s"][k])
-        dram_bytes = float(cols["dram_bytes"][k])
-        values: dict[str, float] = {
-            "gld_transactions": cls.load_transactions * sweep,
-            "gst_transactions": cls.store_transactions * sweep,
-            "dram_bytes": dram_bytes,
-            "dram_bw_fraction": float(
-                cols["dram_bytes"][k] / cols["time_s"][k]
-                / (self.device.measured_bandwidth_gbs * 1e9)
-            ),
-            "gld_efficiency": float(cols["gld_eff"][k]),
-            "gst_efficiency": float(cols["gst_eff"][k]),
-            "l2_halo_hit_bytes": float(
-                cls.halo_transferred_bytes * cols["l2_reuse"]
-                * cls.planes * cls.blocks
-            ),
-            "local_spill_bytes": float(
-                cols["spill_bytes"][k] * cls.planes * cls.blocks
-            ),
-            "shared_replay_rate": float(cols["replay"][k]),
-            "inst_issued": float(cols["inst_issued"][k]),
-            "ipc": float(
-                cols["inst_issued"][k]
-                / (cols["total_cycles"][k] * self.device.sm_count)
-            ),
-            "stall_mem_frac": float(acc[0][k]) / comp_total,
-            "stall_compute_frac": float(acc[1][k]) / comp_total,
-            "stall_latency_frac": float(acc[2][k]) / comp_total,
-            "stall_sync_frac": float(acc[3][k]) / comp_total,
-            "stall_sched_frac": float(acc[4][k]) / comp_total,
-            "achieved_occupancy": occ.occupancy,
-        }
-        counters = CounterSet(values=values, occupancy_limiter=occ.limiter)
-        return ClassOutcome(
-            launch_error=None,
-            timing=timing,
-            counters=counters,
-            time_s=time_s,
-            mpoints_per_s=float(cols["mpoints"][k]),
-            gflops=float(cols["gflops"][k]),
-            load_efficiency=float(cols["gld_eff"][k]),
-            bandwidth_gbs=dram_bytes / time_s / 1e9,
+    def _error(self, cols: dict[str, Any], i: int, reason: int) -> str:
+        """The launch-failure message of row ``i``."""
+        occ = cols["occ"]
+        return launch_error(
+            self.device, reason, int(cols["c"].threads_per_block[i]),
+            int(occ.regs_per_block[i]), int(occ.smem_per_block[i]),
         )
 
 
@@ -702,7 +300,7 @@ def _score_of(full: ClassOutcome) -> ClassScore:
     return ClassScore(
         launch_error=None,
         mpoints_per_s=full.mpoints_per_s,
-        load_efficiency=full.load_efficiency,
+        load_efficiency=full.timing.load_efficiency,
         occupancy=full.timing.occupancy.occupancy,
         limiter=full.timing.occupancy.limiter,
     )
@@ -744,38 +342,10 @@ def batch_reports(
         if full.launch_error is not None:
             slots[i] = ResourceLimitError(full.launch_error)
             continue
-        timing = full.timing
-        assert timing is not None and full.counters is not None
-        slots[i] = (
-            SimReport(
-                device_name=dev.name,
-                kernel_name=plan.name,
-                total_cycles=timing.total_cycles,
-                time_s=full.time_s,
-                mpoints_per_s=full.mpoints_per_s,
-                gflops=full.gflops,
-                load_efficiency=full.counters["gld_efficiency"],
-                bandwidth_gbs=full.bandwidth_gbs,
-                occupancy=timing.occupancy,
-                stages=timing.stages,
-                active_blocks=timing.occupancy.active_blocks,
-                blocks=timing.blocks,
-                breakdown={
-                    "mem_cycles_per_plane": timing.plane_cost.mem_cycles,
-                    "compute_cycles_per_plane": timing.plane_cost.compute_cycles,
-                    "exposed_cycles_per_plane": timing.plane_cost.exposed_cycles,
-                    "sync_cycles_per_plane": timing.plane_cost.sync_cycles,
-                    "spilled_regs": float(timing.spilled_regs),
-                    "bytes_per_block_plane": timing.effective_bytes_per_plane,
-                },
-                counters=full.counters,
-                meta={
-                    "grid_shape": gs,
-                    "block": plan.block_label(),
-                    "dtype": plan.dtype_name,
-                    "variant": plan.variant,
-                },
-            )
+        assert full.timing is not None and full.counters is not None
+        slots[i] = launch_report(
+            dev, plan, gs, full.timing, full.counters,
+            (full.time_s, full.mpoints_per_s, full.gflops),
         )
     # Every index was filled: either workload compilation stored its
     # exception, or the class went through the engine above.
@@ -841,7 +411,6 @@ def check_identity(baseline: str) -> tuple[bool, str]:
     import hashlib
     import json
 
-    from repro.gpusim.executor import simulate
     from repro.obs.regress import plan_for_record
     from repro.obs.telemetry import load_profile
 

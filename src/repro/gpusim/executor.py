@@ -23,14 +23,15 @@ from repro.gpusim.faults import (
     observe_fault,
 )
 from repro.gpusim.report import SimReport
-from repro.gpusim.timing import TimingParams, params_for, time_kernel
-from repro.metrics.efficiency import mpoints_to_gflops
+from repro.gpusim.timing import TimingParams, params_for, sweep_rates, time_kernel
 from repro.obs.counters import derive_counters
 from repro.obs.tracer import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.gpusim.timing import TimingResult
     from repro.gpusim.workload import BlockWorkload
     from repro.kernels.base import KernelPlan
+    from repro.obs.counters import CounterSet
 
 
 class DeviceExecutor:
@@ -142,47 +143,15 @@ class DeviceExecutor:
         # A throttled launch completes, but the derated clock stretches its
         # wall time: every time-derived headline degrades by the factor
         # while the cycle counts (clock-independent) stay pristine.
-        time_s = timing.total_cycles / self.device.clock_hz * derate
-        # Credit what one pass actually produces: grid.total_points covers
-        # kernels whose single sweep yields multiple logical time steps
-        # (temporal blocking).
-        mpoints = grid.total_points / time_s / 1e6
-        gflops = mpoints_to_gflops(mpoints, block.flops_per_point)
+        time_s, mpoints, gflops = sweep_rates(
+            self.device, timing.total_cycles, grid.total_points,
+            block.flops_per_point, derate,
+        )
         tp = self.params or params_for(self.device)
         counters = derive_counters(timing, block, grid, self.device, tp)
-        bandwidth_gbs = counters["dram_bytes"] / time_s / 1e9
-
-        report = SimReport(
-            device_name=self.device.name,
-            kernel_name=plan.name,
-            total_cycles=timing.total_cycles,
-            time_s=time_s,
-            mpoints_per_s=mpoints,
-            gflops=gflops,
-            # Fig 9 metric — single-sourced from the counter derivation so
-            # the headline and the gld_efficiency counter cannot disagree.
-            load_efficiency=counters["gld_efficiency"],
-            bandwidth_gbs=bandwidth_gbs,
-            occupancy=timing.occupancy,
-            stages=timing.stages,
-            active_blocks=timing.occupancy.active_blocks,
-            blocks=timing.blocks,
-            breakdown={
-                "mem_cycles_per_plane": timing.plane_cost.mem_cycles,
-                "compute_cycles_per_plane": timing.plane_cost.compute_cycles,
-                "exposed_cycles_per_plane": timing.plane_cost.exposed_cycles,
-                "sync_cycles_per_plane": timing.plane_cost.sync_cycles,
-                "spilled_regs": float(timing.spilled_regs),
-                "bytes_per_block_plane": timing.effective_bytes_per_plane,
-            },
-            counters=counters,
-            meta={
-                "grid_shape": grid_shape,
-                "block": plan.block_label(),
-                "dtype": plan.dtype_name,
-                "variant": plan.variant,
-                **({"faults": faults_meta} if faults_meta else {}),
-            },
+        report = launch_report(
+            self.device, plan, grid_shape, timing, counters,
+            (time_s, mpoints, gflops), faults_meta,
         )
         if tracer is not None:
             from repro.obs.simtrace import emit_kernel_spans
@@ -191,6 +160,57 @@ class DeviceExecutor:
                 tracer, report, timing, block, grid, self.device, tp
             )
         return report
+
+
+def launch_report(
+    device: DeviceSpec,
+    plan: "KernelPlan",
+    grid_shape: tuple[int, int, int],
+    timing: "TimingResult",
+    counters: "CounterSet",
+    rates: tuple[float, float, float],
+    faults: list[dict] | None = None,
+) -> SimReport:
+    """The :class:`SimReport` of one priced launch.
+
+    ``rates`` is ``(time_s, MPoint/s, GFlop/s)`` from
+    :func:`~repro.gpusim.timing.sweep_rates`; ``faults`` lists the injected
+    faults the launch survived.  The executor and
+    :func:`repro.gpusim.batch.batch_reports` both assemble reports here.
+    """
+    time_s, mpoints, gflops = rates
+    return SimReport(
+        device_name=device.name,
+        kernel_name=plan.name,
+        total_cycles=timing.total_cycles,
+        time_s=time_s,
+        mpoints_per_s=mpoints,
+        gflops=gflops,
+        # Fig 9 metric — single-sourced from the counter derivation so
+        # the headline and the gld_efficiency counter cannot disagree.
+        load_efficiency=counters["gld_efficiency"],
+        bandwidth_gbs=counters["dram_bytes"] / time_s / 1e9,
+        occupancy=timing.occupancy,
+        stages=timing.stages,
+        active_blocks=timing.occupancy.active_blocks,
+        blocks=timing.blocks,
+        breakdown={
+            "mem_cycles_per_plane": timing.plane_cost.mem_cycles,
+            "compute_cycles_per_plane": timing.plane_cost.compute_cycles,
+            "exposed_cycles_per_plane": timing.plane_cost.exposed_cycles,
+            "sync_cycles_per_plane": timing.plane_cost.sync_cycles,
+            "spilled_regs": float(timing.spilled_regs),
+            "bytes_per_block_plane": timing.effective_bytes_per_plane,
+        },
+        counters=counters,
+        meta={
+            "grid_shape": grid_shape,
+            "block": plan.block_label(),
+            "dtype": plan.dtype_name,
+            "variant": plan.variant,
+            **({"faults": faults} if faults else {}),
+        },
+    )
 
 
 def simulate(

@@ -11,8 +11,11 @@ two counters derivable from this model:
   size x vector width);
 * ``transferred_bytes`` — transaction count x line size.
 
-Their ratio is exactly the "global memory load efficiency" metric of the
-paper's Fig 9 (the CUDA profiler's ``gld_efficiency``).
+Their ratio underlies the "global memory load efficiency" metric of the
+paper's Fig 9 (the CUDA profiler's ``gld_efficiency``), which the timing
+model computes (:func:`repro.gpusim.timing.time_stage`): requested load
+bytes over transferred load bytes plus the partition-camping surcharge,
+capped at 1.0.
 
 Kernels describe their per-plane traffic through the region builders of
 :mod:`repro.kernels.loads` (row regions, column strips, corner patches),
@@ -156,13 +159,6 @@ class MemoryStats:
     def total_transferred_bytes(self) -> int:
         """All bytes moved in both directions."""
         return self.load_transferred_bytes + self.store_transferred_bytes
-
-    @property
-    def load_efficiency(self) -> float:
-        """Requested / transferred for loads — the paper's Fig 9 metric."""
-        if self.load_transferred_bytes == 0:
-            return 1.0
-        return self.requested_load_bytes / self.load_transferred_bytes
 
     def merge(self, other: "MemoryStats") -> None:
         """Accumulate ``other`` (same line size) into this object."""

@@ -16,11 +16,11 @@ hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
-from repro.errors import ResourceLimitError
 from repro.gpusim.arch import WARP_SIZE
 from repro.gpusim.device import DeviceSpec
-from repro.utils.maths import ceil_div, round_up
+from repro.gpusim.ops import SCALAR, Ops, cdiv
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,98 @@ class OccupancyResult:
     smem_per_block: int
 
 
+#: Limiter names in the order the occupancy race lists them; a tie goes
+#: to the earlier name.
+LIMITERS = ("registers", "smem", "warps", "blocks")
+
+
+def occupancy_stage(
+    ops: Ops, device: DeviceSpec, threads: Any, regs: Any, smem: Any
+) -> tuple[Any, OccupancyResult]:
+    """Eqn (7) with allocation granularities: ``(reason, occupancy)``.
+
+    ``reason`` is 0 for a launchable block, else the index (1-6) of the
+    first failed launch check — see :func:`launch_error`.  Written once
+    over ``ops`` (:mod:`repro.gpusim.ops`): the result holds Python numbers
+    under the scalar table and columns under the vector one.  Every
+    divisor is guarded, so rows that fail a check evaluate without error.
+    """
+    rules = device.rules
+    warps = cdiv(threads, WARP_SIZE)
+    # Register allocation is per warp, rounded to the allocation chunk.
+    granule = rules.register_alloc_granularity
+    regs_blk = cdiv(regs * WARP_SIZE, granule) * granule * warps
+    smem_granule = rules.smem_alloc_granularity
+    smem_blk = ops.where(smem != 0, cdiv(smem, smem_granule) * smem_granule, 0)
+
+    # A resource the block does not use cannot limit it: it sits one
+    # above the always-present block cap, so it never wins the race.
+    absent = device.max_blocks_per_sm + 1
+    limiter, active = ops.first_min(LIMITERS, (
+        ops.where(
+            regs_blk != 0,
+            device.registers_per_sm // ops.where(regs_blk != 0, regs_blk, 1),
+            absent,
+        ),
+        ops.where(
+            smem_blk != 0,
+            device.smem_per_sm // ops.where(smem_blk != 0, smem_blk, 1),
+            absent,
+        ),
+        device.max_warps_per_sm // ops.where(warps != 0, warps, 1),
+        device.max_blocks_per_sm,
+    ))
+    reason = ops.select(
+        (
+            threads <= 0,
+            threads > device.max_threads_per_block,
+            (regs < 0) | (smem < 0),
+            regs_blk > device.registers_per_sm,
+            smem_blk > device.smem_per_sm,
+            active < 1,
+        ),
+        (1, 2, 3, 4, 5, 6),
+        0,
+    )
+    active_warps = active * warps
+    return reason, OccupancyResult(
+        active_blocks=active,
+        warps_per_block=warps,
+        active_warps=active_warps,
+        occupancy=active_warps / device.max_warps_per_sm,
+        limiter=limiter,
+        regs_per_block=regs_blk,
+        smem_per_block=smem_blk,
+    )
+
+
+def launch_error(
+    device: DeviceSpec, reason: int, threads: int, regs_per_block: int,
+    smem_per_block: int,
+) -> str:
+    """The :class:`ResourceLimitError` message for a failed launch check."""
+    if reason == 1:
+        return "threads_per_block must be positive"
+    if reason == 2:
+        return (
+            f"{threads} threads/block exceeds device limit "
+            f"{device.max_threads_per_block} on {device.name}"
+        )
+    if reason == 3:
+        return "resource footprints must be non-negative"
+    if reason == 4:
+        return (
+            f"one block needs {regs_per_block} registers, SM has "
+            f"{device.registers_per_sm} on {device.name}"
+        )
+    if reason == 5:
+        return (
+            f"one block needs {smem_per_block}B shared memory, SM has "
+            f"{device.smem_per_sm}B on {device.name}"
+        )
+    return f"no block of {threads} threads fits an SM on {device.name}"
+
+
 def compute_occupancy(
     device: DeviceSpec,
     threads_per_block: int,
@@ -66,67 +158,11 @@ def compute_occupancy(
         threads per block than the device allows, a single block exceeding
         the register file, or a shared-memory buffer over the SM limit.
     """
-    if threads_per_block <= 0:
-        raise ResourceLimitError("threads_per_block must be positive")
-    if threads_per_block > device.max_threads_per_block:
-        raise ResourceLimitError(
-            f"{threads_per_block} threads/block exceeds device limit "
-            f"{device.max_threads_per_block} on {device.name}"
-        )
-    if regs_per_thread < 0 or smem_bytes_per_block < 0:
-        raise ResourceLimitError("resource footprints must be non-negative")
-
-    rules = device.rules
-    warps_per_block = ceil_div(threads_per_block, WARP_SIZE)
-
-    # Register allocation is per warp, rounded to the allocation chunk.
-    regs_per_warp = round_up(
-        regs_per_thread * WARP_SIZE, rules.register_alloc_granularity
+    reason, occ = occupancy_stage(
+        SCALAR, device, threads_per_block, regs_per_thread, smem_bytes_per_block
     )
-    regs_per_block = regs_per_warp * warps_per_block
-
-    smem_per_block = (
-        round_up(smem_bytes_per_block, rules.smem_alloc_granularity)
-        if smem_bytes_per_block
-        else 0
-    )
-
-    if regs_per_block > device.registers_per_sm:
-        raise ResourceLimitError(
-            f"one block needs {regs_per_block} registers, SM has "
-            f"{device.registers_per_sm} on {device.name}"
-        )
-    if smem_per_block > device.smem_per_sm:
-        raise ResourceLimitError(
-            f"one block needs {smem_per_block}B shared memory, SM has "
-            f"{device.smem_per_sm}B on {device.name}"
-        )
-
-    # A resource the block does not use cannot limit it, so it takes no
-    # part in the race; the block cap is always there.
-    limits: dict[str, int] = {}
-    if regs_per_block:
-        limits["registers"] = device.registers_per_sm // regs_per_block
-    if smem_per_block:
-        limits["smem"] = device.smem_per_sm // smem_per_block
-    limits["warps"] = device.max_warps_per_sm // warps_per_block
-    limits["blocks"] = device.max_blocks_per_sm
-    limiter, active_blocks = min(limits.items(), key=lambda kv: kv[1])
-    if active_blocks < 1:
-        # Thread limit per SM can bind when warps_per_block > max_warps_per_sm,
-        # but that implies threads_per_block > max_threads_per_block, already
-        # rejected above; reaching here means warps limit rounded to zero.
-        raise ResourceLimitError(
-            f"no block of {threads_per_block} threads fits an SM on {device.name}"
-        )
-
-    active_warps = active_blocks * warps_per_block
-    return OccupancyResult(
-        active_blocks=active_blocks,
-        warps_per_block=warps_per_block,
-        active_warps=active_warps,
-        occupancy=active_warps / device.max_warps_per_sm,
-        limiter=limiter,
-        regs_per_block=regs_per_block,
-        smem_per_block=smem_per_block,
-    )
+    SCALAR.launchable(reason, lambda: launch_error(
+        device, reason, threads_per_block, occ.regs_per_block,
+        occ.smem_per_block,
+    ))
+    return occ

@@ -77,10 +77,6 @@ class SmemAccessProfile:
     write_instructions: int
     conflict_factor: float = 1.0
 
-    def issue_cost(self) -> float:
-        """Effective instruction slots consumed, conflicts included."""
-        return (self.read_instructions + self.write_instructions) * self.conflict_factor
-
 
 def dp_conflict_factor(elem_bytes: int, rules: ArchRules) -> float:
     """Serialization multiplier for the element size on this architecture.

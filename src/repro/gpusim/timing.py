@@ -29,18 +29,25 @@ All constants live in :class:`TimingParams` with per-generation overrides,
 and were calibrated once against the paper's published absolute numbers
 (see ``benchmarks/``) — the *mechanisms*, not the calibration, produce the
 relative behaviour under study.
+
+The model is written once, as :func:`time_stage` over an op table
+(:mod:`repro.gpusim.ops`).  :func:`time_kernel` evaluates one
+configuration on Python numbers; :class:`repro.gpusim.batch.BatchEngine`
+evaluates whole candidate sets as NumPy columns through the same
+function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from repro.gpusim.arch import WARP_SIZE, Generation
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.occupancy import OccupancyResult, compute_occupancy
+from repro.gpusim.occupancy import OccupancyResult, launch_error, occupancy_stage
+from repro.gpusim.ops import SCALAR, Ops, cdiv
 from repro.gpusim.smem import dp_conflict_factor
 from repro.gpusim.workload import BlockWorkload, GridWorkload
-from repro.utils.maths import ceil_div, clamp
 
 
 @dataclass(frozen=True)
@@ -151,83 +158,6 @@ class PlaneCost:
 
 
 @dataclass(frozen=True)
-class IssueSlots:
-    """Warp-instruction issue slots one block consumes per plane.
-
-    This is the compute stream's instruction mix, exported so the profiler's
-    counter derivations (:mod:`repro.obs.counters`) consume the *same*
-    quantities the cycle model prices — the totals can never drift apart.
-
-    ``smem`` includes bank-conflict replays (both the tile profile's residual
-    conflicts and the architectural DP factor), so ``smem - smem_base`` is
-    the replay-slot count.
-    """
-
-    global_load: float
-    global_store: float
-    smem: float
-    smem_base: float
-    arithmetic: float
-    spill: float
-    extra: float
-    loop_overhead: float
-
-    @property
-    def bookkeeping(self) -> float:
-        """Loop control and declared per-plane extras."""
-        return self.extra + self.loop_overhead
-
-    @property
-    def total(self) -> float:
-        """Slots per block per plane, summed exactly as the model sums them.
-
-        The addition order matches the historical inline expression in
-        :func:`_compute_cycles_per_block_plane` term for term, so refactoring
-        the breakdown out changed no simulated cycle count.
-        """
-        return (
-            self.global_load
-            + self.global_store
-            + self.smem
-            + self.arithmetic
-            + self.spill
-            + self.extra
-            + self.loop_overhead
-        )
-
-
-def issue_slots(
-    workload: BlockWorkload,
-    device: DeviceSpec,
-    params: TimingParams | None = None,
-    spilled_regs: int = 0,
-) -> IssueSlots:
-    """Instruction-issue breakdown of one block-plane (see :class:`IssueSlots`)."""
-    params = params or params_for(device)
-    conflict = dp_conflict_factor(workload.elem_bytes, device.rules)
-    smem_base = float(
-        workload.smem_profile.read_instructions
-        + workload.smem_profile.write_instructions
-    )
-    arith_instr = workload.points_per_plane * workload.arith_instructions
-    return IssueSlots(
-        global_load=workload.memory.load_instructions
-        * (1.0 + params.load_addressing_instructions),
-        global_store=float(workload.memory.store_instructions),
-        smem=workload.smem_profile.issue_cost() * conflict,
-        smem_base=smem_base,
-        arithmetic=arith_instr / WARP_SIZE,
-        spill=(
-            spilled_regs * workload.threads_per_block / WARP_SIZE * 2
-            if spilled_regs
-            else 0
-        ),
-        extra=float(workload.extra_instructions),
-        loop_overhead=float(params.loop_overhead_instructions),
-    )
-
-
-@dataclass(frozen=True)
 class TimingResult:
     """Full-sweep timing with its per-SM breakdown.
 
@@ -235,7 +165,14 @@ class TimingResult:
     ``rem_plane_cost`` prices the remainder wave.  Together with
     ``planes_per_block`` and ``sched_overhead_cycles`` they let the
     profiler (:mod:`repro.obs.simtrace`) reconstruct the exact per-wave
-    timeline the total was accumulated from.
+    timeline the total was accumulated from.  The per-block-plane
+    quantities after ``effective_bytes_per_plane`` are what the counter
+    stage (:func:`repro.obs.counters.counter_stage`) reads besides the
+    waves: ``issue_slots_per_plane`` is the compute stream's whole
+    instruction mix, of which ``smem_slots_per_plane`` are shared-memory
+    slots (bank-conflict replays included) for
+    ``smem_instructions_per_plane`` instructions; ``load_efficiency`` is
+    the Fig 9 metric.
     """
 
     total_cycles: float
@@ -249,6 +186,11 @@ class TimingResult:
     sched_overhead_cycles: float
     spilled_regs: int
     effective_bytes_per_plane: float
+    spill_bytes_per_plane: float
+    issue_slots_per_plane: float
+    smem_instructions_per_plane: float
+    smem_slots_per_plane: float
+    load_efficiency: float
 
 
 @dataclass(frozen=True)
@@ -264,12 +206,11 @@ class Wave:
 def wave_geometry(timing: "TimingResult") -> list[Wave]:
     """Per-wave begin/duration/residency of one sweep.
 
-    Mirrors :func:`time_kernel`'s accumulation exactly: ``stages - 1`` full
+    Mirrors :func:`time_stage`'s accumulation exactly: ``stages - 1`` full
     waves followed by the remainder wave, whose duration is the residual of
-    the total so the per-wave sum cannot drift from ``total_cycles``.  This
-    is the one decomposition shared by the profiler's timeline
-    reconstruction (:mod:`repro.obs.simtrace`) and the hardware-counter
-    derivations (:mod:`repro.obs.counters`).
+    the total so the per-wave sum cannot drift from ``total_cycles``.  The
+    profiler's timeline reconstruction (:mod:`repro.obs.simtrace`) walks
+    these waves; the counter stage sums the same waves' cycle shares.
     """
     planes = timing.planes_per_block
     full_stage = (
@@ -289,140 +230,278 @@ def wave_geometry(timing: "TimingResult") -> list[Wave]:
     return waves
 
 
-def _effective_plane_bytes(
-    workload: BlockWorkload, device: DeviceSpec, params: TimingParams, spilled_regs: int
-) -> tuple[float, float]:
-    """Bytes one block moves per plane after L2 reuse, plus spill traffic."""
-    mem = workload.memory
-    reuse = params.l2_halo_reuse if device.l2_bytes > 0 else 0.0
-    halo_bytes = mem.halo_transferred_bytes * (1.0 - reuse)
-    spill_bytes = (
-        spilled_regs * workload.threads_per_block * params.spill_bytes_per_reg
+class BlockClass(NamedTuple):
+    """Numeric fingerprint of a (block workload, grid workload) pair.
+
+    Exactly the quantities the timing model and the counter derivations
+    read — two configurations with equal fingerprints are
+    indistinguishable to the simulator, which is what makes the batch
+    engine's per-class memoization exact rather than approximate.  The
+    stages read their inputs from it by field name: one instance holds one
+    configuration's Python numbers, and :class:`repro.gpusim.batch.BatchEngine`
+    builds one whose fields are columns.  ``load_transactions`` /
+    ``store_transactions`` keep their original numeric type (int for
+    enumerated traffic, float for phase-averaged raw counts) because the
+    counter set preserves that type in ``gld_transactions`` /
+    ``gst_transactions``.  A tuple, so building and hashing one (the
+    engine's memo key) run in C.
+    """
+
+    threads_per_block: int
+    regs_per_thread: int
+    smem_bytes: int
+    elem_bytes: int
+    points_per_plane: int
+    flops_per_point: float
+    arith_instructions: float
+    extra_instructions: int
+    ilp: float
+    prologue_planes: int
+    syncs_per_plane: int
+    # -- global-memory traffic (per block-plane) --
+    load_instructions: float
+    store_instructions: float
+    load_transactions: int | float
+    store_transactions: int | float
+    requested_load_bytes: float
+    requested_store_bytes: float
+    interior_transferred_bytes: float
+    halo_transferred_bytes: float
+    store_transferred_bytes: float
+    spill_transferred_bytes: float
+    load_phases: int
+    camped_bytes: float
+    # -- shared-memory profile --
+    smem_read_instructions: int
+    smem_write_instructions: int
+    smem_conflict_factor: float
+    # -- grid --
+    blocks: int
+    planes: int
+    total_points: int
+
+    @classmethod
+    def of(cls, workload: BlockWorkload, grid: GridWorkload) -> "BlockClass":
+        mem = workload.memory
+        prof = workload.smem_profile
+        return cls(
+            threads_per_block=workload.threads_per_block,
+            regs_per_thread=workload.regs_per_thread,
+            smem_bytes=workload.smem_bytes,
+            elem_bytes=workload.elem_bytes,
+            points_per_plane=workload.points_per_plane,
+            flops_per_point=workload.flops_per_point,
+            arith_instructions=workload.arith_instructions,
+            extra_instructions=workload.extra_instructions,
+            ilp=workload.ilp,
+            prologue_planes=workload.prologue_planes,
+            syncs_per_plane=workload.syncs_per_plane,
+            load_instructions=mem.load_instructions,
+            store_instructions=mem.store_instructions,
+            load_transactions=mem.load_transactions,
+            store_transactions=mem.store_transactions,
+            requested_load_bytes=mem.requested_load_bytes,
+            requested_store_bytes=mem.requested_store_bytes,
+            interior_transferred_bytes=mem.interior_transferred_bytes,
+            halo_transferred_bytes=mem.halo_transferred_bytes,
+            store_transferred_bytes=mem.store_transferred_bytes,
+            spill_transferred_bytes=mem.spill_transferred_bytes,
+            load_phases=mem.load_phases,
+            camped_bytes=mem.camped_bytes,
+            smem_read_instructions=prof.read_instructions,
+            smem_write_instructions=prof.write_instructions,
+            smem_conflict_factor=prof.conflict_factor,
+            blocks=grid.blocks,
+            planes=grid.planes,
+            total_points=grid.total_points,
+        )
+
+
+def time_stage(
+    ops: Ops, device: DeviceSpec, params: TimingParams, c: BlockClass
+) -> tuple[Any, OccupancyResult, TimingResult]:
+    """The headline stage: ``(reason, occupancy, timing)`` of a sweep.
+
+    Spill cap, occupancy and the launch check (``reason`` and
+    ``occupancy`` cover every input row), then — over the launchable rows
+    only — the plane costs, the wave schedule and the load efficiency.
+    Written once over ``ops`` (see :mod:`repro.gpusim.ops`): under the
+    scalar table ``c`` is one configuration and an unlaunchable one raises
+    :class:`~repro.errors.ResourceLimitError`; under the vector table the
+    fields of ``c`` and of the returned records are columns.
+    """
+    dev, p = device, params
+    rules = dev.rules
+    # Registers above the per-thread cap spill: the block runs, with
+    # extra local-memory traffic per plane.
+    cap = rules.max_regs_per_thread
+    spilled = ops.maximum(0, c.regs_per_thread - cap)
+    reason, occ_all = occupancy_stage(
+        ops, dev, c.threads_per_block, ops.minimum(c.regs_per_thread, cap),
+        c.smem_bytes,
     )
-    # Partition camping: column-walking lines serialize on one DRAM
-    # partition; their service cost is multiplied.  (L2 reuse is already
-    # reflected in halo_bytes; camped traffic is halo traffic, so the
-    # surcharge applies to the post-reuse fraction.)
-    camping_surcharge = (
-        mem.camped_bytes * (1.0 - reuse) * (params.partition_camping - 1.0)
-    )
-    total = (
-        mem.interior_transferred_bytes
-        + halo_bytes
-        + mem.spill_transferred_bytes
-        + mem.store_transferred_bytes
+    live = ops.launchable(reason, lambda: launch_error(
+        dev, reason, c.threads_per_block, occ_all.regs_per_block,
+        occ_all.smem_per_block,
+    ))
+    c, occ, spilled = (ops.rows(live, x) for x in (c, occ_all, spilled))
+    threads, warps = c.threads_per_block, occ.warps_per_block
+
+    # Bytes one block moves per plane: L2 serves a share of the halo, and
+    # partition camping — column-walking lines serialized on one DRAM
+    # partition — multiplies the service cost of the (post-reuse) camped
+    # halo traffic.
+    reuse = p.l2_halo_reuse if dev.l2_bytes > 0 else 0.0
+    spill_bytes = spilled * threads * p.spill_bytes_per_reg
+    bytes_blk = (
+        c.interior_transferred_bytes
+        + c.halo_transferred_bytes * (1.0 - reuse)
+        + c.spill_transferred_bytes
+        + c.store_transferred_bytes
         + spill_bytes
-        + camping_surcharge
-    )
-    return total, spill_bytes
-
-
-def _compute_cycles_per_block_plane(
-    workload: BlockWorkload,
-    device: DeviceSpec,
-    params: TimingParams,
-    spilled_regs: int,
-) -> float:
-    """Compute-stream cycles one block consumes per plane if alone on the SM.
-
-    Arithmetic is priced in *instructions* through the SP/DP lanes: the SM
-    retires ``cores_per_sm`` SP lane-instructions per cycle (``* dp_ratio``
-    for doubles), so an FMA and an ADD cost the same slot — which is why
-    the in-plane method's higher flop count (Table II) costs almost nothing
-    while its memory behaviour dominates.
-    """
-    arith_instr = workload.points_per_plane * workload.arith_instructions
-    dtype_ratio = 1.0 if workload.elem_bytes == 4 else device.dp_ratio
-    lanes_per_cycle = device.cores_per_sm * dtype_ratio
-    arith_cycles = arith_instr / (lanes_per_cycle * params.arith_efficiency)
-
-    slots = issue_slots(workload, device, params, spilled_regs)
-    issue_cycles = slots.total / device.rules.issue_width
-    return max(arith_cycles, issue_cycles)
-
-
-def _latency_hiding(
-    workload: BlockWorkload,
-    device: DeviceSpec,
-    params: TimingParams,
-    occ: OccupancyResult,
-) -> float:
-    """Fraction of DRAM latency hidden, in [0, 1].
-
-    Combines Little's-law memory-level parallelism (bytes each warp keeps in
-    flight vs. the bytes the DRAM pipe needs in flight) with thread-level
-    parallelism (resident warps) and per-thread ILP from register tiling.
-    """
-    mem = workload.memory
-    if mem.load_instructions == 0:
-        return 1.0
-    bytes_per_load_instr = mem.load_transferred_bytes / mem.load_instructions
-    loads_per_warp = mem.load_instructions / max(1, occ.warps_per_block)
-    outstanding = min(params.outstanding_loads_per_warp, max(1.0, loads_per_warp))
-    in_flight_per_warp = bytes_per_load_instr * outstanding
-
-    pipe_bytes = (
-        device.bandwidth_per_sm_bytes_per_cycle * device.dram_latency_cycles
-    )
-    warps_needed = pipe_bytes / max(1.0, in_flight_per_warp)
-    capacity = occ.active_warps * (1.0 + params.ilp_bonus * (workload.ilp - 1.0))
-    return clamp(capacity / max(1.0, warps_needed), 0.0, 1.0)
-
-
-def _plane_cost(
-    workload: BlockWorkload,
-    device: DeviceSpec,
-    params: TimingParams,
-    occ: OccupancyResult,
-    active_blocks: int,
-    spilled_regs: int,
-) -> PlaneCost:
-    """Per-SM cycles to advance ``active_blocks`` resident blocks one plane."""
-    bytes_per_block, _ = _effective_plane_bytes(workload, device, params, spilled_regs)
-    mem_cycles = (
-        active_blocks * bytes_per_block / device.bandwidth_per_sm_bytes_per_cycle
-    )
-    compute_cycles = active_blocks * _compute_cycles_per_block_plane(
-        workload, device, params, spilled_regs
+        + c.camped_bytes * (1.0 - reuse) * (p.partition_camping - 1.0)
     )
 
-    hide = _latency_hiding(workload, device, params, occ)
-    phases = max(1, workload.memory.load_phases)
+    # Issue slots one block spends per plane.  Shared-memory slots carry
+    # the tile profile's bank-conflict factor and the architectural DP
+    # factor; vector loads divide the address arithmetic per load.
+    conflict = ops.where(c.elem_bytes == 4, 1.0, dp_conflict_factor(8, rules))
+    smem_instr = c.smem_read_instructions + c.smem_write_instructions
+    smem_slots = smem_instr * c.smem_conflict_factor * conflict
+    arith_instr = c.points_per_plane * c.arith_instructions
+    slots = (
+        c.load_instructions * (1.0 + p.load_addressing_instructions)
+        + c.store_instructions
+        + smem_slots
+        + arith_instr / WARP_SIZE
+        + ops.where(spilled != 0, spilled * threads / WARP_SIZE * 2, 0.0)
+        + c.extra_instructions
+        + p.loop_overhead_instructions
+    )
+
+    # Compute-stream cycles per block-plane.  Arithmetic is priced in
+    # instructions through the SP/DP lanes, so an FMA and an ADD cost the
+    # same slot — why the in-plane method's higher flop count (Table II)
+    # costs almost nothing while its memory behaviour dominates.
+    dtype_ratio = ops.where(c.elem_bytes == 4, 1.0, dev.dp_ratio)
+    compute_blk = ops.maximum(
+        arith_instr / (dev.cores_per_sm * dtype_ratio * p.arith_efficiency),
+        slots / rules.issue_width,
+    )
+
+    # Fraction of DRAM latency hidden: Little's-law memory-level
+    # parallelism (bytes each warp keeps in flight vs. the bytes the DRAM
+    # pipe needs in flight), resident warps and per-thread ILP.  A block
+    # that loads nothing hides everything.
+    li = c.load_instructions
+    has_loads = li != 0
+    load_bytes = (
+        c.interior_transferred_bytes + c.halo_transferred_bytes
+        + c.spill_transferred_bytes
+    )
+    outstanding = ops.minimum(
+        p.outstanding_loads_per_warp,
+        ops.maximum(1.0, li / ops.maximum(1, warps)),
+    )
+    in_flight = load_bytes / ops.where(has_loads, li, 1.0) * outstanding
+    bw = dev.bandwidth_per_sm_bytes_per_cycle
+    warps_needed = bw * dev.dram_latency_cycles / ops.maximum(1.0, in_flight)
+    capacity = occ.active_warps * (1.0 + p.ilp_bonus * (c.ilp - 1.0))
+    hide = ops.where(
+        has_loads,
+        ops.maximum(0.0, ops.minimum(1.0, capacity / ops.maximum(1.0, warps_needed))),
+        1.0,
+    )
+
     raw_exposure = (
-        device.dram_latency_cycles
-        * params.latency_exposure
-        * (1.0 + params.phase_straggler * (phases - 1))
+        dev.dram_latency_cycles
+        * p.latency_exposure
+        * (1.0 + p.phase_straggler * (ops.maximum(1, c.load_phases) - 1))
     )
-    # Other resident blocks fill the SM while this block sits at its
-    # barrier; coverage improves harmonically with resident blocks (they
-    # contend for the same memory pipe, so each extra block covers less
-    # than the previous one), and resident-warp MLP covers part of the rest.
-    block_hide = 1.0 / (1.0 + params.block_overlap * (active_blocks - 1))
-    exposed = raw_exposure * block_hide * (1.0 - 0.5 * hide)
-
-    sync_cycles = workload.syncs_per_plane * (
-        params.sync_base_cycles + params.sync_per_warp_cycles * occ.warps_per_block
+    sync = c.syncs_per_plane * (
+        p.sync_base_cycles + p.sync_per_warp_cycles * warps
     )
 
-    # Memory/compute overlap: a block's own barriers serialize its load and
-    # compute phases, so overlap only comes from *other* resident blocks
-    # being in the opposite phase (and from MLP keeping the pipe busy).
-    # With one resident block the two streams strictly serialize; two
-    # anti-phased blocks already overlap most of the shorter stream.
-    overlap = hide * (1.0 - 1.0 / (2 * active_blocks - 1))
-    total = (
-        max(mem_cycles, compute_cycles)
-        + (1.0 - overlap) * min(mem_cycles, compute_cycles)
-        + exposed
-        + sync_cycles
+    def plane_cost(resident: Any) -> PlaneCost:
+        """Per-SM cycles to advance ``resident`` blocks one plane."""
+        mem = resident * bytes_blk / bw
+        comp = resident * compute_blk
+        # Other resident blocks fill the SM while one sits at its barrier;
+        # coverage improves harmonically with resident blocks (they share
+        # the memory pipe), and resident-warp MLP covers part of the rest.
+        block_hide = 1.0 / (1.0 + p.block_overlap * (resident - 1))
+        exposed = raw_exposure * block_hide * (1.0 - 0.5 * hide)
+        # A block's own barriers serialize its load and compute phases, so
+        # overlap only comes from other resident blocks in the opposite
+        # phase: one resident block serializes the two streams strictly.
+        overlap = hide * (1.0 - 1.0 / (2 * resident - 1))
+        total = (
+            ops.maximum(mem, comp)
+            + (1.0 - overlap) * ops.minimum(mem, comp)
+            + exposed
+            + sync
+        )
+        return PlaneCost(total, mem, comp, exposed, sync)
+
+    # Waves of SM * ActBlks blocks (Eqns (8)-(9)); the remainder wave runs
+    # fewer blocks per SM.  Each block pays a scheduling overhead.
+    act, sm = occ.active_blocks, dev.sm_count
+    stages = cdiv(c.blocks, sm * act)
+    rem = ops.maximum(
+        1, ops.minimum(cdiv(c.blocks - (stages - 1) * act * sm, sm), act)
     )
-    return PlaneCost(
-        cycles=total,
-        mem_cycles=mem_cycles,
-        compute_cycles=compute_cycles,
-        exposed_cycles=exposed,
-        sync_cycles=sync_cycles,
+    planes = c.planes + c.prologue_planes
+    full, last = plane_cost(act), plane_cost(rem)
+    sched = p.sched_overhead_cycles
+    total_cycles = ops.where(
+        stages > 1, (stages - 1) * (planes * full.cycles + act * sched), 0.0
+    ) + (planes * last.cycles + rem * sched)
+
+    # Fig 9: requested load bytes over the serviced request stream —
+    # transferred lines plus the camping surcharge, with no L2 credit (the
+    # profiler counts requests; reuse would hide the inefficiency).
+    serviced = load_bytes + c.camped_bytes * (p.partition_camping - 1.0)
+    load_eff = ops.where(
+        serviced != 0,
+        ops.minimum(
+            1.0, c.requested_load_bytes / ops.where(serviced != 0, serviced, 1.0)
+        ),
+        1.0,
     )
+    return reason, occ_all, TimingResult(
+        total_cycles=total_cycles,
+        occupancy=occ,
+        stages=stages,
+        blocks=c.blocks,
+        rem_blocks_per_sm=rem,
+        plane_cost=full,
+        rem_plane_cost=last,
+        planes_per_block=planes,
+        sched_overhead_cycles=sched,
+        spilled_regs=spilled,
+        effective_bytes_per_plane=bytes_blk,
+        spill_bytes_per_plane=spill_bytes,
+        issue_slots_per_plane=slots,
+        smem_instructions_per_plane=smem_instr,
+        smem_slots_per_plane=smem_slots,
+        load_efficiency=load_eff,
+    )
+
+
+def sweep_rates(
+    device: DeviceSpec, total_cycles: Any, total_points: Any,
+    flops_per_point: Any, derate: float = 1.0,
+) -> tuple[Any, Any, Any]:
+    """``(time_s, MPoint/s, GFlop/s)`` of a sweep from its cycle count.
+
+    ``derate`` (a throttled launch's clock factor) stretches the wall time;
+    ``x * 1.0`` is exact, so an undisturbed launch pays nothing for it.
+    ``total_points`` is what one pass produces, which covers kernels whose
+    sweep yields several time steps (temporal blocking).
+    """
+    time_s = total_cycles / device.clock_hz * derate
+    mpoints = total_points / time_s / 1e6
+    return time_s, mpoints, mpoints * 1e6 * flops_per_point / 1e9
 
 
 def time_kernel(
@@ -433,48 +512,10 @@ def time_kernel(
 ) -> TimingResult:
     """Simulate one full sweep; returns total cycles and the breakdown.
 
-    Raises :class:`repro.errors.ResourceLimitError` via the occupancy
-    calculator when the configuration cannot launch at all.
+    Raises :class:`repro.errors.ResourceLimitError` when the configuration
+    cannot launch at all.
     """
-    params = params or params_for(device)
-
-    cap = device.rules.max_regs_per_thread
-    spilled = max(0, workload.regs_per_thread - cap)
-    effective_regs = min(workload.regs_per_thread, cap)
-
-    occ = compute_occupancy(
-        device, workload.threads_per_block, effective_regs, workload.smem_bytes
-    )
-    act = occ.active_blocks
-
-    stages = ceil_div(grid.blocks, device.sm_count * act)
-    rem = ceil_div(grid.blocks - (stages - 1) * act * device.sm_count, device.sm_count)
-    rem = max(1, min(rem, act))
-
-    planes_per_block = grid.planes + workload.prologue_planes
-
-    full_cost = _plane_cost(workload, device, params, occ, act, spilled)
-    total = 0.0
-    if stages > 1:
-        stage_cycles = (
-            planes_per_block * full_cost.cycles + act * params.sched_overhead_cycles
-        )
-        total += (stages - 1) * stage_cycles
-
-    rem_cost = _plane_cost(workload, device, params, occ, rem, spilled)
-    total += planes_per_block * rem_cost.cycles + rem * params.sched_overhead_cycles
-
-    bytes_per_block, _ = _effective_plane_bytes(workload, device, params, spilled)
-    return TimingResult(
-        total_cycles=total,
-        occupancy=occ,
-        stages=stages,
-        blocks=grid.blocks,
-        rem_blocks_per_sm=rem,
-        plane_cost=full_cost,
-        rem_plane_cost=rem_cost,
-        planes_per_block=planes_per_block,
-        sched_overhead_cycles=params.sched_overhead_cycles,
-        spilled_regs=spilled,
-        effective_bytes_per_plane=bytes_per_block,
-    )
+    return time_stage(
+        SCALAR, device, params or params_for(device),
+        BlockClass.of(workload, grid),
+    )[2]

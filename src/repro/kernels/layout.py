@@ -66,11 +66,6 @@ class GridLayout:
         """Padded row length in bytes."""
         return self.pitch_elems * self.elem_bytes
 
-    @property
-    def footprint_bytes(self) -> int:
-        """Allocation size of one grid (all planes)."""
-        return self.pitch_bytes * self.ly * self.lz
-
     def phase_of(self, x: int) -> int:
         """Byte phase of logical x within a transaction line.
 

@@ -6,11 +6,17 @@ achieved-bandwidth fraction, load/store efficiency, shared-memory replay
 rate, IPC, the warp-issue stall breakdown, occupancy with its binding
 limiter named).  Every value is derived *mechanistically* from the same
 quantities the cycle model priced — the memory enumerators
-(:class:`repro.gpusim.memory.MemoryStats`), the instruction-issue
-breakdown (:func:`repro.gpusim.timing.issue_slots`) and the wave
-decomposition (:func:`repro.gpusim.timing.wave_geometry`) — never from
-hard-coded expectations, so a counter cannot drift from the simulator it
-describes (property-enforced in ``tests/test_obs_counters.py``).
+(:class:`repro.gpusim.memory.MemoryStats`), and the issue slots, plane
+costs and waves the headline stage
+(:func:`repro.gpusim.timing.time_stage`) put on its
+:class:`~repro.gpusim.timing.TimingResult` — never from hard-coded
+expectations, so a counter cannot drift from the simulator it describes
+(property-enforced in ``tests/test_obs_counters.py``).
+
+The derivation is written once, as :func:`counter_stage` over an op
+table (:mod:`repro.gpusim.ops`): :func:`derive_counters` runs it on one
+launch's Python numbers, :class:`repro.gpusim.batch.BatchEngine` on
+columns of launches.
 
 Counting conventions (documented because nvprof has the same split):
 
@@ -32,7 +38,8 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpusim.device import DeviceSpec
-    from repro.gpusim.timing import TimingParams, TimingResult
+    from repro.gpusim.ops import Ops
+    from repro.gpusim.timing import BlockClass, TimingParams, TimingResult
     from repro.gpusim.workload import BlockWorkload, GridWorkload
 
 #: The frozen counter-name set.  This is stable API shared by the trace
@@ -118,40 +125,79 @@ def validate_counters(values: Mapping[str, float], limiter: str) -> None:
         raise CounterSchemaError("occupancy_limiter must be a non-empty string")
 
 
-def load_efficiency(
-    workload: "BlockWorkload", params: "TimingParams"
-) -> float:
-    """The Fig 9 metric: requested load bytes over the serviced request stream.
+def counter_stage(
+    ops: "Ops", device: "DeviceSpec", params: "TimingParams",
+    c: "BlockClass", timing: "TimingResult",
+) -> dict[str, Any]:
+    """The counter stage: every :data:`COUNTER_KEYS` value of a sweep.
 
-    Serviced = transferred lines plus the partition-camping serialization
-    surcharge (no L2 discount: the profiler counts the request stream, and
-    reuse credits would hide exactly the inefficiency the metric exists to
-    expose).  This is the single source for both
-    ``SimReport.load_efficiency`` and the ``gld_efficiency`` counter.
+    Continues from the headline stage's ``timing``
+    (:func:`repro.gpusim.timing.time_stage`) over the same inputs ``c``.
+    Written once over ``ops`` (:mod:`repro.gpusim.ops`): Python numbers
+    under the scalar table, columns under the vector one.
     """
-    mem = workload.memory
-    eff_loads = (
-        mem.load_transferred_bytes
-        + mem.camped_bytes * (params.partition_camping - 1.0)
+    planes, blocks = c.planes, c.blocks
+    reuse = params.l2_halo_reuse if device.l2_bytes > 0 else 0.0
+    time_s = timing.total_cycles / device.clock_hz
+    dram_bytes = timing.effective_bytes_per_plane * planes * blocks
+    inst_issued = timing.issue_slots_per_plane * timing.planes_per_block * blocks
+    smem = timing.smem_instructions_per_plane
+    replay = ops.where(
+        smem != 0,
+        (timing.smem_slots_per_plane - smem) / ops.where(smem != 0, smem, 1.0),
+        0.0,
     )
-    if not eff_loads:
-        return 1.0
-    return min(1.0, mem.requested_load_bytes / eff_loads)
 
+    # Cycle shares of the waves wave_geometry() lays out: stages - 1 full
+    # waves, then the remainder wave.
+    pb, sched = timing.planes_per_block, timing.sched_overhead_cycles
+    full, last = timing.plane_cost, timing.rem_plane_cost
+    shares = [
+        a + b for a, b in zip(
+            ops.repeat_add((
+                full.mem_cycles * pb, full.compute_cycles * pb,
+                full.exposed_cycles * pb, full.sync_cycles * pb,
+                timing.occupancy.active_blocks * sched,
+            ), timing.stages - 1),
+            (
+                last.mem_cycles * pb, last.compute_cycles * pb,
+                last.exposed_cycles * pb, last.sync_cycles * pb,
+                timing.rem_blocks_per_sm * sched,
+            ),
+        )
+    ]
+    shares_total = shares[0] + shares[1] + shares[2] + shares[3] + shares[4]
 
-def shared_replay_slots(
-    workload: "BlockWorkload", device: "DeviceSpec"
-) -> tuple[float, float]:
-    """``(base_instructions, replay_slots)`` for shared memory, per block-plane.
-
-    Replays = effective issue slots (tile-profile conflict factor times the
-    architectural DP factor, exactly as the compute stream prices them)
-    minus the raw instruction count.
-    """
-    from repro.gpusim.timing import issue_slots  # deferred: package layering
-
-    slots = issue_slots(workload, device)
-    return slots.smem_base, slots.smem - slots.smem_base
+    stored = c.store_transferred_bytes
+    sweep = planes * blocks
+    return {
+        "gld_transactions": c.load_transactions * sweep,
+        "gst_transactions": c.store_transactions * sweep,
+        "dram_bytes": dram_bytes,
+        "dram_bw_fraction": (
+            dram_bytes / time_s / (device.measured_bandwidth_gbs * 1e9)
+        ),
+        "gld_efficiency": timing.load_efficiency,
+        "gst_efficiency": ops.where(
+            stored != 0,
+            ops.minimum(
+                1.0,
+                c.requested_store_bytes / ops.where(stored != 0, stored, 1.0),
+            ),
+            1.0,
+        ),
+        "l2_halo_hit_bytes": c.halo_transferred_bytes * reuse * planes * blocks,
+        "local_spill_bytes": timing.spill_bytes_per_plane * planes * blocks,
+        "shared_replay_rate": replay,
+        "inst_issued": inst_issued,
+        "ipc": inst_issued / (timing.total_cycles * device.sm_count),
+        "stall_mem_frac": shares[0] / shares_total,
+        "stall_compute_frac": shares[1] / shares_total,
+        "stall_latency_frac": shares[2] / shares_total,
+        "stall_sync_frac": shares[3] / shares_total,
+        "stall_sched_frac": shares[4] / shares_total,
+        "achieved_occupancy": timing.occupancy.occupancy,
+    }
 
 
 def derive_counters(
@@ -162,66 +208,10 @@ def derive_counters(
     params: "TimingParams",
 ) -> CounterSet:
     """Derive the full counter set for one simulated sweep."""
-    from repro.gpusim.timing import issue_slots, wave_geometry
+    from repro.gpusim.ops import SCALAR  # deferred: package layering
+    from repro.gpusim.timing import BlockClass
 
-    mem = workload.memory
-    sweep = grid.planes * grid.blocks
-    reuse = params.l2_halo_reuse if device.l2_bytes > 0 else 0.0
-
-    time_s = timing.total_cycles / device.clock_hz
-    # Multiplication order `x * grid.planes * grid.blocks` is kept from the
-    # historical executor/simtrace expressions: the counters replaced those
-    # inline computations and must stay bit-identical to them.
-    dram_bytes = timing.effective_bytes_per_plane * grid.planes * grid.blocks
-    spill_bytes_per_plane = (
-        timing.spilled_regs * workload.threads_per_block
-        * params.spill_bytes_per_reg
+    values = counter_stage(
+        SCALAR, device, params, BlockClass.of(workload, grid), timing
     )
-
-    slots = issue_slots(workload, device, params, timing.spilled_regs)
-    inst_issued = slots.total * timing.planes_per_block * grid.blocks
-    replay_rate = (
-        (slots.smem - slots.smem_base) / slots.smem_base if slots.smem_base else 0.0
-    )
-
-    # Cycle shares from the same wave decomposition the timeline uses.
-    planes = timing.planes_per_block
-    comp = {"mem": 0.0, "compute": 0.0, "exposed": 0.0, "sync": 0.0, "sched": 0.0}
-    for wave in wave_geometry(timing):
-        comp["mem"] += wave.plane_cost.mem_cycles * planes
-        comp["compute"] += wave.plane_cost.compute_cycles * planes
-        comp["exposed"] += wave.plane_cost.exposed_cycles * planes
-        comp["sync"] += wave.plane_cost.sync_cycles * planes
-        comp["sched"] += wave.blocks_per_sm * timing.sched_overhead_cycles
-    comp_total = sum(comp.values())
-
-    gst_eff = (
-        min(1.0, mem.requested_store_bytes / mem.store_transferred_bytes)
-        if mem.store_transferred_bytes
-        else 1.0
-    )
-
-    values = {
-        "gld_transactions": mem.load_transactions * sweep,
-        "gst_transactions": mem.store_transactions * sweep,
-        "dram_bytes": dram_bytes,
-        "dram_bw_fraction": (
-            dram_bytes / time_s / (device.measured_bandwidth_gbs * 1e9)
-        ),
-        "gld_efficiency": load_efficiency(workload, params),
-        "gst_efficiency": gst_eff,
-        "l2_halo_hit_bytes": (
-            mem.halo_transferred_bytes * reuse * grid.planes * grid.blocks
-        ),
-        "local_spill_bytes": spill_bytes_per_plane * grid.planes * grid.blocks,
-        "shared_replay_rate": replay_rate,
-        "inst_issued": inst_issued,
-        "ipc": inst_issued / (timing.total_cycles * device.sm_count),
-        "stall_mem_frac": comp["mem"] / comp_total,
-        "stall_compute_frac": comp["compute"] / comp_total,
-        "stall_latency_frac": comp["exposed"] / comp_total,
-        "stall_sync_frac": comp["sync"] / comp_total,
-        "stall_sched_frac": comp["sched"] / comp_total,
-        "achieved_occupancy": timing.occupancy.occupancy,
-    }
     return CounterSet(values=values, occupancy_limiter=timing.occupancy.limiter)

@@ -47,7 +47,7 @@ def emit_kernel_spans(
 ) -> None:
     """Record one launch's device-track spans and accumulate its counters."""
     from repro.gpusim.timing import wave_geometry  # deferred: no import cycle
-    from repro.obs.counters import derive_counters, shared_replay_slots
+    from repro.obs.counters import derive_counters
 
     base = tracer.alloc_cycles(timing.total_cycles)
     planes = timing.planes_per_block
@@ -79,11 +79,10 @@ def emit_kernel_spans(
         ),
     )
 
-    _, replay_slots = shared_replay_slots(workload, device)
-    spill_bytes_per_plane = (
-        timing.spilled_regs * workload.threads_per_block
-        * params.spill_bytes_per_reg
+    replay_slots = (
+        timing.smem_slots_per_plane - timing.smem_instructions_per_plane
     )
+    spill_bytes_per_plane = timing.spill_bytes_per_plane
 
     m = tracer.metrics
     m.counter("sim.kernels").inc()

@@ -82,11 +82,6 @@ class SymmetricStencil:
         """Flops per element with the in-plane formulation: 8r + 1."""
         return 8 * self.radius + 1
 
-    def min_grid_shape(self) -> tuple[int, int, int]:
-        """Smallest grid on which any interior point exists."""
-        side = 2 * self.radius + 1
-        return (side, side, side)
-
 
 def default_coefficients(radius: int) -> tuple[float, ...]:
     """Diffusion-flavoured weights that sum (over all taps) to one.

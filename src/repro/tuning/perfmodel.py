@@ -19,23 +19,29 @@ Implementation notes on fidelity to the paper:
   at full occupancy (``Warp_SM`` resident warps) it returns 1 (perfect
   latency hiding); with a single resident warp it returns ``arg``
   (fully serialized memory access).
+
+The equations are written once, as :func:`paper_model` over an op table
+(:mod:`repro.gpusim.ops`): :meth:`PaperModel.predict` evaluates one
+configuration on Python numbers, :meth:`PaperModel.predict_batch` a
+whole candidate list as NumPy columns.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any
 
 import numpy as np
 
+from repro.errors import ResourceLimitError
 from repro.gpusim.arch import WARP_SIZE
 from repro.gpusim.device import DeviceSpec
+from repro.gpusim.ops import SCALAR, Ops, cdiv
 from repro.gpusim.timing import TimingParams, params_for
 from repro.gpusim.workload import BlockWorkload
 from repro.kernels.config import BlockConfig
 from repro.kernels.symmetric import SymmetricKernelPlan
-from repro.utils.maths import ceil_div
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,6 @@ class ModelInputs:
     k_s: int
     ops: float
     bytes_blk: float
-
-    @property
-    def warp_blk(self) -> int:
-        """Warps per thread block."""
-        return ceil_div(self.tx * self.ty, WARP_SIZE)
 
     @classmethod
     def from_plan(
@@ -140,174 +141,113 @@ class ModelPrediction:
     t_c: float
 
 
+def paper_model(ops: Ops, device: DeviceSpec, m: ModelInputs) -> tuple[Any, ModelPrediction]:
+    """Eqns (6)-(14): ``(launchable rows, prediction)``.
+
+    Written once over ``ops`` (:mod:`repro.gpusim.ops`).  Under the scalar
+    table ``m`` is one configuration and a configuration with no resident
+    block raises :class:`~repro.errors.ResourceLimitError`; under the
+    vector table the fields of ``m`` are columns, and the prediction's
+    columns cover the returned launchable rows only.
+    """
+    dev = device
+    warp_blk = cdiv(m.tx * m.ty, WARP_SIZE)
+
+    # Eqn (7): resident blocks per SM.  Only k_s == 0 means "no shared
+    # memory"; any other value floor-divides, so a (nonsensical, but
+    # representable) negative footprint yields an unlaunchable row.
+    act_blks = ops.minimum(ops.minimum(ops.minimum(
+        dev.registers_per_sm // ops.maximum(1, m.k_r * m.tx * m.ty),
+        ops.where(
+            m.k_s != 0,
+            dev.smem_per_sm // ops.where(m.k_s != 0, m.k_s, 1),
+            dev.max_blocks_per_sm,
+        )),
+        dev.max_warps_per_sm // warp_blk),
+        dev.max_blocks_per_sm,
+    )
+    live = ops.launchable(act_blks < 1, lambda: "no resident block")
+    m, act, warp_blk = (ops.rows(live, x) for x in (m, act_blks, warp_blk))
+
+    # Eqn (6): blocks per plane.
+    blks = (m.lx * m.ly) / ((m.tx * m.rx) * (m.ty * m.ry))
+
+    # Eqn (8): full waves; Eqn (9): per-SM blocks of the last wave.
+    stages = ops.ceil(blks / (dev.sm_count * act))
+    rem_blks = ops.maximum(
+        1, ops.ceil((blks - (stages - 1) * act * dev.sm_count) / dev.sm_count)
+    )
+
+    # Eqn (10): memory time for one block's plane (seconds), split into
+    # its latency and bandwidth components.
+    bw_sm = dev.measured_bandwidth_gbs * 1e9 / dev.sm_count
+    t_lat = dev.dram_latency_cycles / dev.clock_hz
+    t_bw = m.bytes_blk / bw_sm
+
+    # Eqn (11) (single-block reading): compute time per block plane.
+    t_c = (m.ops * m.rx * m.ry * warp_blk) / dev.clock_hz
+
+    # Eqns (12)-(13) with the linear latency-hiding function f.  As
+    # printed, f multiplies all of T_m, which would make *bandwidth*
+    # nearly free at full occupancy; the only physically consistent
+    # reading is that occupancy hides the latency component while the
+    # bandwidth component always scales with the resident blocks
+    # (BW_SM is shared).  f still returns "a value between 1 and arg",
+    # linear in occupancy, exactly as described.
+    def stage_time(blocks: Any) -> Any:
+        occ = ops.minimum(1.0, blocks * warp_blk / dev.max_warps_per_sm)
+        f = 1.0 + (blocks - 1.0) * (1.0 - occ)
+        return blocks * t_bw + f * t_lat + blocks * t_c
+
+    # Eqn (14): points per plane over time per plane.
+    per_plane_time = stage_time(act) * (stages - 1) + stage_time(rem_blks)
+    return live, ModelPrediction(
+        mpoints_per_s=(m.lx * m.ly) / per_plane_time / 1e6,
+        act_blks=act,
+        stages=stages,
+        rem_blks=rem_blks,
+        t_m=t_lat + t_bw,
+        t_c=t_c,
+    )
+
+
 class PaperModel:
-    """Eqns (6)-(14) for a given device."""
+    """Eqns (6)-(14) for a given device (see :func:`paper_model`)."""
 
     def __init__(self, device: DeviceSpec) -> None:
         self.device = device
 
     def predict(self, inputs: ModelInputs) -> ModelPrediction:
         """Predicted performance in MPoint/s (Eqn (14)); 0 if unlaunchable."""
-        dev = self.device
-        m = inputs
-
-        # Eqn (6): blocks per plane.
-        blks = (m.lx * m.ly) / ((m.tx * m.rx) * (m.ty * m.ry))
-
-        # Eqn (7): resident blocks per SM.
-        limits = [
-            dev.registers_per_sm // max(1, m.k_r * m.tx * m.ty),
-            dev.smem_per_sm // m.k_s if m.k_s else dev.max_blocks_per_sm,
-            dev.max_warps_per_sm // m.warp_blk,
-            dev.max_blocks_per_sm,
-        ]
-        act_blks = min(limits)
-        if act_blks < 1:
+        try:
+            return paper_model(SCALAR, self.device, inputs)[1]
+        except ResourceLimitError:
             return ModelPrediction(0.0, 0, 0, 0, 0.0, 0.0)
-
-        # Eqn (8): full waves; Eqn (9): per-SM blocks of the last wave.
-        stages = math.ceil(blks / (dev.sm_count * act_blks))
-        rem_blks = math.ceil(
-            (blks - (stages - 1) * act_blks * dev.sm_count) / dev.sm_count
-        )
-        rem_blks = max(1, rem_blks)
-
-        # Eqn (10): memory time for one block's plane (seconds), split into
-        # its latency and bandwidth components.
-        bw_sm = dev.measured_bandwidth_gbs * 1e9 / dev.sm_count
-        t_lat = dev.dram_latency_cycles / dev.clock_hz
-        t_bw = m.bytes_blk / bw_sm
-        t_m = t_lat + t_bw
-
-        # Eqn (11) (single-block reading): compute time per block plane.
-        t_c = (m.ops * m.rx * m.ry * m.warp_blk) / dev.clock_hz
-
-        # Eqns (12)-(13) with the linear latency-hiding function f.  As
-        # printed, f multiplies all of T_m, which would make *bandwidth*
-        # nearly free at full occupancy; the only physically consistent
-        # reading is that occupancy hides the latency component while the
-        # bandwidth component always scales with the resident blocks
-        # (BW_SM is shared).  f still returns "a value between 1 and arg",
-        # linear in occupancy, exactly as described.
-        def f(arg: float, resident_blocks: int) -> float:
-            occ = min(1.0, resident_blocks * m.warp_blk / dev.max_warps_per_sm)
-            return 1.0 + (arg - 1.0) * (1.0 - occ)
-
-        def stage_time(blocks: int) -> float:
-            return (
-                blocks * t_bw
-                + f(blocks, blocks) * t_lat
-                + blocks * t_c
-            )
-
-        t_s = stage_time(act_blks)
-        t_l = stage_time(rem_blks)
-
-        # Eqn (14): points per plane over time per plane.
-        per_plane_time = t_s * (stages - 1) + t_l
-        mpoints = (m.lx * m.ly) / per_plane_time / 1e6
-        return ModelPrediction(
-            mpoints_per_s=mpoints,
-            act_blks=act_blks,
-            stages=stages,
-            rem_blks=rem_blks,
-            t_m=t_m,
-            t_c=t_c,
-        )
-
-    def predict_plan(
-        self,
-        plan: SymmetricKernelPlan,
-        grid_shape: tuple[int, int, int],
-    ) -> ModelPrediction:
-        """Convenience: derive inputs from a plan and predict."""
-        return self.predict(ModelInputs.from_plan(plan, self.device, grid_shape))
 
     def predict_batch(self, inputs: Sequence[ModelInputs]) -> np.ndarray:
         """Score many configurations in one NumPy pass (MPoint/s each).
 
-        Vectorized Eqns (6)-(14): every elementwise operation mirrors
-        :meth:`predict` in the identical order, so the returned float64
-        array is **bit-identical** to calling the scalar path per input
-        (pinned by the default-space and degenerate-row sweeps of
-        ``TestPredictBatchIdentity`` in ``tests/test_tuning_perfmodel.py``)
-        — the model-based
-        tuner's shortlist, and hence its winner, cannot move between the
-        two front-ends.  Unlaunchable configurations (no resident block)
-        score 0.0 exactly as the scalar path does; their rows are
-        boolean-compressed out *before* any arithmetic, so the scalar
-        semantics need no guarded divisors that could disagree with it
-        (a negative ``k_s`` must floor-divide exactly like ``predict``,
-        not be clamped to "unlimited").
+        The same :func:`paper_model` body as :meth:`predict`, over columns,
+        so the returned float64 array is **bit-identical** to calling
+        :meth:`predict` per input (pinned by ``TestPredictBatchIdentity``
+        in ``tests/test_tuning_perfmodel.py``) — the model-based tuner's
+        shortlist, and hence its winner, cannot move between the two
+        front-ends.  Unlaunchable configurations score 0.0, as in
+        :meth:`predict`.
         """
-        if not inputs:
-            return np.zeros(0, dtype=np.float64)
-        dev = self.device
-        as_i64 = lambda attr: np.array(
-            [getattr(m, attr) for m in inputs], dtype=np.int64
-        )
-        lx, ly = as_i64("lx"), as_i64("ly")
-        tx, ty = as_i64("tx"), as_i64("ty")
-        rx, ry = as_i64("rx"), as_i64("ry")
-        k_r, k_s = as_i64("k_r"), as_i64("k_s")
-        ops = np.array([m.ops for m in inputs], dtype=np.float64)
-        bytes_blk = np.array([m.bytes_blk for m in inputs], dtype=np.float64)
-        warp_blk = -((-(tx * ty)) // WARP_SIZE)  # ceil_div, floor-div form
-
-        # Eqn (7): resident blocks per SM (elementwise min over limits).
-        # The smem limit mirrors the scalar truthiness test `if m.k_s`
-        # op for op: only k_s == 0 means "no shared memory"; any other
-        # value — including a (nonsensical, but representable) negative
-        # footprint — floor-divides exactly as `predict` does, which for
-        # k_s < 0 yields a negative limit and hence an unlaunchable row.
-        act_blks = np.minimum.reduce([
-            dev.registers_per_sm // np.maximum(1, k_r * tx * ty),
-            np.where(
-                k_s != 0,
-                dev.smem_per_sm // np.where(k_s != 0, k_s, 1),
-                dev.max_blocks_per_sm,
-            ),
-            dev.max_warps_per_sm // warp_blk,
-            np.full_like(warp_blk, dev.max_blocks_per_sm),
-        ])
+        # Deferred: ``python -m repro.gpusim.batch`` must be the first to
+        # import its module.
+        from repro.gpusim.batch import VECTOR
 
         out = np.zeros(len(inputs), dtype=np.float64)
-        live = np.flatnonzero(act_blks >= 1)
-        if live.size == 0:
-            return out
-        act = act_blks[live]
-        warp_l = warp_blk[live]
-
-        # Eqn (6): blocks per plane.
-        blks = (lx[live] * ly[live]) / (
-            (tx[live] * rx[live]) * (ty[live] * ry[live])
-        )
-
-        # Eqn (8)-(9): full waves and the last wave's per-SM blocks.
-        stages = np.ceil(blks / (dev.sm_count * act))
-        rem_blks = np.ceil(
-            (blks - (stages - 1) * act * dev.sm_count) / dev.sm_count
-        )
-        rem_blks = np.maximum(1, rem_blks)
-
-        # Eqn (10)-(11): memory and compute time per block plane.
-        bw_sm = dev.measured_bandwidth_gbs * 1e9 / dev.sm_count
-        t_lat = dev.dram_latency_cycles / dev.clock_hz
-        t_bw = bytes_blk[live] / bw_sm
-        t_c = (ops[live] * rx[live] * ry[live] * warp_l) / dev.clock_hz
-
-        # Eqns (12)-(13): latency hiding, identical reading to predict().
-        def f(arg: np.ndarray, resident: np.ndarray) -> np.ndarray:
-            occ = np.minimum(1.0, resident * warp_l / dev.max_warps_per_sm)
-            return 1.0 + (arg - 1.0) * (1.0 - occ)
-
-        def stage_time(blocks: np.ndarray) -> np.ndarray:
-            return blocks * t_bw + f(blocks, blocks) * t_lat + blocks * t_c
-
-        t_s = stage_time(act)
-        t_l = stage_time(rem_blks)
-
-        # Eqn (14): points per plane over time per plane.
-        per_plane_time = t_s * (stages - 1) + t_l
-        out[live] = (lx[live] * ly[live]) / per_plane_time / 1e6
+        if inputs:
+            columns = ModelInputs(*(
+                np.array(
+                    [getattr(m, f.name) for m in inputs],
+                    dtype=np.float64 if f.type == "float" else np.int64,
+                )
+                for f in fields(ModelInputs)
+            ))
+            live, prediction = paper_model(VECTOR, self.device, columns)
+            out[live] = prediction.mpoints_per_s
         return out

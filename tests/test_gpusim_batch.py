@@ -10,6 +10,8 @@ scalar :func:`repro.gpusim.executor.simulate` per configuration.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError, ResourceLimitError
 from repro.gpusim.batch import (
@@ -20,10 +22,14 @@ from repro.gpusim.batch import (
     check_identity,
     main,
 )
+from repro.gpusim.device import get_device, list_devices
 from repro.gpusim.executor import simulate
+from repro.gpusim.ops import SCALAR
+from repro.gpusim.timing import params_for, time_stage
 from repro.kernels.factory import make_kernel
 from repro.stencils.spec import symmetric
 from repro.kernels.config import BlockConfig
+from repro.obs.counters import counter_stage
 from repro.tuning.space import default_space
 
 GRID = (256, 256, 128)
@@ -296,3 +302,141 @@ class TestBlockClass:
         assert class_of((32, 4, 1, 4)) != class_of((64, 2, 1, 1))
         # Same config, different stencil order: the fingerprint must split.
         assert class_of((32, 4, 1, 4)) != class_of((32, 4, 1, 4), order=8)
+
+
+# ----------------------------------------------------------------------
+# the two op tables over random block classes
+# ----------------------------------------------------------------------
+def _canon(value):
+    """Bit-faithful form: floats by hex, records field by field."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _canon(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, dict):
+        return {k: _canon(v) for k, v in value.items()}
+    if isinstance(value, float):
+        return ("float", value.hex())
+    return (type(value).__name__, value)
+
+
+def _scalar(device, cls):
+    """Both stages through the builtins table: (error, timing, counters)."""
+    params = params_for(device)
+    try:
+        _, _, timing = time_stage(SCALAR, device, params, cls)
+    except ResourceLimitError as exc:
+        return str(exc), None, None
+    return None, timing, counter_stage(SCALAR, device, params, cls, timing)
+
+
+def assert_tables_agree(device, classes):
+    """Every timing field, counter and launch error, bit for bit."""
+    outcomes = BatchEngine(device).outcomes(classes)
+    scores = BatchEngine(device).scores(classes)
+    for cls, got, score in zip(classes, outcomes, scores):
+        error, timing, counters = _scalar(device, cls)
+        assert got.launch_error == error == score.launch_error, cls
+        if error is not None:
+            continue
+        assert _canon(got.timing) == _canon(timing), cls
+        assert _canon(got.counters.values) == _canon(counters), cls
+        assert got.counters.occupancy_limiter == timing.occupancy.limiter
+        assert score == _score_of(got)
+
+
+_size = st.integers(min_value=0, max_value=4096)
+_amount = st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=1e6))
+_count = st.one_of(st.just(0), _size, _amount)
+
+block_classes = st.builds(
+    BlockClass,
+    threads_per_block=st.sampled_from((0, 1, 32, 48, 64, 128, 256, 512, 1024, 2048)),
+    regs_per_thread=st.integers(min_value=-1, max_value=160),
+    smem_bytes=st.one_of(st.just(0), st.integers(min_value=-1, max_value=60_000)),
+    elem_bytes=st.sampled_from((4, 8)),
+    points_per_plane=st.integers(min_value=1, max_value=8192),
+    flops_per_point=st.floats(min_value=1.0, max_value=200.0),
+    arith_instructions=st.floats(min_value=0.5, max_value=200.0),
+    extra_instructions=st.integers(min_value=0, max_value=64),
+    ilp=st.floats(min_value=1.0, max_value=8.0),
+    prologue_planes=st.integers(min_value=0, max_value=12),
+    syncs_per_plane=st.integers(min_value=0, max_value=4),
+    load_instructions=_count,
+    store_instructions=_count,
+    load_transactions=_count,
+    store_transactions=_count,
+    requested_load_bytes=_amount,
+    requested_store_bytes=_amount,
+    interior_transferred_bytes=_amount,
+    halo_transferred_bytes=_amount,
+    store_transferred_bytes=_amount,
+    spill_transferred_bytes=_amount,
+    load_phases=st.integers(min_value=0, max_value=6),
+    camped_bytes=_amount,
+    smem_read_instructions=st.integers(min_value=0, max_value=400),
+    smem_write_instructions=st.integers(min_value=0, max_value=200),
+    smem_conflict_factor=st.floats(min_value=1.0, max_value=32.0),
+    blocks=st.integers(min_value=1, max_value=20_000),
+    planes=st.integers(min_value=1, max_value=512),
+    total_points=st.integers(min_value=1, max_value=2**34),
+)
+
+
+def _base_class(device):
+    plan = plan_for((32, 4, 1, 4), order=4)
+    return BlockClass.of(
+        plan.block_workload(device, GRID), plan.grid_workload(device, GRID)
+    )
+
+
+#: Rows no recorded launch reaches, each with the branch it exercises.
+CORNERS = {
+    "no loads (hide = 1.0)": dict(
+        load_instructions=0, load_transactions=0, requested_load_bytes=0.0,
+        interior_transferred_bytes=0.0, halo_transferred_bytes=0.0,
+        spill_transferred_bytes=0.0, camped_bytes=0.0,
+    ),
+    "no shared memory": dict(
+        smem_bytes=0, smem_read_instructions=0, smem_write_instructions=0,
+    ),
+    "no stores": dict(
+        store_instructions=0, store_transactions=0, requested_store_bytes=0.0,
+        store_transferred_bytes=0.0,
+    ),
+    "spilled registers": dict(regs_per_thread=160),
+    "many waves": dict(blocks=9_000, planes=3),
+    "zero threads": dict(threads_per_block=0),
+    "too many threads": dict(threads_per_block=4096),
+    "negative footprint": dict(smem_bytes=-8),
+    "register file": dict(threads_per_block=1024, regs_per_thread=60),
+    "shared memory": dict(smem_bytes=60_000),
+}
+
+
+class TestOpTablesAgree:
+    """The scalar and vector op tables evaluate the one written model:
+    every timing field, counter and launch-error string must agree."""
+
+    @pytest.mark.parametrize("device", list_devices())
+    def test_corner_rows(self, device):
+        dev = get_device(device)
+        base = _base_class(dev)
+        classes = [base._replace(**row) for row in CORNERS.values()]
+        assert_tables_agree(dev, classes)
+        outcomes = dict(zip(CORNERS, BatchEngine(dev).outcomes(classes)))
+        assert outcomes["many waves"].timing.stages > 100
+        assert outcomes["spilled registers"].timing.spilled_regs > 0
+        failing = ["zero threads", "too many threads", "negative footprint",
+                   "shared memory"]
+        if dev.registers_per_sm < 1024 * 60:  # Kepler's file fits the block
+            failing.append("register file")
+        for name in failing:
+            assert outcomes[name].launch_error is not None, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(classes=st.lists(block_classes, min_size=1, max_size=8))
+    def test_random_block_classes(self, classes):
+        for device in list_devices():
+            assert_tables_agree(get_device(device), classes)

@@ -1,11 +1,13 @@
 """Occupancy calculator tests (Eqn (7) with hardware granularities)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ResourceLimitError
-from repro.gpusim.device import get_device
+from repro.gpusim.device import get_device, list_devices
 from repro.gpusim.occupancy import compute_occupancy
 
 
@@ -115,6 +117,28 @@ class TestProperties:
         lo = compute_occupancy(dev, 128, 32, smem)
         hi = compute_occupancy(dev, 128, 32, smem + 4096)
         assert hi.active_blocks <= lo.active_blocks
+
+
+    @given(
+        device=st.sampled_from(list_devices()),
+        threads=st.integers(1, 1024),
+        regs=st.integers(0, 63),
+        smem=st.integers(0, 48 * 1024),
+        growth=st.sampled_from((1.1, 1.25, 1.5, 2.0, 4.0)),
+    )
+    def test_larger_register_file_never_lowers_active_blocks(
+        self, device, threads, regs, smem, growth
+    ):
+        dev = get_device(device)
+        big = dataclasses.replace(
+            dev, registers_per_sm=int(dev.registers_per_sm * growth)
+        )
+        try:
+            lo = compute_occupancy(dev, threads, regs, smem)
+        except ResourceLimitError:
+            return
+        hi = compute_occupancy(big, threads, regs, smem)
+        assert hi.active_blocks >= lo.active_blocks
 
 
 class TestKeplerDifferences:

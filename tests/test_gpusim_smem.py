@@ -7,12 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.gpusim.arch import Generation, rules_for
+from repro.gpusim.device import get_device
+from repro.gpusim.memory import MemoryStats
 from repro.gpusim.smem import (
     SmemAccessProfile,
     conflict_degree,
     dp_conflict_factor,
     padded_pitch_words,
 )
+from repro.gpusim.timing import time_kernel
+from repro.gpusim.workload import BlockWorkload, GridWorkload
 
 
 class TestConflictDegree:
@@ -97,7 +101,17 @@ class TestDpConflictFactor:
 
 class TestProfile:
     def test_issue_cost(self):
+        """The timing model charges (reads + writes) x conflict factor
+        shared-memory issue slots per block-plane."""
         prof = SmemAccessProfile(
             read_instructions=10, write_instructions=5, conflict_factor=2.0
         )
-        assert prof.issue_cost() == 30.0
+        workload = BlockWorkload(
+            threads_per_block=128, regs_per_thread=16, smem_bytes=1024,
+            elem_bytes=4, points_per_plane=128, flops_per_point=2.0,
+            memory=MemoryStats(), smem_profile=prof,
+        )
+        grid = GridWorkload(blocks=64, planes=8, total_points=64 * 128 * 8)
+        timing = time_kernel(workload, grid, get_device("gtx580"))
+        assert timing.smem_instructions_per_plane == 15
+        assert timing.smem_slots_per_plane == 30.0

@@ -9,13 +9,19 @@ Eqns (6)-(9), and per-generation parameters exist for every generation.
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.errors import ReproError
 from repro.gpusim.arch import Generation
-from repro.gpusim.device import get_device
+from repro.gpusim.device import get_device, list_devices
+from repro.gpusim.executor import simulate
 from repro.gpusim.memory import KIND_INTERIOR, KIND_WRITE, MemoryStats
 from repro.gpusim.smem import SmemAccessProfile
 from repro.gpusim.timing import params_for, time_kernel
 from repro.gpusim.workload import BlockWorkload, GridWorkload
+from repro.kernels.factory import make_kernel
+from repro.stencils.spec import symmetric
 
 
 def make_workload(
@@ -183,3 +189,40 @@ class TestWorkloadValidation:
     def test_grid_workload_rejects_empty(self):
         with pytest.raises(ValueError):
             GridWorkload(blocks=0, planes=1, total_points=1)
+
+
+class TestInvariants:
+    """Monotonicity the simulator guarantees.  Bandwidth is deliberately
+    absent: a faster DRAM raises the bytes the pipe needs in flight, so
+    latency hiding falls, and on compute-bound DP configurations the
+    extra exposed latency outweighs the shorter memory stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        device=st.sampled_from(list_devices()),
+        family=st.sampled_from((
+            "nvstencil", "inplane_fullslice", "inplane_vertical",
+            "inplane_horizontal", "blocking3d",
+        )),
+        order=st.sampled_from((2, 8, 12)),
+        dtype=st.sampled_from(("sp", "dp")),
+        config=st.tuples(
+            st.sampled_from((16, 32, 64, 128)), st.sampled_from((1, 2, 4, 8)),
+            st.sampled_from((1, 2, 4)), st.sampled_from((1, 2, 4, 8)),
+        ),
+        speedup=st.sampled_from((1.05, 1.2, 1.5, 2.0)),
+    )
+    def test_faster_clock_never_lowers_the_rate(
+        self, device, family, order, dtype, config, speedup
+    ):
+        dev = get_device(device)
+        fast = dataclasses.replace(
+            dev, shader_clock_mhz=dev.shader_clock_mhz * speedup
+        )
+        try:
+            plan = make_kernel(family, symmetric(order), config, dtype)
+            slow_rate = simulate(plan, dev, (256, 256, 64)).mpoints_per_s
+        except ReproError:
+            assume(False)
+        fast_rate = simulate(plan, fast, (256, 256, 64)).mpoints_per_s
+        assert fast_rate >= slow_rate

@@ -89,7 +89,9 @@ class TestColumnStrip:
         add_column_strip(
             stats, layout, x_start_rel=-2, width_elems=2, rows=16, tile_stride=64
         )
-        assert stats.load_efficiency == pytest.approx(8 / 128)
+        assert stats.requested_load_bytes / stats.load_transferred_bytes == (
+            pytest.approx(8 / 128)
+        )
 
 
 class TestCornerPatches:

@@ -3,8 +3,8 @@
 Every counter in :mod:`repro.obs.counters` must agree EXACTLY with the
 counting/enumerating ground truth it claims to summarize — the memory
 transaction enumerators (:class:`repro.gpusim.memory.MemoryStats`), the
-shared-memory conflict profile, the instruction-issue breakdown
-(:func:`repro.gpusim.timing.issue_slots`) and the wave decomposition —
+shared-memory conflict profile, the instruction-issue mix recomputed from
+the workload, and the wave decomposition —
 property-tested over randomized launch configurations so a counter can
 never drift from the simulator it describes.
 """
@@ -22,7 +22,7 @@ from repro.errors import ReproError
 from repro.gpusim.device import get_device
 from repro.gpusim.executor import DeviceExecutor, simulate
 from repro.gpusim.smem import dp_conflict_factor
-from repro.gpusim.timing import issue_slots, params_for, time_kernel, wave_geometry
+from repro.gpusim.timing import params_for, time_kernel, wave_geometry
 from repro.kernels.factory import make_kernel
 from repro.obs.counters import (
     COUNTER_KEYS,
@@ -30,8 +30,6 @@ from repro.obs.counters import (
     CounterSchemaError,
     CounterSet,
     derive_counters,
-    load_efficiency,
-    shared_replay_slots,
     validate_counters,
 )
 from repro.stencils.spec import symmetric
@@ -117,7 +115,7 @@ class TestCounterDerivations:
         expected = (
             min(1.0, mem.requested_load_bytes / eff_stream) if eff_stream else 1.0
         )
-        assert c["gld_efficiency"] == expected == load_efficiency(block, tp)
+        assert c["gld_efficiency"] == expected == timing.load_efficiency
         if mem.store_transferred_bytes:
             assert c["gst_efficiency"] == min(
                 1.0, mem.requested_store_bytes / mem.store_transferred_bytes
@@ -133,27 +131,40 @@ class TestCounterDerivations:
         dev, plan, block, grid, timing = _launch(params)
         tp = params_for(dev)
         c = derive_counters(timing, block, grid, dev, tp)
-        slots = issue_slots(block, dev, tp, timing.spilled_regs)
+        # The compute stream's issue slots per block-plane, from the
+        # workload: addressed global loads, stores, shared-memory slots
+        # with replays, arithmetic, spill traffic and bookkeeping.
+        prof = block.smem_profile
+        base = float(prof.read_instructions + prof.write_instructions)
+        conflict = dp_conflict_factor(block.elem_bytes, dev.rules)
+        spilled = timing.spilled_regs
+        slots = (
+            block.memory.load_instructions * (1.0 + tp.load_addressing_instructions)
+            + block.memory.store_instructions
+            + (base * prof.conflict_factor) * conflict
+            + block.points_per_plane * block.arith_instructions / 32
+            + (spilled * block.threads_per_block / 32 * 2 if spilled else 0)
+            + block.extra_instructions
+            + tp.loop_overhead_instructions
+        )
+        assert timing.issue_slots_per_plane == slots
         assert c["inst_issued"] == (
-            slots.total * timing.planes_per_block * grid.blocks
+            slots * timing.planes_per_block * grid.blocks
         )
         assert c["ipc"] == c["inst_issued"] / (timing.total_cycles * dev.sm_count)
         assert 0 < c["ipc"] <= dev.rules.issue_width + 1e-12
         # Replay rate from the bank-conflict enumerator: effective issue
         # slots (tile conflict profile x architectural DP factor) over the
         # raw shared-memory instruction count, minus one.
-        prof = block.smem_profile
-        base = float(prof.read_instructions + prof.write_instructions)
-        conflict = dp_conflict_factor(block.elem_bytes, dev.rules)
         if base:
             assert c["shared_replay_rate"] == (
-                (prof.issue_cost() * conflict - base) / base
+                ((base * prof.conflict_factor) * conflict - base) / base
             )
         else:
             assert c["shared_replay_rate"] == 0.0
-        assert shared_replay_slots(block, dev) == (
-            base, prof.issue_cost() * conflict - base
-        )
+        assert (
+            timing.smem_instructions_per_plane, timing.smem_slots_per_plane
+        ) == (base, (base * prof.conflict_factor) * conflict)
         # Spill traffic: the spilled-register model, scaled by the sweep.
         spill_per_plane = (
             timing.spilled_regs * block.threads_per_block * tp.spill_bytes_per_reg

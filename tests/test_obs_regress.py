@@ -92,6 +92,69 @@ class TestProfileCompat:
             load_profile(bad)
 
 
+class TestTrajectoryWriter:
+    """``benchmarks/conftest.py`` rewrites ``BENCH_profile.json`` only at
+    the end of a passing run of the whole bench suite; a subset run would
+    replace the recorded trajectory with the few records it produced."""
+
+    @pytest.fixture
+    def hook(self, monkeypatch, tmp_path):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_conftest", REPO / "benchmarks" / "conftest.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        target = tmp_path / "BENCH_profile.json"
+        target.write_bytes(BASELINE.read_bytes())
+        monkeypatch.setattr(module, "BENCH_PROFILE_PATH", target)
+        module._TELEMETRY["winner"] = load_profile(BASELINE)[0]
+        return module, target
+
+    @staticmethod
+    def session(modules, args=("benchmarks",)):
+        from types import SimpleNamespace
+
+        return SimpleNamespace(
+            items=[SimpleNamespace(path=m) for m in modules],
+            config=SimpleNamespace(args=list(args)),
+        )
+
+    ALL = sorted((REPO / "benchmarks").glob("test_*.py"))
+
+    def test_subset_session_leaves_the_file_untouched(self, hook):
+        module, target = hook
+        before = target.read_bytes()
+        subset = self.session(
+            [REPO / "benchmarks" / "test_prior_work_context.py"],
+            args=["benchmarks/test_prior_work_context.py"],
+        )
+        module.pytest_sessionfinish(subset, 0)
+        assert target.read_bytes() == before
+
+    @pytest.mark.parametrize("case", ["failed", "deselected", "node-id"])
+    def test_incomplete_full_session_leaves_the_file_untouched(self, hook, case):
+        module, target = hook
+        before = target.read_bytes()
+        args = ["benchmarks"]
+        if case == "deselected":
+            module.pytest_deselected([object()])
+        if case == "node-id":
+            args = [f"{self.ALL[0]}::test_something"]
+        module.pytest_sessionfinish(
+            self.session(self.ALL, args), 1 if case == "failed" else 0
+        )
+        assert target.read_bytes() == before
+
+    def test_full_passing_session_writes_the_trajectory(self, hook):
+        module, target = hook
+        before = target.read_bytes()
+        module.pytest_sessionfinish(self.session(self.ALL), 0)
+        assert target.read_bytes() != before
+        assert len(load_profile(target)) == 1
+
+
 class TestResimulation:
     def test_plan_for_record_rebuilds_every_baseline_kernel(self):
         for record in load_profile(BASELINE):

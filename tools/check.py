@@ -1,20 +1,26 @@
 #!/usr/bin/env python
-"""Repository quality gate.
+r"""Repository quality gate.
 
 Runs, in order:
 
 1. ``ruff check`` over ``src``, ``tests``, ``benchmarks``, ``examples``
 2. ``mypy`` over ``src/repro`` (strict on ``repro.analysis`` and
    ``repro.obs``, advisory elsewhere — see ``pyproject.toml``)
-3. the profiler trace-schema self-check (``python -m repro.obs.selfcheck``:
+3. the unused-import scan (:func:`unused_imports`: a standard-library
+   ``ast`` pass over ``src``, ``tests``, ``benchmarks``, ``examples`` and
+   ``tools`` that flags every imported name a module never uses, honouring
+   ``__all__``, ``TYPE_CHECKING`` imports named in string annotations and
+   ``# noqa: F401`` — so orphans left by deletions fail the gate even
+   where ruff is not installed)
+4. the profiler trace-schema self-check (``python -m repro.obs.selfcheck``:
    traces one launch, validates the exported Chrome trace against the
    schema, asserts wave-sum reconciliation and reconciles the
    hardware-counter set against the simulator's enumerators)
-4. the perf-regression sentinel (``repro bench diff`` against the
+5. the perf-regression sentinel (``repro bench diff`` against the
    recorded ``BENCH_profile.json`` trajectory: every record resimulated,
    exact tolerance — any slowdown fails the gate with the responsible
    counter named)
-5. the session smoke test (one seeded storm ``repro tune`` writes a
+6. the session smoke test (one seeded storm ``repro tune`` writes a
    journal, an event stream, a trial archive and a metrics exposition,
    and a seeded stochastic storm writes its own event stream and
    archive; ``python -m repro.obs.recordlog`` validates the five record
@@ -23,24 +29,26 @@ Runs, in order:
    the archive and every exported Vega-Lite landscape spec must parse,
    and a ``--resume`` of the journal must exit 0 — retry, quarantine and
    crash-safe replay end to end)
-6. the cluster resilience smoke test (``repro cluster run`` under a
+7. the cluster resilience smoke test (``repro cluster run`` under a
    seeded dropout + corruption + degradation storm with checkpoints,
    then the same campaign stopped early and ``--resume``\ d: the
    resumed final-grid digest must be bit-identical to the
    uninterrupted run's, and the event stream must validate strictly)
-7. the batch-identity gate (``python -m repro.gpusim.batch``: every
-   ``BENCH_profile.json`` record is resimulated through the scalar
-   executor and the vectorized batch engine; the two SHA-256 report
-   digests must be equal, and each record's fresh-engine ``scores()``
-   must match the scalar report's rate, load efficiency, occupancy and
-   limiter — the bit-identity contract of ``docs/SIMULATOR.md``)
-8. the estimator-reconciliation gate (``repro estimate --reconcile``:
+8. the batch-identity gate (``python -m repro.gpusim.batch``): the model
+   is written once over an op table (``repro.gpusim.ops``), and this
+   checks that the two tables agree — every ``BENCH_profile.json``
+   record is resimulated through the scalar executor (builtins table)
+   and the batch engine (NumPy table); the two SHA-256 report digests
+   must be equal, and each record's fresh-engine ``scores()`` must match
+   the scalar report's rate, load efficiency, occupancy and limiter — the
+   bit-identity contract of ``docs/SIMULATOR.md``
+9. the estimator-reconciliation gate (``repro estimate --reconcile``:
    every ``BENCH_profile.json`` record's plan is lowered to its
    access-plan IR, the codegen-time estimate is compared bit-for-bit
    against the resimulated hardware counters, and every distinct
    plan's CUDA/OpenCL/HIP sources are re-parsed and verified against
    the IR — any IR↔source or estimator↔counters mismatch fails)
-9. the tier-1 test suite (``pytest tests/``)
+10. the tier-1 test suite (``pytest tests/``)
 
 Static tools that are not installed are reported as *skipped* and do not
 fail the gate — the container bakes in the runtime toolchain but not
@@ -52,6 +60,7 @@ Exit code: 0 when every step passed or was skipped, 1 otherwise.
 
 from __future__ import annotations
 
+import ast
 import shutil
 import subprocess
 import sys
@@ -234,6 +243,92 @@ def cluster_smoke(env: dict) -> str:
     return "ok"
 
 
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names an annotation references, string annotations included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def unused_imports(path: Path) -> list[tuple[int, str]]:
+    """``(line, name)`` of each imported name the module never uses.
+
+    A name counts as used when the module reads it anywhere, names it in
+    ``__all__`` or in an annotation or ``cast()`` type (string forms, such
+    as those naming ``TYPE_CHECKING``-only imports, included), or re-exports it
+    (``import x as x``).  An import whose lines carry ``# noqa: F401`` is
+    exempt, as are ``__future__`` imports and star imports.
+    """
+    source = path.read_text()
+    tree = ast.parse(source, str(path))
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            span = lines[node.lineno - 1:node.end_lineno]
+            if any("noqa: F401" in line for line in span):
+                continue
+            for alias in node.names:
+                if alias.name != "*" and alias.asname != alias.name:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        elif (
+            isinstance(node, ast.Call) and node.args
+            and getattr(node.func, "id", getattr(node.func, "attr", "")) == "cast"
+        ):
+            used |= _annotation_names(node.args[0])
+        if (
+            isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            and "__all__" in {
+                t.id for t in getattr(node, "targets", [getattr(node, "target", None)])
+                if isinstance(t, ast.Name)
+            }
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            used |= {
+                e.value for e in node.value.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in used
+    )
+
+
+def unused_import_check() -> str:
+    """Every Python file of the repo: no import left unused (pyflakes F401,
+    with the standard library only, so it runs where ruff is absent)."""
+    label = "unused-imports"
+    tops = ("src", "tests", "benchmarks", "examples", "tools")
+    print(f"[check] {label}: ast scan of {', '.join(tops)}")
+    findings = [
+        f"{path.relative_to(REPO)}:{line}: {name!r} imported but unused"
+        for top in tops
+        for path in sorted((REPO / top).rglob("*.py"))
+        for line, name in unused_imports(path)
+    ]
+    for finding in findings:
+        print(f"  {finding}")
+    status = "FAILED" if findings else "ok"
+    print(f"[check] {label}: {status}")
+    return status
+
+
 def main() -> int:
     import os
 
@@ -247,6 +342,7 @@ def main() -> int:
             required=False,
         ),
         "mypy": run("mypy", ["mypy"], required=False),
+        "unused-imports": unused_import_check(),
         "obs-selfcheck": run(
             "obs-selfcheck",
             [sys.executable, "-m", "repro.obs.selfcheck"],
