@@ -34,7 +34,9 @@ Two contracts make it safe to substitute for the scalar path anywhere:
 
 :meth:`BatchEngine.scores` — the tuners' call — runs the headline stage
 only; :meth:`BatchEngine.outcomes` runs the counter stage after it.  The
-identity gate checks both calls.
+identity gate checks both calls.  :meth:`BatchEngine.score` prices a
+single class on the scalar table into the same memo, for callers that
+price one class at a time.
 
 Unlaunchable configurations do not raise: the stages carry a per-row
 failure reason, and each failing class reports the
@@ -43,7 +45,9 @@ raises, so callers can reproduce the scalar control flow without
 exceptions.
 
 Consumers: :class:`repro.tuning.vectorized.VectorTrialEvaluator` (the
-``repro tune`` backend), :func:`repro.obs.regress.diff_baseline` and
+``repro tune`` backend, plain and resilient:
+:class:`repro.tuning.robust.ResilientEvaluator` applies its fault
+overlay to these prices), :func:`repro.obs.regress.diff_baseline` and
 :func:`repro.analysis.estimate.reconcile_profile` (batched
 resimulation).
 """
@@ -56,10 +60,11 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
+from repro.errors import ResourceLimitError
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.executor import launch_report, simulate
 from repro.gpusim.occupancy import launch_error
-from repro.gpusim.ops import Ops
+from repro.gpusim.ops import SCALAR, Ops
 from repro.gpusim.report import SimReport
 from repro.gpusim.timing import (
     BlockClass,
@@ -144,6 +149,8 @@ class ClassScore:
 
     ``launch_error`` is ``None`` for a launchable class; otherwise the
     exact message the scalar occupancy calculator would raise.
+    ``total_cycles`` is the clean sweep's, which the fault overlay
+    (:func:`repro.gpusim.faults.apply_launch_faults`) prices from.
     """
 
     launch_error: str | None
@@ -151,6 +158,7 @@ class ClassScore:
     load_efficiency: float = 0.0
     occupancy: float = 0.0
     limiter: str = ""
+    total_cycles: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -196,6 +204,7 @@ class BatchEngine:
             live = zip(
                 cols["mpoints"].tolist(), t.load_efficiency.tolist(),
                 t.occupancy.occupancy.tolist(), t.occupancy.limiter.tolist(),
+                t.total_cycles.tolist(),
             )
             for i, (cls, reason) in enumerate(zip(missing, cols["reason"].tolist())):
                 self._scores[cls] = (
@@ -203,6 +212,24 @@ class BatchEngine:
                     if reason else ClassScore(None, *next(live))
                 )
         return [self._scores[c] for c in classes]
+
+    def score(self, cls: BlockClass) -> ClassScore:
+        """:meth:`scores` for one class on the scalar op table: bit-identical,
+        same memo, and cheaper than a one-row NumPy pass (the stochastic walk)."""
+        if cls not in self._scores:
+            try:
+                t = time_stage(SCALAR, self.device, self.params, cls)[2]
+            except ResourceLimitError as exc:
+                self._scores[cls] = ClassScore(launch_error=str(exc))
+            else:
+                _, mpoints, _ = sweep_rates(
+                    self.device, t.total_cycles, cls.total_points, cls.flops_per_point
+                )
+                self._scores[cls] = ClassScore(
+                    None, mpoints, t.load_efficiency, t.occupancy.occupancy,
+                    t.occupancy.limiter, t.total_cycles,
+                )
+        return self._scores[cls]
 
     def outcomes(self, classes: Sequence[BlockClass]) -> list[ClassOutcome]:
         """Full results: timing breakdown plus the derived counter set."""
@@ -303,6 +330,7 @@ def _score_of(full: ClassOutcome) -> ClassScore:
         load_efficiency=full.timing.load_efficiency,
         occupancy=full.timing.occupancy.occupancy,
         limiter=full.timing.occupancy.limiter,
+        total_cycles=full.timing.total_cycles,
     )
 
 
@@ -322,8 +350,6 @@ def batch_reports(
     compilation raised), so callers can reproduce the scalar per-item
     control flow: raise, skip or record.
     """
-    from repro.errors import ResourceLimitError
-
     engine = engine or BatchEngine(device, params)
     dev = engine.device
     slots: list[SimReport | Exception | None] = [None] * len(items)
@@ -402,9 +428,10 @@ def check_identity(baseline: str) -> tuple[bool, str]:
     """Resimulate every baseline record through both paths; compare exactly.
 
     The batch path is checked twice per record: the full report from
-    :meth:`BatchEngine.outcomes`, and the four tuner fields of a fresh
-    engine's :meth:`BatchEngine.scores`, which stops before the counter
-    stage and so could drift from ``outcomes()`` unseen.
+    :meth:`BatchEngine.outcomes`, and the fields of a fresh engine's
+    :meth:`BatchEngine.scores`, which stops before the counter stage and
+    so could drift from ``outcomes()`` unseen: the tuners' four, plus
+    ``total_cycles``, which the fault overlay prices from.
     Returns ``(ok, summary)``; the summary carries the per-path digests
     so CI logs show *what* diverged, not just that something did.
     """
@@ -446,6 +473,7 @@ def check_identity(baseline: str) -> tuple[bool, str]:
                  scalar_report.load_efficiency),
                 ("occupancy", score.occupancy, scalar_report.occupancy.occupancy),
                 ("limiter", score.limiter, scalar_report.occupancy.limiter),
+                ("total_cycles", score.total_cycles, scalar_report.total_cycles),
             )
             if _num(a) != _num(b)
         ]

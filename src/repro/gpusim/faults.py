@@ -16,6 +16,9 @@ halo-exchange guards) can be exercised deterministically:
   suspect; array-side helpers (:func:`flip_bit`, :meth:`FaultPlan.corrupt`)
   perturb real data for the numerics guards to catch.
 
+The simulator prices every launch clean; :func:`apply_launch_faults`,
+the one place a plan touches a launch, overlays the next fault on it.
+
 Determinism is the core contract: a :class:`FaultPlan` is a pure function
 of ``(seed, stream, index)`` — the same plan replayed against the same
 sequence of launches injects the *identical* fault sequence, trial for
@@ -23,9 +26,9 @@ trial, across processes (no ``PYTHONHASHSEED`` dependence).  Each
 consumer stream (device launches, halo exchanges) has its own monotonic
 index, advanced by :meth:`next_index`.
 
-With no plan installed (``faults=None`` everywhere) every hook is a
-no-op branch — zero perturbation of the simulated numbers, which is what
-keeps the recorded ``BENCH_profile.json`` trajectory bit-identical.
+With no plan installed (``faults=None`` everywhere) nothing is drawn and
+every price passes through unperturbed, which is what keeps the recorded
+``BENCH_profile.json`` trajectory bit-identical.
 """
 
 from __future__ import annotations
@@ -33,12 +36,17 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FaultInjectedError, KernelHangError, ResourceLimitError
+from repro.gpusim.device import DeviceSpec
+from repro.gpusim.timing import BlockClass, sweep_rates
 from repro.obs.events import emit as emit_fault_event
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.gpusim.batch import ClassScore
 
 #: Fault-taxonomy kind names (also the ``sim.fault.<kind>`` metric suffixes).
 KIND_LAUNCH_FAILURE = "launch_failure"
@@ -53,7 +61,7 @@ FAULT_KINDS: tuple[str, ...] = (
     KIND_ECC,
 )
 
-#: Launch stream name used by :class:`repro.gpusim.executor.DeviceExecutor`.
+#: Launch stream name, drawn once per launch by :func:`apply_launch_faults`.
 STREAM_LAUNCH = "launch"
 #: Exchange stream name used by :func:`repro.cluster.decompose.exchange_halos`.
 STREAM_EXCHANGE = "exchange"
@@ -71,11 +79,6 @@ class FaultEvent:
     index: int
     factor: float = 1.0
 
-    def describe(self) -> str:
-        if self.kind == KIND_THROTTLE:
-            return f"{self.kind}[{self.index}] x{self.factor:.2f}"
-        return f"{self.kind}[{self.index}]"
-
 
 @dataclass
 class FaultPlan:
@@ -88,7 +91,7 @@ class FaultPlan:
     which is how the degradation tests model "a tier that keeps faulting
     while the campaign as a whole can still succeed".
 
-    ``watchdog_cycles`` arms the executor's watchdog even for clean
+    ``watchdog_cycles`` arms the overlay's watchdog even for clean
     launches: any launch whose simulated cycles exceed the budget raises
     :class:`repro.errors.KernelHangError`, which is how per-trial timeout
     budgets are enforced on a simulator that never actually blocks.
@@ -148,15 +151,11 @@ class FaultPlan:
         ) & 0xFFFFFFFFFFFF
         return random.Random(mix)
 
-    def next_index(self, stream: str = STREAM_LAUNCH) -> int:
+    def next_index(self, stream: str) -> int:
         """Advance and return ``stream``'s monotonic draw index."""
         index = self._counters.get(stream, 0)
         self._counters[stream] = index + 1
         return index
-
-    def reset(self) -> None:
-        """Rewind every stream to index 0 (fresh replay of the plan)."""
-        self._counters.clear()
 
     @property
     def fault_rate(self) -> float:
@@ -174,7 +173,7 @@ class FaultPlan:
         """The fault injected at ``stream``'s draw ``index``, if any.
 
         Pure: does not advance any counter, so tests can enumerate the
-        whole schedule up front and assert the executor saw exactly it.
+        whole schedule up front and assert the overlay saw exactly it.
         """
         if self.fault_rate == 0.0:
             return None
@@ -216,11 +215,7 @@ class FaultPlan:
         if event is None or event.kind != KIND_ECC:
             return event
         rng = self._rng(stream + ".payload", index)
-        if self.ecc_mode == "nan":
-            flat = array.reshape(-1)
-            flat[rng.randrange(flat.size)] = np.nan
-        else:
-            flip_bit(array, rng)
+        _perturb(array, rng, self.ecc_mode)
         return event
 
     # -- CLI spec ----------------------------------------------------------
@@ -246,27 +241,7 @@ class FaultPlan:
         (rates), ``throttle_min``/``throttle_max``, ``burst``,
         ``watchdog``, ``ecc_mode``.
         """
-        kwargs: dict[str, Any] = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            key = key.strip()
-            if not sep or key not in cls._SPEC_KEYS:
-                known = ", ".join(sorted(cls._SPEC_KEYS))
-                raise ConfigurationError(
-                    f"bad fault spec entry {part!r}; expected key=value with "
-                    f"key in {{{known}}}"
-                )
-            attr, cast = cls._SPEC_KEYS[key]
-            try:
-                kwargs[attr] = cast(value.strip())
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"bad fault spec value {part!r}: {exc}"
-                ) from exc
-        return cls(**kwargs)
+        return cls(**_parse_spec(spec, cls._SPEC_KEYS, "fault"))
 
     def describe(self) -> str:
         """One-line summary for logs and journal headers."""
@@ -396,11 +371,7 @@ class ClusterFaultPlan:
         if not self.link_corrupt(link, step, attempt):
             return False
         rng = self._rng(STREAM_CLUSTER_LINK + ".payload", link, step, attempt)
-        if self.corrupt_mode == "nan":
-            flat = array.reshape(-1)
-            flat[rng.randrange(flat.size)] = np.nan
-        else:
-            flip_bit(array, rng)
+        _perturb(array, rng, self.corrupt_mode)
         return True
 
     def link_degrade_factor(self, link: int, step: int) -> float:
@@ -436,27 +407,7 @@ class ClusterFaultPlan:
         Keys: ``seed``, ``corrupt``, ``degrade``, ``dropout`` (rates),
         ``degrade_min``/``degrade_max``, ``corrupt_mode``.
         """
-        kwargs: dict[str, Any] = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            key = key.strip()
-            if not sep or key not in cls._SPEC_KEYS:
-                known = ", ".join(sorted(cls._SPEC_KEYS))
-                raise ConfigurationError(
-                    f"bad cluster fault spec entry {part!r}; expected "
-                    f"key=value with key in {{{known}}}"
-                )
-            attr, cast = cls._SPEC_KEYS[key]
-            try:
-                kwargs[attr] = cast(value.strip())
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"bad cluster fault spec value {part!r}: {exc}"
-                ) from exc
-        return cls(**kwargs)
+        return cls(**_parse_spec(spec, cls._SPEC_KEYS, "cluster fault"))
 
     def describe(self) -> str:
         """One-line summary for logs and checkpoint headers."""
@@ -493,6 +444,101 @@ def observe_fault(tracer: Any, event: FaultEvent, **args: Any) -> None:
         kind=event.kind, launch_index=event.index, **args,
     )
     tracer.metrics.counter(f"sim.fault.{event.kind}").inc()
+
+
+def apply_launch_faults(
+    faults: FaultPlan | None,
+    device: DeviceSpec,
+    kernel: str,
+    score: "ClassScore",
+    cls: BlockClass,
+    *,
+    watchdog_cycles: float | None = None,
+    tracer: Any = None,
+) -> tuple[tuple[float, float, float], FaultEvent | None]:
+    """Draw the plan's next ``launch`` event and apply it to a priced launch.
+
+    ``score`` is the clean price (launch error, total cycles) of ``cls``.
+    In order: a launch failure raises :class:`FaultInjectedError`; an
+    unlaunchable class raises :class:`ResourceLimitError`; a hang
+    multiplies the clean cycles and raises :class:`KernelHangError`, as
+    does the watchdog (``watchdog_cycles``, else the plan's own) when the
+    clean cycles exceed it; a throttle derates the clock, never the
+    cycles; an ECC event only flags.  Returns ``(time_s, MPoint/s,
+    GFlop/s)`` and the throttle/ECC event survived, or ``None``.
+    """
+    event = None
+    if faults is not None:
+        event = faults.event_for(faults.next_index(STREAM_LAUNCH), STREAM_LAUNCH)
+        if watchdog_cycles is None:
+            watchdog_cycles = faults.watchdog_cycles
+    if event is not None and event.kind == KIND_LAUNCH_FAILURE:
+        observe_fault(tracer, event, kernel=kernel)
+        raise FaultInjectedError(
+            f"injected launch failure for {kernel} (launch {event.index})",
+            kind=event.kind, launch_index=event.index,
+        )
+    if score.launch_error is not None:
+        raise ResourceLimitError(score.launch_error)
+    cycles = score.total_cycles
+    if faults is not None and event is not None and event.kind == KIND_HANG:
+        hang_cycles = cycles * faults.hang_multiplier
+        observe_fault(tracer, event, kernel=kernel, cycles=hang_cycles)
+        raise KernelHangError(
+            f"injected hang for {kernel}: {hang_cycles:.0f} simulated "
+            f"cycles exceed the watchdog budget (launch {event.index})",
+            kind=event.kind, cycles=hang_cycles, budget=watchdog_cycles,
+            launch_index=event.index,
+        )
+    if watchdog_cycles is not None and cycles > watchdog_cycles:
+        raise KernelHangError(
+            f"{kernel} exceeded the per-trial cycle budget: "
+            f"{cycles:.0f} > {watchdog_cycles:.0f}",
+            kind="watchdog", cycles=cycles, budget=watchdog_cycles,
+        )
+    if event is not None and event.kind == KIND_THROTTLE:
+        observe_fault(tracer, event, kernel=kernel, factor=event.factor)
+    elif event is not None:
+        observe_fault(tracer, event, kernel=kernel)
+    # A throttle's factor derates the clock; every other event's is 1.0.
+    derate = 1.0 if event is None else event.factor
+    return sweep_rates(device, cycles, cls.total_points, cls.flops_per_point, derate), event
+
+
+def _parse_spec(
+    spec: str, keys: dict[str, tuple[str, Any]], what: str
+) -> dict[str, Any]:
+    """Constructor keyword arguments from a ``key=value,...`` CLI spec."""
+    kwargs: dict[str, Any] = {}
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, sep, value = part.partition("=")
+        key = key.strip()
+        if not sep or key not in keys:
+            known = ", ".join(sorted(keys))
+            raise ConfigurationError(
+                f"bad {what} spec entry {part!r}; expected key=value with "
+                f"key in {{{known}}}"
+            )
+        attr, cast = keys[key]
+        try:
+            kwargs[attr] = cast(value.strip())
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"bad {what} spec value {part!r}: {exc}"
+            ) from exc
+    return kwargs
+
+
+def _perturb(array: np.ndarray, rng: random.Random, mode: str) -> None:
+    """Corrupt ``array`` in place: plant a NaN (``"nan"``) or flip a bit."""
+    if mode == "nan":
+        flat = array.reshape(-1)
+        flat[rng.randrange(flat.size)] = np.nan
+    else:
+        flip_bit(array, rng)
 
 
 def flip_bit(array: np.ndarray, rng: random.Random) -> tuple[int, int]:

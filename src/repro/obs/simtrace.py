@@ -30,30 +30,24 @@ from repro.obs.schema import (
 from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.gpusim.device import DeviceSpec
     from repro.gpusim.report import SimReport
-    from repro.gpusim.timing import TimingParams, TimingResult
-    from repro.gpusim.workload import BlockWorkload, GridWorkload
+    from repro.gpusim.timing import TimingResult
+    from repro.gpusim.workload import GridWorkload
 
 
 def emit_kernel_spans(
-    tracer: Tracer,
-    report: "SimReport",
-    timing: "TimingResult",
-    workload: "BlockWorkload",
-    grid: "GridWorkload",
-    device: "DeviceSpec",
-    params: "TimingParams",
+    tracer: Tracer, report: "SimReport", timing: "TimingResult", grid: "GridWorkload"
 ) -> None:
-    """Record one launch's device-track spans and accumulate its counters."""
+    """Record one launch's device-track spans and accumulate its counters.
+
+    ``report`` is the executor's, which always carries its counter set.
+    """
     from repro.gpusim.timing import wave_geometry  # deferred: no import cycle
-    from repro.obs.counters import derive_counters
 
     base = tracer.alloc_cycles(timing.total_cycles)
     planes = timing.planes_per_block
-    counters = report.counters or derive_counters(
-        timing, workload, grid, device, params
-    )
+    counters = report.counters
+    assert counters is not None
 
     tracer.device_span(
         report.kernel_name,
@@ -71,12 +65,6 @@ def emit_kernel_spans(
         blocks=timing.blocks,
         breakdown=dict(report.breakdown),
         counters=counters.as_dict(),
-        # Present only on launches an injected fault touched (throttle /
-        # ECC); clean traces carry exactly the pre-fault-layer args.
-        **(
-            {"faults": report.meta["faults"]}
-            if report.meta.get("faults") else {}
-        ),
     )
 
     replay_slots = (

@@ -13,9 +13,11 @@ its feasibility pass (:func:`repro.tuning.exhaustive.feasible_trials`),
 and every later stage — the pre-filter, measurement, model scoring and
 archive derivation — reads that trial instead of rebuilding it.
 
-:class:`SimTrialEvaluator` is the default implementation (one simulator
-launch per trial); :class:`repro.tuning.robust.ResilientEvaluator` wraps
-it with retries, per-config quarantine and a crash-safe journal.
+:class:`SimTrialEvaluator` (one clean simulator launch per trial) is the
+reference and the tuners' default; ``repro tune`` sessions price on
+:class:`repro.tuning.vectorized.VectorTrialEvaluator`, which
+:class:`repro.tuning.robust.ResilientEvaluator` wraps with faults,
+retries, per-config quarantine and a crash-safe journal.
 
 :class:`TrialRunner` is the only place a trial is narrated: it runs the
 pre-filter and the measurement, tallies the reject stats, and emits the
@@ -385,7 +387,7 @@ class TrialRunner:
 
 
 class SimTrialEvaluator:
-    """The plain evaluator: one simulator launch per measure call.
+    """The clean scalar reference: one simulator launch per measure call.
 
     Parameters
     ----------
@@ -396,21 +398,12 @@ class SimTrialEvaluator:
         :meth:`statically_rejected` always answers ``False`` and
         unlaunchable configurations are discovered by the simulator
         (``rejected_simulated``) instead.
-    executor:
-        Injectable executor — the fault-injection tests and the resilient
-        session pass one built with a :class:`repro.gpusim.faults.FaultPlan`.
     """
 
-    def __init__(
-        self,
-        device: DeviceSpec,
-        *,
-        prefilter: bool = True,
-        executor: DeviceExecutor | None = None,
-    ) -> None:
+    def __init__(self, device: DeviceSpec, *, prefilter: bool = True) -> None:
         self.device = device
         self.prefilter = prefilter
-        self.executor = executor or DeviceExecutor(device)
+        self.executor = DeviceExecutor(device)
 
     def statically_rejected(self, block: "BlockWorkload") -> bool:
         return self.prefilter and launch_failure(block, self.device) is not None
@@ -426,9 +419,6 @@ class SimTrialEvaluator:
             report = self.executor.run(plan, grid_shape, block=block)
         except ResourceLimitError:
             return TrialOutcome(config=cfg, status=STATUS_REJECTED_SIMULATED)
-        faults = tuple(
-            str(f.get("kind", "?")) for f in report.meta.get("faults", ())
-        )
         return TrialOutcome(
             config=cfg,
             status=STATUS_OK,
@@ -438,5 +428,4 @@ class SimTrialEvaluator:
                 "occupancy": report.occupancy.occupancy,
                 "limiter": report.occupancy.limiter,
             },
-            faults=faults,
         )

@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ResourceLimitError
+from repro.errors import ConfigurationError, ResourceLimitError
 from repro.gpusim.arch import WARP_SIZE
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.ops import SCALAR, Ops, cdiv
@@ -63,6 +63,14 @@ class ModelInputs:
     k_s: int
     ops: float
     bytes_blk: float
+
+    def __post_init__(self) -> None:
+        # A column record (predict_batch) holds rows validated one by one.
+        if not isinstance(self.tx, np.ndarray):
+            for name, v in (("tx", self.tx), ("ty", self.ty), ("rx", self.rx), ("ry", self.ry)):
+                if v <= 0:
+                    msg = f"{name} must be positive, got {v}"
+                    raise ConfigurationError(msg, rule="CFG-POSITIVE")
 
     @classmethod
     def from_plan(

@@ -19,6 +19,11 @@ failure modes :mod:`repro.gpusim.faults` injects:
   ladder model → stochastic → exhaustive, falling through when a tier
   cannot produce a usable winner.
 
+A session prices on the same batch engine as a plain tune
+(:class:`~repro.tuning.vectorized.VectorTrialEvaluator`); faults are an
+overlay on those clean prices, applied per launch attempt by
+:func:`repro.gpusim.faults.apply_launch_faults`.
+
 Everything is deterministic: backoff jitter comes from a seeded RNG, the
 fault schedule from :class:`~repro.gpusim.faults.FaultPlan`, so the same
 seed reproduces the same fault sequence, retries and winner, trial for
@@ -32,7 +37,7 @@ from __future__ import annotations
 import logging
 import random
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -41,10 +46,12 @@ from repro.errors import (
     FaultInjectedError,
     JournalError,
     KernelHangError,
+    ResourceLimitError,
     TuningError,
 )
+from repro.gpusim.batch import BlockClass, ClassScore
 from repro.gpusim.device import DeviceSpec, get_device
-from repro.gpusim.executor import DeviceExecutor
+from repro.gpusim.faults import apply_launch_faults
 from repro.kernels.config import BlockConfig
 from repro.obs import recordlog
 from repro.obs.archive import TrialArchive, archive_stream
@@ -58,18 +65,19 @@ from repro.obs.events import (
     event_stream,
     suppress_events,
 )
-from repro.obs.tracer import set_gauge
+from repro.obs.tracer import current_tracer, set_gauge
 from repro.tuning.evaluator import (
     STATUS_QUARANTINED,
+    STATUS_REJECTED_STATIC,
     TRIAL_STATUSES,
-    SimTrialEvaluator,
-    TrialEvaluator,
+    Trial,
     TrialOutcome,
 )
 from repro.tuning.exhaustive import exhaustive_tune
 from repro.tuning.modelbased import model_based_tune
 from repro.tuning.result import TuneResult
 from repro.tuning.stochastic import stochastic_tune
+from repro.tuning.vectorized import VectorTrialEvaluator, classify
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpusim.faults import FaultPlan
@@ -233,31 +241,39 @@ _NON_RETRYABLE_KINDS = frozenset({"watchdog"})
 
 
 class ResilientEvaluator:
-    """Retry / quarantine / journal wrapper around a plain evaluator.
+    """Fault overlay, retry, quarantine and journal on batch pricing.
 
-    Drop-in :class:`~repro.tuning.evaluator.TrialEvaluator`: the tuners
-    cannot tell they are talking to it, which is the whole point — the
-    search logic stays fault-oblivious while every measurement gains
+    A batch-capable :class:`~repro.tuning.evaluator.TrialEvaluator`: the
+    tuners cannot tell they are talking to it, which is the whole point —
+    the search logic stays fault-oblivious while every measurement gains
 
     1. journal replay (a config already journaled never re-runs),
-    2. retries with deterministic backoff for transient faults
-       (launch failures, hangs, throttle/ECC-flagged measurements),
-    3. quarantine once retries are exhausted (or immediately for
+    2. one ``faults`` draw per launch attempt, overlaid on ``inner``'s
+       clean price (:func:`repro.gpusim.faults.apply_launch_faults`),
+    3. retries with deterministic backoff for transient faults,
+    4. quarantine once retries are exhausted (or immediately for
        deterministic failures like a genuine watchdog overrun).
 
-    ``stats`` accumulates across tiers: ``live_trials`` (measurements
-    actually executed), ``replayed``, ``retries``, ``quarantined_configs``
-    and ``backoff_s`` (total computed delay, slept or not).
+    :meth:`measure_trials` prices all fresh trials in one batch, then
+    draws for them in input order, exactly as one :meth:`measure` each.
+
+    ``stats`` accumulates across tiers: ``live_trials`` (launch attempts),
+    ``replayed``, ``retries``, ``quarantined_configs`` and ``backoff_s``
+    (total computed delay, slept or not).
     """
 
     def __init__(
         self,
-        inner: TrialEvaluator,
+        inner: VectorTrialEvaluator,
         *,
+        faults: "FaultPlan | None" = None,
+        watchdog_cycles: float | None = None,
         policy: RetryPolicy | None = None,
         journal: TrialJournal | None = None,
     ) -> None:
         self.inner = inner
+        self.faults = faults
+        self.watchdog_cycles = watchdog_cycles
         self.policy = policy or RetryPolicy()
         self.journal = journal
         self.stats: dict[str, Any] = {
@@ -271,12 +287,6 @@ class ResilientEvaluator:
     def statically_rejected(self, block: "BlockWorkload") -> bool:
         return self.inner.statically_rejected(block)
 
-    def _backoff(self, key: str, attempt: int) -> None:
-        delay = self.policy.delay_s(key, attempt)
-        self.stats["backoff_s"] += delay
-        if self.policy.sleep is not None:
-            self.policy.sleep(delay)
-
     def measure(
         self,
         cfg: BlockConfig,
@@ -284,12 +294,57 @@ class ResilientEvaluator:
         grid_shape: tuple[int, int, int],
         block: "BlockWorkload",
     ) -> TrialOutcome:
-        if self.journal is not None:
-            replayed = self.journal.get(cfg)
-            if replayed is not None:
-                self.stats["replayed"] += 1
-                return replayed
+        replayed = self._replay(cfg)
+        if replayed is not None:
+            return replayed
+        cls = BlockClass.of(block, plan.grid_workload(self.inner.device, grid_shape))
+        with suppress_events():
+            score = self.inner.engine.score(cls)
+            return self._attempt(cfg, plan.name, score, cls, current_tracer())
 
+    def measure_trials(
+        self,
+        trials: list[Trial],
+        grid_shape: tuple[int, int, int],
+    ) -> list[TrialOutcome]:
+        """Measure every trial; outcomes in input order."""
+        static = [self.statically_rejected(t.block) for t in trials]
+        fresh = [
+            t for t, rejected in zip(trials, static)
+            if not rejected and (self.journal is None or self.journal.get(t.config) is None)
+        ]
+        # Events are silenced across the measurement: the trial runner
+        # narrates each trial from its finished outcome, in input order.
+        with suppress_events():
+            classes = self.inner.classes(fresh, grid_shape)
+            scores = self.inner.engine.scores(classes)
+            priced = {t.config: price for t, price in zip(fresh, zip(scores, classes))}
+            tracer = current_tracer()
+            return [
+                TrialOutcome(config=t.config, status=STATUS_REJECTED_STATIC) if rejected
+                else self._replay(t.config)
+                or self._attempt(t.config, t.plan.name, *priced[t.config], tracer)
+                for t, rejected in zip(trials, static)
+            ]
+
+    def _replay(self, cfg: BlockConfig) -> TrialOutcome | None:
+        """The journaled outcome for ``cfg``, counted as replayed."""
+        replayed = None if self.journal is None else self.journal.get(cfg)
+        if replayed is not None:
+            self.stats["replayed"] += 1
+        return replayed
+
+    def _backoff(self, key: str, attempt: int) -> None:
+        delay = self.policy.delay_s(key, attempt)
+        self.stats["backoff_s"] += delay
+        if self.policy.sleep is not None:
+            self.policy.sleep(delay)
+
+    def _attempt(
+        self, cfg: BlockConfig, kernel: str, score: ClassScore,
+        cls: BlockClass, tracer: Any,
+    ) -> TrialOutcome:
+        """Launch until clean, retries exhausted or a deterministic failure."""
         key = cfg.label()
         faults_seen: list[str] = []
         degraded: TrialOutcome | None = None
@@ -299,69 +354,44 @@ class ResilientEvaluator:
                 self.stats["retries"] += 1
                 self._backoff(key, attempts - 1)
             attempts += 1
+            self.stats["live_trials"] += 1
             try:
-                # Events are silenced across the measurement: the trial
-                # runner derives fault instants from the finished outcome
-                # instead (emit_trial_events), so each trial is narrated
-                # once, in input order.
-                with suppress_events():
-                    outcome = self.inner.measure(cfg, plan, grid_shape, block)
+                rates, event = apply_launch_faults(
+                    self.faults, self.inner.device, kernel, score, cls,
+                    watchdog_cycles=self.watchdog_cycles, tracer=tracer,
+                )
+            except ResourceLimitError:
+                # A deterministic rejection the simulator would repeat.
+                return self._finish(replace(classify(cfg, score), attempts=attempts))
             except (FaultInjectedError, KernelHangError) as exc:
-                kind = getattr(exc, "kind", "unknown")
-                faults_seen.append(kind)
-                self.stats["live_trials"] += 1
-                if kind in _NON_RETRYABLE_KINDS:
-                    logger.warning(
-                        "%s: non-retryable %s fault, quarantining", key, kind
-                    )
+                faults_seen.append(exc.kind)
+                if exc.kind in _NON_RETRYABLE_KINDS:
+                    logger.warning("%s: non-retryable %s fault, quarantining", key, exc.kind)
                     break
                 logger.info(
-                    "%s: attempt %d faulted (%s), %s", key, attempts, kind,
+                    "%s: attempt %d faulted (%s), %s", key, attempts, exc.kind,
                     "retrying" if attempts <= self.policy.max_retries
                     else "quarantining",
                 )
                 continue
-            self.stats["live_trials"] += 1
-            if not outcome.measured or not outcome.faults:
-                # Clean measurement, or a deterministic rejection the
-                # simulator would repeat identically: final either way.
-                final = TrialOutcome(
-                    config=outcome.config,
-                    status=outcome.status,
-                    mpoints_per_s=outcome.mpoints_per_s,
-                    info=outcome.info,
-                    attempts=attempts,
-                    faults=outcome.faults,
-                )
-                return self._finish(final)
+            if event is None:
+                return self._finish(replace(classify(cfg, score), attempts=attempts))
             # Completed but fault-flagged (throttle/ECC): the number is
             # suspect.  Keep it as a last resort and retry for clean.
-            faults_seen.extend(outcome.faults)
-            degraded = outcome
+            faults_seen.append(event.kind)
+            degraded = replace(classify(cfg, score), mpoints_per_s=rates[1])
             logger.info(
                 "%s: attempt %d returned a fault-flagged measurement (%s)",
-                key, attempts, ",".join(outcome.faults),
+                key, attempts, event.kind,
             )
 
         if degraded is not None:
-            final = TrialOutcome(
-                config=degraded.config,
-                status=degraded.status,
-                mpoints_per_s=degraded.mpoints_per_s,
-                info=degraded.info,
-                attempts=attempts,
-                faults=tuple(faults_seen),
-            )
-            return self._finish(final)
+            return self._finish(replace(degraded, attempts=attempts, faults=tuple(faults_seen)))
         self.stats["quarantined_configs"] += 1
         set_gauge("tune.quarantined", self.stats["quarantined_configs"])
-        final = TrialOutcome(
-            config=cfg,
-            status=STATUS_QUARANTINED,
-            attempts=attempts,
-            faults=tuple(faults_seen),
-        )
-        return self._finish(final)
+        return self._finish(TrialOutcome(
+            config=cfg, status=STATUS_QUARANTINED, attempts=attempts, faults=tuple(faults_seen)
+        ))
 
     def _finish(self, outcome: TrialOutcome) -> TrialOutcome:
         if self.journal is not None:
@@ -403,8 +433,8 @@ class RobustTuningSession:
     grid_shape:
         The sweep volume trials are priced on.
     faults:
-        Optional :class:`~repro.gpusim.faults.FaultPlan` driving the
-        executor every trial runs on (``None``: clean campaign).
+        Optional :class:`~repro.gpusim.faults.FaultPlan` applied to every
+        priced launch (``None``: clean campaign).
     policy:
         Retry/backoff/quarantine policy (default :class:`RetryPolicy`).
     journal_path:
@@ -421,7 +451,7 @@ class RobustTuningSession:
         ``device:grid[:faults]`` and should be extended by callers that
         vary more than that (the CLI prepends family/order/dtype).
     prefilter / watchdog_cycles:
-        Forwarded to the underlying executor/evaluator.
+        Forwarded to the pricing evaluator and the fault overlay.
     events_path:
         Where to stream structured events
         (:class:`repro.obs.events.JsonlEventSink`, tailed by
@@ -464,7 +494,6 @@ class RobustTuningSession:
     ) -> None:
         self.device = get_device(device) if isinstance(device, str) else device
         self.grid_shape = grid_shape
-        self.faults = faults
         self.events_path = Path(events_path) if events_path is not None else None
         self.archive_path = (
             Path(archive_path) if archive_path is not None else None
@@ -496,11 +525,10 @@ class RobustTuningSession:
                 self.journal = TrialJournal.create(journal_path, session_key)
         elif resume:
             raise JournalError("resume requested without a journal path")
-        executor = DeviceExecutor(
-            self.device, faults=faults, watchdog_cycles=watchdog_cycles
-        )
         self.evaluator = ResilientEvaluator(
-            SimTrialEvaluator(self.device, prefilter=prefilter, executor=executor),
+            VectorTrialEvaluator(self.device, prefilter=prefilter),
+            faults=faults,
+            watchdog_cycles=watchdog_cycles,
             policy=policy,
             journal=self.journal,
         )

@@ -1,8 +1,7 @@
 """In-process vectorized trial evaluator over the batch simulator core.
 
-:class:`VectorTrialEvaluator` is the batch measurement backend next to
-:class:`~repro.tuning.evaluator.SimTrialEvaluator` (one scalar launch
-per call).  It implements the
+:class:`VectorTrialEvaluator` is the measurement backend of every
+``repro tune`` session, plain or resilient.  It implements the
 :class:`~repro.tuning.evaluator.BatchTrialEvaluator` protocol: it takes
 the :class:`~repro.tuning.evaluator.Trial` list the sweep's feasibility
 pass already built (plan and block workload per config) and dispatches
@@ -17,6 +16,8 @@ classifying every outcome exactly as the serial loop would:
 * launchable → ``ok`` with the bit-identical rate and the same
   ``info`` keys (``load_efficiency`` / ``occupancy`` / ``limiter``).
 
+A one-trial :meth:`~VectorTrialEvaluator.measure` (the stochastic walk)
+prices on the scalar op table instead (``BatchEngine.score``).
 :meth:`VectorTrialEvaluator.measure_batch` is the convenience form for
 callers holding only a builder and configs: it builds the trials and
 prices them through the same :meth:`~VectorTrialEvaluator.measure_trials`.
@@ -24,9 +25,9 @@ prices them through the same :meth:`~VectorTrialEvaluator.measure_trials`.
 Because the engine is bit-identical to the scalar path (the
 ``batch-identity`` gate in ``tools/check.py``), a tuner over this
 evaluator picks the same winner with the same tie-breaks as the serial
-loop — it is a pure throughput substitution.  Fault schedules and
-watchdog budgets are scalar-executor concerns; resilient/fault-storm
-campaigns keep using the serial backend.
+loop — it is a pure throughput substitution.  Fault storms price here
+too: :class:`repro.tuning.robust.ResilientEvaluator` overlays its fault
+plan on these prices.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.resources import launch_failure
-from repro.gpusim.batch import BatchEngine, BlockClass
+from repro.gpusim.batch import BatchEngine, BlockClass, ClassScore
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.timing import TimingParams
 from repro.kernels.config import BlockConfig
@@ -118,10 +119,9 @@ class VectorTrialEvaluator:
         grid_shape: tuple[int, int, int],
         block: "BlockWorkload",
     ) -> TrialOutcome:
-        """Measure one config through the engine (sequential entry point)."""
+        """Measure one config on the scalar table (sequential entry point)."""
         grid = plan.grid_workload(self.device, grid_shape)
-        score = self.engine.scores([BlockClass.of(block, grid)])[0]
-        return self._classify(cfg, score, prefiltered=False)
+        return classify(cfg, self.engine.score(BlockClass.of(block, grid)))
 
     # -- BatchTrialEvaluator protocol -------------------------------------
 
@@ -134,13 +134,16 @@ class VectorTrialEvaluator:
         # Pricing is event-silent: the trial runner narrates from the
         # returned outcomes in input order.
         with suppress_events():
-            grids = shared_grid_workloads(trials, self.device, grid_shape)
-            classes = [BlockClass.of(t.block, g) for t, g in zip(trials, grids)]
-            scores = self.engine.scores(classes)
+            scores = self.engine.scores(self.classes(trials, grid_shape))
         return [
-            self._classify(t.config, score, prefiltered=self.prefilter)
+            classify(t.config, score, prefiltered=self.prefilter)
             for t, score in zip(trials, scores)
         ]
+
+    def classes(self, trials: list[Trial], grid_shape: tuple[int, int, int]) -> list[BlockClass]:
+        """Each trial's block class, sharing grid workloads across trials."""
+        grids = shared_grid_workloads(trials, self.device, grid_shape)
+        return [BlockClass.of(t.block, g) for t, g in zip(trials, grids)]
 
     def measure_batch(
         self,
@@ -156,23 +159,19 @@ class VectorTrialEvaluator:
             ]
         return self.measure_trials(trials, grid_shape)
 
-    # -- classification ----------------------------------------------------
 
-    @staticmethod
-    def _classify(cfg, score, *, prefiltered: bool) -> TrialOutcome:
-        if score.launch_error is not None:
-            status = (
-                STATUS_REJECTED_STATIC if prefiltered
-                else STATUS_REJECTED_SIMULATED
-            )
-            return TrialOutcome(config=cfg, status=status)
-        return TrialOutcome(
-            config=cfg,
-            status=STATUS_OK,
-            mpoints_per_s=score.mpoints_per_s,
-            info={
-                "load_efficiency": score.load_efficiency,
-                "occupancy": score.occupancy,
-                "limiter": score.limiter,
-            },
-        )
+def classify(cfg: BlockConfig, score: ClassScore, *, prefiltered: bool = False) -> TrialOutcome:
+    """The outcome of a clean launch of ``score``'s class for ``cfg``."""
+    if score.launch_error is not None:
+        status = STATUS_REJECTED_STATIC if prefiltered else STATUS_REJECTED_SIMULATED
+        return TrialOutcome(config=cfg, status=status)
+    return TrialOutcome(
+        config=cfg,
+        status=STATUS_OK,
+        mpoints_per_s=score.mpoints_per_s,
+        info={
+            "load_efficiency": score.load_efficiency,
+            "occupancy": score.occupancy,
+            "limiter": score.limiter,
+        },
+    )

@@ -35,8 +35,9 @@ from repro.codegen import (
     generate_opencl_kernel,
 )
 from repro.errors import ResourceLimitError
+from repro.gpusim.batch import BatchEngine, BlockClass
 from repro.gpusim.executor import DeviceExecutor, simulate
-from repro.gpusim.faults import FaultPlan
+from repro.gpusim.faults import FaultPlan, apply_launch_faults
 from repro.kernels.config import BlockConfig
 from repro.kernels.inplane import InPlaneKernel
 from repro.kernels.nvstencil import NvStencilKernel
@@ -82,22 +83,32 @@ class TestFaultPurity:
         plan = make()
         est = estimate_plan(plan, gtx580, GRID)
         clean = DeviceExecutor(gtx580).run(plan, GRID)
-        faulted = DeviceExecutor(
-            gtx580, faults=FaultPlan(throttle_rate=1.0)
-        ).run(plan, GRID)
+        cls = BlockClass.of(
+            plan.block_workload(gtx580, GRID), plan.grid_workload(gtx580, GRID)
+        )
+        (_, mpoints, _), event = apply_launch_faults(
+            FaultPlan(throttle_rate=1.0), gtx580, plan.name,
+            BatchEngine(gtx580).score(cls), cls,
+        )
         # The fault derated the measured rate...
-        assert faulted.mpoints_per_s < clean.mpoints_per_s
-        assert faulted.meta["faults"][0]["kind"] == "throttle"
+        assert mpoints < clean.mpoints_per_s
+        assert event is not None and event.kind == "throttle"
         # ...but the counters and the estimate describe the clean launch.
         for field in EXACT_FIELDS:
-            assert getattr(est, field) == faulted.counters[field], field
+            assert getattr(est, field) == clean.counters[field], field
         assert est.mpoints_per_s == clean.mpoints_per_s
 
     def test_estimate_ignores_any_fault_plan(self, gtx580):
-        # Same plan, estimate recomputed after a faulted run: identical.
+        # Same plan, estimate recomputed after a faulted launch: identical.
         plan = make(order=8, dtype="dp")
         before = estimate_plan(plan, gtx580, GRID)
-        DeviceExecutor(gtx580, faults=FaultPlan(ecc_rate=1.0)).run(plan, GRID)
+        cls = BlockClass.of(
+            plan.block_workload(gtx580, GRID), plan.grid_workload(gtx580, GRID)
+        )
+        apply_launch_faults(
+            FaultPlan(ecc_rate=1.0), gtx580, plan.name,
+            BatchEngine(gtx580).score(cls), cls,
+        )
         assert estimate_plan(plan, gtx580, GRID) == before
 
 

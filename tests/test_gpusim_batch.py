@@ -120,6 +120,21 @@ class TestReportIdentity:
         assert "MISMATCH: inplane" in out
         assert "identical: NO" in out
 
+    def test_gate_names_a_total_cycles_drift(self, monkeypatch, capsys):
+        """The fault overlay prices from ``scores()``' cycle count, so the
+        gate compares it with the scalar report's."""
+        real = BatchEngine.scores
+
+        def drifted(self, classes):
+            return [
+                dataclasses.replace(s, total_cycles=s.total_cycles * 2.0)
+                for s in real(self, classes)
+            ]
+
+        monkeypatch.setattr(BatchEngine, "scores", drifted)
+        assert main(["--baseline", "BENCH_profile.json"]) == 1
+        assert "scores() diverged in total_cycles" in capsys.readouterr().out
+
 
 #: Grids giving the default space multi-wave rows (the paper plane) and
 #: one-wave rows (a plane of at most a few dozen blocks).
@@ -344,6 +359,11 @@ def assert_tables_agree(device, classes):
         assert _canon(got.counters.values) == _canon(counters), cls
         assert got.counters.occupancy_limiter == timing.occupancy.limiter
         assert score == _score_of(got)
+    # One class at a time, on the scalar table: the same scores.
+    singles = BatchEngine(device)
+    assert [_canon(singles.score(c)) for c in classes] == [
+        _canon(s) for s in scores
+    ]
 
 
 _size = st.integers(min_value=0, max_value=4096)

@@ -8,13 +8,16 @@ from repro.errors import (
     ConfigurationError,
     FaultInjectedError,
     KernelHangError,
+    ResourceLimitError,
 )
+from repro.gpusim.batch import BatchEngine, BlockClass, ClassScore
 from repro.gpusim.executor import DeviceExecutor
 from repro.gpusim.faults import (
     FAULT_KINDS,
     STREAM_EXCHANGE,
     STREAM_LAUNCH,
     FaultPlan,
+    apply_launch_faults,
     flip_bit,
 )
 from repro.kernels.config import BlockConfig
@@ -55,7 +58,7 @@ class TestSchedule:
         first = [plan.event_for(i) for i in range(50)]
         # Draw counters have no effect on the schedule.
         for _ in range(17):
-            plan.next_index()
+            plan.next_index(STREAM_LAUNCH)
         assert [plan.event_for(i) for i in range(50)] == first
 
     def test_empirical_rates_match(self):
@@ -129,90 +132,151 @@ class TestParse:
 
 
 class TestExecutorFaults:
-    def run_storm(self, plan, device, n=40, **kwargs):
+    """Faults as an overlay on an executor-identical clean price.
+
+    :func:`apply_launch_faults` takes the launch's clean price (the
+    batch engine's :class:`ClassScore`, bit-identical to
+    :class:`DeviceExecutor`'s report) and applies the plan's next
+    ``launch`` event to it.
+    """
+
+    @pytest.fixture
+    def priced(self, plan, gtx580):
+        cls = BlockClass.of(
+            plan.block_workload(gtx580, GRID), plan.grid_workload(gtx580, GRID)
+        )
+        return BatchEngine(gtx580).score(cls), cls
+
+    @staticmethod
+    def launch(faults, plan, device, priced, **kwargs):
+        score, cls = priced
+        return apply_launch_faults(
+            faults, device, plan.name, score, cls, **kwargs
+        )
+
+    def run_storm(self, plan, device, priced, n=40, **kwargs):
         """Outcome-kind string per launch under a seeded storm."""
-        executor = DeviceExecutor(device, faults=FaultPlan(seed=7, **kwargs))
+        faults = FaultPlan(seed=7, **kwargs)
         out = []
         for _ in range(n):
             try:
-                report = executor.run(plan, GRID)
-            except FaultInjectedError as exc:
-                out.append(exc.kind)
-            except KernelHangError as exc:
+                _rates, event = self.launch(faults, plan, device, priced)
+            except (FaultInjectedError, KernelHangError) as exc:
                 out.append(exc.kind)
             else:
-                faults = report.meta.get("faults", ())
-                out.append(faults[0]["kind"] if faults else "clean")
+                out.append(event.kind if event is not None else "clean")
+        assert faults.next_index(STREAM_LAUNCH) == n  # one draw per launch
         return out
 
-    def test_fault_sequence_reproducible(self, plan, gtx580):
+    def test_fault_sequence_reproducible(self, plan, gtx580, priced):
         kwargs = dict(STORM)
-        a = self.run_storm(plan, gtx580, **kwargs)
-        b = self.run_storm(plan, gtx580, **kwargs)
+        a = self.run_storm(plan, gtx580, priced, **kwargs)
+        b = self.run_storm(plan, gtx580, priced, **kwargs)
         assert a == b
         assert set(a) > {"clean"}  # the storm actually fired
+        expected = [
+            e.kind if e is not None else "clean"
+            for e in FaultPlan(seed=7, **kwargs).schedule(40)
+        ]
+        assert a == expected
 
-    def test_launch_failure_raises(self, plan, gtx580):
-        executor = DeviceExecutor(
-            gtx580, faults=FaultPlan(launch_failure_rate=1.0)
-        )
+    def test_launch_failure_raises(self, plan, gtx580, priced):
         with pytest.raises(FaultInjectedError) as exc:
-            executor.run(plan, GRID)
+            self.launch(
+                FaultPlan(launch_failure_rate=1.0), plan, gtx580, priced
+            )
         assert exc.value.kind == "launch_failure"
+        assert exc.value.launch_index == 0
 
-    def test_hang_raises(self, plan, gtx580):
-        executor = DeviceExecutor(gtx580, faults=FaultPlan(hang_rate=1.0))
+    def test_launch_failure_precedes_resource_limit(self, plan, gtx580, priced):
+        _score, cls = priced
+        unlaunchable = (ClassScore(launch_error="too many threads"), cls)
+        with pytest.raises(FaultInjectedError):
+            self.launch(
+                FaultPlan(launch_failure_rate=1.0), plan, gtx580, unlaunchable
+            )
+        faults = FaultPlan(hang_rate=1.0)
+        with pytest.raises(ResourceLimitError, match="too many threads"):
+            self.launch(faults, plan, gtx580, unlaunchable)
+        assert faults.next_index(STREAM_LAUNCH) == 1  # the draw came first
+
+    def test_hang_raises(self, plan, gtx580, priced):
         with pytest.raises(KernelHangError) as exc:
-            executor.run(plan, GRID)
+            self.launch(FaultPlan(hang_rate=1.0), plan, gtx580, priced)
         assert exc.value.kind == "hang"
+        assert exc.value.cycles == priced[0].total_cycles * 64.0
 
-    def test_watchdog_fires_without_faults(self, plan, gtx580):
+    def test_watchdog_fires_without_faults(self, plan, gtx580, priced):
         clean = DeviceExecutor(gtx580).run(plan, GRID)
-        executor = DeviceExecutor(
-            gtx580, watchdog_cycles=clean.total_cycles / 2
-        )
         with pytest.raises(KernelHangError) as exc:
-            executor.run(plan, GRID)
+            self.launch(
+                None, plan, gtx580, priced,
+                watchdog_cycles=clean.total_cycles / 2,
+            )
         assert exc.value.kind == "watchdog"
-
-    def test_throttle_derates_time_not_cycles(self, plan, gtx580):
-        clean = DeviceExecutor(gtx580).run(plan, GRID)
-        executor = DeviceExecutor(gtx580, faults=FaultPlan(throttle_rate=1.0))
-        report = executor.run(plan, GRID)
-        assert report.total_cycles == clean.total_cycles
-        factor = report.meta["faults"][0]["factor"]
-        assert factor > 1.0
-        assert report.time_s == pytest.approx(clean.time_s * factor)
-        assert report.mpoints_per_s == pytest.approx(
-            clean.mpoints_per_s / factor
+        # The plan's own budget arms the watchdog too.
+        with pytest.raises(KernelHangError, match="per-trial cycle budget"):
+            self.launch(
+                FaultPlan(watchdog_cycles=clean.total_cycles / 2),
+                plan, gtx580, priced,
+            )
+        self.launch(
+            None, plan, gtx580, priced, watchdog_cycles=clean.total_cycles
         )
 
-    def test_ecc_flags_meta(self, plan, gtx580):
-        executor = DeviceExecutor(gtx580, faults=FaultPlan(ecc_rate=1.0))
-        report = executor.run(plan, GRID)
-        assert report.meta["faults"][0]["kind"] == "ecc"
+    def test_throttle_derates_time_not_cycles(self, plan, gtx580, priced):
+        clean = DeviceExecutor(gtx580).run(plan, GRID)
+        (time_s, mpoints, _), event = self.launch(
+            FaultPlan(throttle_rate=1.0), plan, gtx580, priced
+        )
+        assert priced[0].total_cycles == clean.total_cycles
+        assert event.kind == "throttle"
+        factor = event.factor
+        assert factor > 1.0
+        assert time_s == pytest.approx(clean.time_s * factor)
+        assert mpoints == pytest.approx(clean.mpoints_per_s / factor)
+        # The watchdog reads the clean cycles: a budget of exactly the
+        # clean count survives the throttle.
+        self.launch(
+            FaultPlan(throttle_rate=1.0, watchdog_cycles=clean.total_cycles),
+            plan, gtx580, priced,
+        )
 
-    def test_no_plan_means_no_meta(self, plan, gtx580):
+    def test_ecc_flags_meta(self, plan, gtx580, priced):
+        clean = DeviceExecutor(gtx580).run(plan, GRID)
+        rates, event = self.launch(
+            FaultPlan(ecc_rate=1.0), plan, gtx580, priced
+        )
+        assert event.kind == "ecc"
+        assert rates == (clean.time_s, clean.mpoints_per_s, clean.gflops)
+
+    def test_no_plan_means_no_meta(self, plan, gtx580, priced):
         report = DeviceExecutor(gtx580).run(plan, GRID)
         assert "faults" not in report.meta
+        rates, event = self.launch(None, plan, gtx580, priced)
+        assert event is None
+        assert rates == (report.time_s, report.mpoints_per_s, report.gflops)
 
-    def test_zero_rate_plan_is_unperturbed(self, plan, gtx580):
+    def test_zero_rate_plan_is_unperturbed(self, plan, gtx580, priced):
         clean = DeviceExecutor(gtx580).run(plan, GRID)
-        report = DeviceExecutor(gtx580, faults=FaultPlan(seed=9)).run(
-            plan, GRID
-        )
-        assert report.time_s == clean.time_s
-        assert report.total_cycles == clean.total_cycles
+        faults = FaultPlan(seed=9)
+        rates, event = self.launch(faults, plan, gtx580, priced)
+        assert event is None
+        assert rates == (clean.time_s, clean.mpoints_per_s, clean.gflops)
+        assert faults.next_index(STREAM_LAUNCH) == 1
 
-    def test_faults_observable_in_trace(self, plan, gtx580):
-        executor = DeviceExecutor(gtx580, faults=FaultPlan(throttle_rate=1.0))
+    def test_faults_observable_in_trace(self, plan, gtx580, priced):
         with obs.tracing() as tracer:
-            executor.run(plan, GRID)
+            self.launch(
+                FaultPlan(throttle_rate=1.0), plan, gtx580, priced,
+                tracer=tracer,
+            )
         assert tracer.metrics.counter("sim.fault.throttle").value == 1
         instants = [
             s for s in tracer.host_spans() if s.name == "fault.throttle"
         ]
         assert instants and instants[0].args["kind"] == "throttle"
+        assert instants[0].args["kernel"] == plan.name
 
 
 class TestArrayCorruption:

@@ -304,18 +304,17 @@ class TestFaultedRecords:
     """v3 ``faulted`` flag: degraded measurements never diff as regressions."""
 
     def _mixed_baseline(self, tmp_path: Path) -> Path:
-        from repro.gpusim.device import get_device
-        from repro.gpusim.executor import DeviceExecutor
-        from repro.gpusim.faults import FaultPlan
-
         coll = TelemetryCollector()
         plan = make_kernel("inplane_fullslice", symmetric(4), (32, 4, 1, 2))
         clean = simulate(plan, "gtx580", (128, 128, 64))
         coll.add_report(clean, order=4, source="a-clean")
-        executor = DeviceExecutor(
-            get_device("gtx580"), faults=FaultPlan(throttle_rate=1.0)
+        # A throttled measurement: the derated rate, flagged in its meta.
+        throttled = dataclasses.replace(
+            clean,
+            time_s=clean.time_s * 2.0,
+            mpoints_per_s=clean.mpoints_per_s / 2.0,
+            meta={**clean.meta, "faults": [{"kind": "throttle", "factor": 2.0}]},
         )
-        throttled = executor.run(plan, (128, 128, 64))
         coll.add_report(throttled, order=4, source="b-storm")
         return coll.write(tmp_path / "mixed.json")
 

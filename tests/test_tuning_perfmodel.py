@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.gpusim.device import get_device
 from repro.gpusim.timing import params_for
 from repro.kernels.config import BlockConfig
@@ -124,6 +125,20 @@ class TestModelBehaviour:
         rho = spearmanr([p[0] for p in pairs], [p[1] for p in pairs]).statistic
         assert rho > 0.7
 
+
+    @pytest.mark.parametrize("field", ["tx", "ty", "rx", "ry"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_blocking_rejected(self, field, value):
+        # Both front-ends refuse alike: predict and predict_batch only
+        # ever see inputs that construct.
+        kwargs = dict(
+            lx=512, ly=512, tx=32, ty=4, rx=1, ry=1,
+            k_r=20, k_s=1024, ops=8.0, bytes_blk=4096.0,
+        )
+        kwargs[field] = value
+        with pytest.raises(ConfigurationError, match=f"{field} must be positive") as exc:
+            ModelInputs(**kwargs)
+        assert exc.value.rule == "CFG-POSITIVE"
 
 class TestSpillConstantSingleSource:
     """``ModelInputs.from_plan`` charges spills with the simulator's

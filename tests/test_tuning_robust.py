@@ -6,15 +6,22 @@ a killed campaign resumes from its journal without re-running any
 journaled trial.
 """
 
+import functools
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import JournalError, TuningError
+from repro.gpusim.batch import BatchEngine
+from repro.gpusim.device import get_device
 from repro.gpusim.executor import DeviceExecutor
-from repro.gpusim.faults import FaultPlan
+from repro.gpusim.faults import STREAM_LAUNCH, FaultPlan
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
 from repro.obs.recordlog import main as recordlog_main
@@ -22,8 +29,9 @@ from repro.stencils.spec import symmetric
 from repro.tuning.evaluator import (
     STATUS_OK,
     STATUS_QUARANTINED,
-    SimTrialEvaluator,
+    STATUS_REJECTED_STATIC,
     TrialOutcome,
+    build_trial,
 )
 from repro.tuning.exhaustive import exhaustive_tune
 from repro.tuning.modelbased import model_based_tune
@@ -35,6 +43,7 @@ from repro.tuning.robust import (
 )
 from repro.tuning.space import ParameterSpace
 from repro.tuning.stochastic import stochastic_tune
+from repro.tuning.vectorized import VectorTrialEvaluator
 
 GRID = (128, 128, 32)
 SPACE = ParameterSpace(
@@ -52,7 +61,7 @@ def build(cfg: BlockConfig):
 def storm_evaluator(device, seed=7, retries=6, journal=None, **kwargs):
     plan = FaultPlan(seed=seed, **(kwargs or STORM))
     return ResilientEvaluator(
-        SimTrialEvaluator(device, executor=DeviceExecutor(device, faults=plan)),
+        VectorTrialEvaluator(device), faults=plan,
         policy=RetryPolicy(max_retries=retries),
         journal=journal,
     )
@@ -111,12 +120,8 @@ class TestResilientEvaluator:
     def test_watchdog_quarantines_immediately(self, gtx580):
         clean = DeviceExecutor(gtx580).run(build(BlockConfig(32, 4)), GRID)
         evaluator = ResilientEvaluator(
-            SimTrialEvaluator(
-                gtx580,
-                executor=DeviceExecutor(
-                    gtx580, watchdog_cycles=clean.total_cycles / 2
-                ),
-            ),
+            VectorTrialEvaluator(gtx580),
+            watchdog_cycles=clean.total_cycles / 2,
             policy=RetryPolicy(max_retries=5),
         )
         cfg = BlockConfig(32, 4)
@@ -156,12 +161,8 @@ class TestResilientEvaluator:
     def test_sleep_callable_receives_delays(self, gtx580):
         slept = []
         evaluator = ResilientEvaluator(
-            SimTrialEvaluator(
-                gtx580,
-                executor=DeviceExecutor(
-                    gtx580, faults=FaultPlan(launch_failure_rate=1.0)
-                ),
-            ),
+            VectorTrialEvaluator(gtx580),
+            faults=FaultPlan(launch_failure_rate=1.0),
             policy=RetryPolicy(max_retries=2, sleep=slept.append),
         )
         cfg = BlockConfig(32, 4)
@@ -169,6 +170,96 @@ class TestResilientEvaluator:
         evaluator.measure(cfg, plan, GRID, plan.block_workload(gtx580, GRID))
         assert len(slept) == 2
         assert slept == sorted(slept)  # exponential growth
+
+
+class TestBatchEqualsSerial:
+    """``measure_trials`` walks the trials exactly as one ``measure`` each.
+
+    The batch path prices every fresh trial in one engine call, then
+    applies the fault overlay trial by trial; the serial reference is
+    the trial runner's loop (static pre-filter, then ``measure``).  Both
+    must give the same outcomes, stats and journal, and leave the plan's
+    ``launch`` stream at the same index.
+    """
+
+    CONFIGS = (
+        (16, 1, 1, 1), (32, 4, 1, 1), (64, 32, 1, 1), (32, 2, 2, 2),
+        (64, 4, 1, 2), (128, 2, 1, 1), (16, 8, 2, 1), (32, 8, 1, 4),
+    )
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def trials():
+        device = get_device("gtx580")
+        return [
+            build_trial(build, BlockConfig(*c), device, GRID)
+            for c in TestBatchEqualsSerial.CONFIGS
+        ]
+
+    @staticmethod
+    def serial(evaluator, trials):
+        return [
+            TrialOutcome(config=t.config, status=STATUS_REJECTED_STATIC)
+            if evaluator.statically_rejected(t.block)
+            else evaluator.measure(t.config, t.plan, GRID, t.block)
+            for t in trials
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        rates=st.tuples(*[st.sampled_from((0.0, 0.05, 0.2, 0.25))] * 4),
+        burst=st.none() | st.integers(0, 12),
+        watchdog=st.none() | st.integers(0, 7),
+        prefilter=st.booleans(),
+        retries=st.integers(0, 3),
+        journaled=st.sets(st.integers(0, 7), max_size=4),
+    )
+    def test_batch_walk_matches_serial(
+        self, seed, rates, burst, watchdog, prefilter, retries, journaled
+    ):
+        trials = self.trials()
+        device = get_device("gtx580")
+        if watchdog is not None:
+            # A budget between the trials' clean cycle counts.
+            engine = BatchEngine(device)
+            cycles = sorted(
+                engine.score(c).total_cycles
+                for c in VectorTrialEvaluator(device).classes(trials, GRID)
+            )
+            watchdog = cycles[watchdog]
+
+        def evaluator(path):
+            journal = TrialJournal.create(path, "k")
+            for i in sorted(journaled):
+                journal.record(TrialOutcome(
+                    config=trials[i].config, status=STATUS_OK,
+                    mpoints_per_s=float(i),
+                ))
+            faults = FaultPlan(
+                seed=seed, launch_failure_rate=rates[0], hang_rate=rates[1],
+                throttle_rate=rates[2], ecc_rate=rates[3], burst=burst,
+                watchdog_cycles=watchdog,
+            )
+            return ResilientEvaluator(
+                VectorTrialEvaluator(device, prefilter=prefilter),
+                faults=faults, policy=RetryPolicy(max_retries=retries),
+                journal=TrialJournal.resume(path, "k"),
+            )
+
+        with tempfile.TemporaryDirectory() as tmp:
+            batch = evaluator(Path(tmp) / "batch.journal")
+            serial = evaluator(Path(tmp) / "serial.journal")
+            got = batch.measure_trials(trials, GRID)
+            want = self.serial(serial, trials)
+            assert got == want
+            assert batch.stats == serial.stats
+            assert (Path(tmp) / "batch.journal").read_bytes() == (
+                Path(tmp) / "serial.journal"
+            ).read_bytes()
+        assert batch.faults.next_index(STREAM_LAUNCH) == serial.faults.next_index(
+            STREAM_LAUNCH
+        )
 
 
 class TestJournal:

@@ -40,7 +40,8 @@ Runs, in order:
    record is resimulated through the scalar executor (builtins table)
    and the batch engine (NumPy table); the two SHA-256 report digests
    must be equal, and each record's fresh-engine ``scores()`` must match
-   the scalar report's rate, load efficiency, occupancy and limiter — the
+   the scalar report's rate, load efficiency, occupancy, limiter and
+   total cycles (which the fault overlay prices from) — the
    bit-identity contract of ``docs/SIMULATOR.md``
 9. the estimator-reconciliation gate (``repro estimate --reconcile``:
    every ``BENCH_profile.json`` record's plan is lowered to its
