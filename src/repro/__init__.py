@@ -73,11 +73,6 @@ from repro.tuning import (
     model_based_tune,
 )
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tuning.evaluator import TrialEvaluator
-
 __version__ = "1.0.0"
 
 __all__ = [
@@ -137,16 +132,12 @@ def autotune(
     dtype: str = "sp",
     method: str = "exhaustive",
     beta: float = 0.05,
-    evaluator: "TrialEvaluator | None" = None,
 ) -> "TuneResult":
     """Tune a kernel family's (TX, TY, RX, RY) on a device.
 
     ``method`` is ``"exhaustive"`` (section IV-C) or ``"model"`` (the
-    section VI beta-cutoff procedure).  ``evaluator`` swaps the
-    measurement backend (e.g. a
-    :class:`repro.tuning.vectorized.VectorTrialEvaluator` for the batch
-    simulator core); it is bit-identical to the default serial loop, so
-    the winner does not depend on the choice.
+    section VI beta-cutoff procedure).  Trials price on the batch
+    simulator core, as every tuner does by default.
     """
     from repro.kernels.factory import make_kernel as _mk
     from repro.stencils.spec import symmetric as _sym
@@ -159,9 +150,7 @@ def autotune(
         return _mk(family, spec, cfg, dtype)
 
     if method == "exhaustive":
-        return exhaustive_tune(build, dev, grid_shape, evaluator=evaluator)
+        return exhaustive_tune(build, dev, grid_shape)
     if method == "model":
-        return model_based_tune(
-            build, dev, grid_shape, beta=beta, evaluator=evaluator
-        )
+        return model_based_tune(build, dev, grid_shape, beta=beta)
     raise TuningError(f"unknown tuning method {method!r}")

@@ -334,42 +334,6 @@ def _reconcile_record(record: Any, report: Any = None) -> RecordReconcile:
     )
 
 
-def _batch_simulate(records: list[Any]) -> list[Any]:
-    """Resimulate profile records through the batch engine, per device.
-
-    Returns one ``SimReport`` or ``Exception`` per record, in input
-    order.  A record whose plan cannot be rebuilt carries that exception
-    in its slot so the caller reports it exactly as the scalar loop did.
-    """
-    from repro.gpusim.batch import BatchEngine, batch_reports
-    from repro.obs.regress import plan_for_record
-
-    slots: list[Any] = [None] * len(records)
-    by_device: dict[str, list[tuple[int, Any, Any]]] = {}
-    for idx, record in enumerate(records):
-        try:
-            plan = plan_for_record(record)
-        except Exception as exc:  # noqa: BLE001 - becomes the slot's error
-            slots[idx] = exc
-            continue
-        by_device.setdefault(record.device, []).append((idx, record, plan))
-    for device, group in by_device.items():
-        try:
-            engine = BatchEngine(get_device(device))
-        except Exception as exc:  # noqa: BLE001 - e.g. unknown device
-            for idx, _record, _plan in group:
-                slots[idx] = exc
-            continue
-        reports = batch_reports(
-            [(plan, record.grid) for _idx, record, plan in group],
-            engine.device,
-            engine=engine,
-        )
-        for (idx, _record, _plan), report in zip(group, reports):
-            slots[idx] = report
-    return slots
-
-
 def _verify_record_sources(records: Iterable[Any]) -> list[str]:
     """Run the emitted-source verifier over every distinct plan in a set.
 
@@ -422,23 +386,12 @@ def reconcile_profile(
     them: their *measurements* embed an injected perturbation, while the
     estimate — a pure function of the plan — describes the clean launch.
     """
-    from repro.obs.telemetry import load_profile
+    from repro.obs.regress import resimulate_profile
 
-    records = load_profile(path)
+    records, comparable, reports = resimulate_profile(path)
     failures: list[RecordReconcile] = []
     errors: list[str] = []
-    comparable = []
-    skipped = 0
-    for record in records:
-        if record.faulted:
-            skipped += 1
-            continue
-        comparable.append(record)
-    # One batched resimulation pass (grouped per device, block classes
-    # deduplicated) replaces the per-record scalar simulate; the reports
-    # are bit-identical (the batch-identity gate), and any per-record
-    # failure surfaces as the same error string the scalar loop produced.
-    for record, report in zip(comparable, _batch_simulate(comparable)):
+    for record, report in zip(comparable, reports):
         try:
             if isinstance(report, Exception):
                 raise report
@@ -455,7 +408,7 @@ def reconcile_profile(
         baseline_path=str(path),
         total=len(records),
         compared=len(comparable),
-        skipped_faulted=skipped,
+        skipped_faulted=len(records) - len(comparable),
         failures=tuple(failures),
         source_failures=source_failures,
         errors=tuple(errors),

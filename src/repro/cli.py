@@ -228,10 +228,17 @@ def _print_tune_entries(result) -> None:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro import autotune
-    from repro.harness.runner import tune_family
+    from repro.harness.runner import THREAD_ONLY_SPACE, tune_family
+    from repro.tuning.modelbased import model_based_tune
 
     grid = _parse_ints(args.grid, 3)
+    device = get_device(args.device)
+    spec = symmetric(args.order)
+
+    def build(cfg: BlockConfig):
+        return make_kernel(args.kernel, spec, cfg, args.dtype)
+
+    space = THREAD_ONLY_SPACE if args.no_register_blocking else None
     # The resilient session engages when any robustness feature is asked
     # for; the plain paths below stay byte-identical otherwise.
     robust = bool(
@@ -243,27 +250,15 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if not robust:
         with _maybe_tracing(args) as tracer, _maybe_events(args), \
                 _maybe_archive(args, session=plain_session):
-            # Plain runs go through the vectorized batch simulator core:
-            # one NumPy pass over the deduplicated block classes instead
-            # of one scalar pipeline walk per config.  Bit-identical to
-            # the serial loop (the batch-identity gate in tools/check.py),
-            # so the winner and every tie-break are unchanged.
-            from repro.tuning.vectorized import VectorTrialEvaluator
-
-            evaluator = VectorTrialEvaluator(args.device)
             if args.method == "model":
-                result = autotune(
-                    args.kernel, args.order, args.device,
-                    grid_shape=grid, dtype=args.dtype,
-                    method="model", beta=args.beta,
-                    evaluator=evaluator,
+                result = model_based_tune(
+                    build, device, grid, beta=args.beta, space=space
                 )
             else:
                 result = tune_family(
-                    args.kernel, args.order, args.device, dtype=args.dtype,
+                    args.kernel, args.order, device, dtype=args.dtype,
                     grid=grid,
                     register_blocking=not args.no_register_blocking,
-                    evaluator=evaluator,
                 )
         if args.json:
             import json
@@ -279,22 +274,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError, JournalError, TuningError
     from repro.gpusim.faults import FaultPlan
     from repro.tuning.robust import RetryPolicy, RobustTuningSession
-    from repro.tuning.space import ParameterSpace
 
     try:
         faults = FaultPlan.parse(args.faults) if args.faults else None
     except ConfigurationError as exc:
         log.error("bad --faults spec: %s", exc)
         return EXIT_TUNE_JOURNAL
-    device = get_device(args.device)
-    spec = symmetric(args.order)
-
-    def build(cfg: BlockConfig):
-        return make_kernel(args.kernel, spec, cfg, args.dtype)
-
-    space = None
-    if args.no_register_blocking:
-        space = ParameterSpace(rx_values=(1,), ry_values=(1,))
     session_key = (
         f"{args.kernel}:o{args.order}:{args.dtype}:"
         + RobustTuningSession.default_session_key(device, grid, faults)

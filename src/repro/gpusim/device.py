@@ -105,18 +105,6 @@ class DeviceSpec:
         bytes_per_s = self.measured_bandwidth_gbs * 1e9
         return bytes_per_s / self.sm_count / self.clock_hz
 
-    def sp_flops_per_sm_per_cycle(self) -> float:
-        """SP floating-point operations one SM retires per cycle."""
-        return self.cores_per_sm * 2.0
-
-    def flops_per_sm_per_cycle(self, dtype_bytes: int) -> float:
-        """Arithmetic throughput per SM per cycle for 4- or 8-byte floats."""
-        if dtype_bytes == 4:
-            return self.sp_flops_per_sm_per_cycle()
-        if dtype_bytes == 8:
-            return self.sp_flops_per_sm_per_cycle() * self.dp_ratio
-        raise ValueError(f"unsupported element size {dtype_bytes}")
-
 
 _REGISTRY: dict[str, DeviceSpec] = {}
 

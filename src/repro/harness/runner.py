@@ -20,7 +20,6 @@ from repro.obs.schema import CAT_HARNESS
 from repro.obs.telemetry import TelemetryRecord
 from repro.obs.tracer import current_tracer, maybe_span
 from repro.stencils.spec import symmetric
-from repro.tuning.evaluator import TrialEvaluator
 from repro.tuning.exhaustive import exhaustive_tune
 from repro.tuning.result import TuneResult
 from repro.tuning.space import ParameterSpace
@@ -58,16 +57,12 @@ def tune_family(
     dtype: str = "sp",
     grid: tuple[int, int, int] = PAPER_GRID,
     register_blocking: bool = True,
-    evaluator: "TrialEvaluator | None" = None,
 ) -> TuneResult:
     """Tune one kernel family; results are memoized per process.
 
     ``register_blocking=False`` restricts the space to RX = RY = 1
     (thread blocking only), which is how the nvstencil baseline and the
-    Fig 7 comparison are tuned.  ``evaluator`` swaps the per-trial
-    measurement backend (retry/quarantine/journal semantics); evaluated
-    runs are memoized regardless, so pass one only on the first call for
-    a given key.
+    Fig 7 comparison are tuned.
     """
     dev = get_device(device) if isinstance(device, str) else device
     key = TuneKey(family, order, dtype, dev.name, grid, register_blocking)
@@ -93,7 +88,7 @@ def tune_family(
         family=family, order=order, dtype=dtype, device=dev.name,
         register_blocking=register_blocking, cache_hit=False,
     ) as sp:
-        result = exhaustive_tune(build, dev, grid, space, evaluator=evaluator)
+        result = exhaustive_tune(build, dev, grid, space)
         if sp is not None:
             sp.args["best_mpoints_per_s"] = result.best_mpoints
             sp.args["best_config"] = result.best_config.label()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.gpusim.arch import HALF_WARP
 
 
 @dataclass(frozen=True, order=True)
@@ -55,11 +54,6 @@ class BlockConfig:
     def register_tile(self) -> int:
         """Independent elements each thread accumulates (RX * RY)."""
         return self.rx * self.ry
-
-    @property
-    def coalescing_friendly(self) -> bool:
-        """Search constraint (i): TX is a multiple of a half-warp."""
-        return self.tx % HALF_WARP == 0
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         """(TX, TY, RX, RY) — the paper's Table IV notation."""

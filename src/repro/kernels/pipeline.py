@@ -115,11 +115,6 @@ def inplane_sweep(spec: SymmetricStencil, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_pipeline_depth(spec: SymmetricStencil) -> int:
-    """Partial outputs resident at once — r, the paper's register cost."""
-    return spec.radius
-
-
 # ----------------------------------------------------------------------
 # General expressions (application stencils)
 # ----------------------------------------------------------------------

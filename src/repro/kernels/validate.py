@@ -56,12 +56,6 @@ def check_exact_cover(lx: int, ly: int, block: BlockConfig) -> None:
         )
 
 
-def divides_evenly(lx: int, ly: int, block: BlockConfig) -> bool:
-    """True when no partial tiles exist (the paper's constraint (iv)
-    requires TY*RY to divide the vertical grid size)."""
-    return lx % block.tile_x == 0 and ly % block.tile_y == 0
-
-
 def halo_fits(lx: int, ly: int, lz: int, radius: int) -> bool:
     """True when the stencil extent fits the grid on every axis."""
     return min(lx, ly, lz) >= 2 * radius + 1

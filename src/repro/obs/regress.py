@@ -229,105 +229,80 @@ def _explain_deltas(
     return tuple(deltas)
 
 
-def diff_record(
-    baseline: TelemetryRecord, tolerance: float = 0.0
-) -> RecordDiff | str:
-    """Diff one baseline record; an error string when it can't resimulate."""
-    try:
-        current = resimulate_record(baseline)
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        return f"{baseline.kernel} on {baseline.device}: {exc}"
-    return RecordDiff(
-        record=baseline,
-        baseline_mpoints=baseline.mpoints_per_s,
-        current_mpoints=current.mpoints_per_s,
-        deltas=_explain_deltas(baseline, current),
-        tolerance=tolerance,
-    )
+def resimulate_profile(
+    path: str | Path,
+) -> tuple[list[TelemetryRecord], list[TelemetryRecord], list[Any]]:
+    """Resimulate every unfaulted record of a profile, batched per device.
 
-
-def _diff_records_batched(
-    comparable: list[TelemetryRecord], tolerance: float
-) -> list[RecordDiff | str]:
-    """Diff records in input order: batched resimulation, grouped per device.
-
-    Classification parity with :func:`diff_record` is per record: any
-    stage that the scalar path would catch — plan rebuild, device lookup,
-    workload compilation, an unlaunchable configuration — degrades only
-    that record to its ``"{kernel} on {device}: {exc}"`` error string
-    with the identical message.
+    Returns ``(records, comparable, reports)``: every record of the
+    document, the unfaulted ones, and one ``SimReport`` or ``Exception``
+    per comparable record, in input order.  A faulted measurement is not
+    a performance statement — the clean resimulation *should* disagree
+    with it — so it is not resimulated.  Any stage the scalar
+    :func:`resimulate_record` would fail at (plan rebuild, device lookup,
+    workload compilation, an unlaunchable configuration) puts that
+    exception in the record's slot; the reports themselves are
+    bit-identical to the scalar path (the batch-identity gate).
     """
     from repro.gpusim.batch import BatchEngine, batch_reports
     from repro.gpusim.device import get_device
 
-    results: list[RecordDiff | str | None] = [None] * len(comparable)
+    records = load_profile(path)
+    comparable = [r for r in records if not r.faulted]
+    slots: list[Any] = [None] * len(comparable)
     by_device: dict[str, list[tuple[int, TelemetryRecord, Any]]] = {}
     for idx, record in enumerate(comparable):
         try:
             plan = plan_for_record(record)
-        except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            results[idx] = f"{record.kernel} on {record.device}: {exc}"
+        except Exception as exc:  # noqa: BLE001 - becomes the slot's error
+            slots[idx] = exc
             continue
         by_device.setdefault(record.device, []).append((idx, record, plan))
-
     for device, group in by_device.items():
         try:
             engine = BatchEngine(get_device(device))
         except Exception as exc:  # noqa: BLE001 - e.g. unknown device
-            for idx, record, _plan in group:
-                results[idx] = f"{record.kernel} on {record.device}: {exc}"
+            for idx, _record, _plan in group:
+                slots[idx] = exc
             continue
         reports = batch_reports(
             [(plan, record.grid) for _idx, record, plan in group],
             engine.device, engine=engine,
         )
-        for (idx, record, _plan), report in zip(group, reports):
-            if isinstance(report, Exception):
-                results[idx] = f"{record.kernel} on {record.device}: {report}"
-                continue
-            try:
-                current = record_from_report(
-                    report, order=record.order, source=record.source
-                )
-            except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-                results[idx] = f"{record.kernel} on {record.device}: {exc}"
-                continue
-            results[idx] = RecordDiff(
-                record=record,
-                baseline_mpoints=record.mpoints_per_s,
-                current_mpoints=current.mpoints_per_s,
-                deltas=_explain_deltas(record, current),
-                tolerance=tolerance,
-            )
-    # Every index was filled by exactly one of the branches above.
-    return results  # type: ignore[return-value]
+        for (idx, _record, _plan), report in zip(group, reports):
+            slots[idx] = report
+    return records, comparable, slots
 
 
 def diff_baseline(path: str | Path, tolerance: float = 0.0) -> DiffReport:
     """Resimulate every record of a baseline document and diff it."""
-    records = load_profile(path)
+    records, comparable, reports = resimulate_profile(path)
     diffs: list[RecordDiff] = []
     errors: list[str] = []
-    comparable: list[TelemetryRecord] = []
-    skipped = 0
-    for record in records:
-        if record.faulted:
-            # A faulted measurement is not a performance statement: the
-            # clean resimulation *should* disagree with it, so diffing it
-            # would manufacture false regressions.
-            skipped += 1
+    for record, report in zip(comparable, reports):
+        try:
+            if isinstance(report, Exception):
+                raise report
+            current = record_from_report(
+                report, order=record.order, source=record.source
+            )
+        except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+            errors.append(f"{record.kernel} on {record.device}: {exc}")
             continue
-        comparable.append(record)
-    for result in _diff_records_batched(comparable, tolerance):
-        if isinstance(result, str):
-            errors.append(result)
-        elif result.changed:
-            diffs.append(result)
+        diff = RecordDiff(
+            record=record,
+            baseline_mpoints=record.mpoints_per_s,
+            current_mpoints=current.mpoints_per_s,
+            deltas=_explain_deltas(record, current),
+            tolerance=tolerance,
+        )
+        if diff.changed:
+            diffs.append(diff)
     return DiffReport(
         baseline_path=str(path),
         total=len(records),
         diffs=tuple(diffs),
         errors=tuple(errors),
         tolerance=tolerance,
-        skipped=skipped,
+        skipped=len(records) - len(comparable),
     )

@@ -167,24 +167,3 @@ class StencilExpr:
         coeffs = {t.coeff_grid for t in self.all_taps() if t.coeff_grid is not None}
         return len(reads) + len(coeffs) + len(self.outputs)
 
-
-def symmetric_expr(order: int, coefficients: tuple[float, ...], name: str = "") -> StencilExpr:
-    """Lower a symmetric Eqn (1) stencil into the tap representation.
-
-    Used by property tests to check that the general-expression evaluator
-    agrees with the specialised symmetric reference.
-    """
-    radius = order // 2
-    taps: list[Tap] = [Tap(grid=0, offset=(0, 0, 0), coeff=coefficients[0])]
-    for m in range(1, radius + 1):
-        c = coefficients[m]
-        for axis in range(3):
-            for sign in (-m, m):
-                off = [0, 0, 0]
-                off[axis] = sign
-                taps.append(Tap(grid=0, offset=(off[0], off[1], off[2]), coeff=c))
-    return StencilExpr(
-        name=name or f"symmetric{order}",
-        n_grids=1,
-        outputs=(OutputSpec(name="out", taps=tuple(taps)),),
-    )

@@ -12,7 +12,7 @@
 * :mod:`repro.tuning.evaluator` — the per-trial measurement seam shared
   by all tuners.
 * :mod:`repro.tuning.vectorized` — the batch evaluator over the
-  vectorized simulator core, behind plain ``repro tune`` runs.
+  vectorized simulator core, every tuner's measurement backend.
 * :mod:`repro.tuning.robust` — crash-safe, self-healing tuning sessions:
   retries, per-config quarantine, resume journal, graceful degradation.
 """
@@ -23,12 +23,10 @@ from typing import Any
 from repro.tuning.space import ParameterSpace, default_space
 from repro.tuning.result import TuneEntry, TuneResult
 from repro.tuning.evaluator import (
-    BatchTrialEvaluator,
     SimTrialEvaluator,
     Trial,
     TrialEvaluator,
     TrialOutcome,
-    batch_capable,
 )
 from repro.tuning.exhaustive import exhaustive_tune
 from repro.tuning.perfmodel import PaperModel, ModelInputs
@@ -61,8 +59,6 @@ __all__ = [
     "TuneEntry",
     "TuneResult",
     "TrialEvaluator",
-    "BatchTrialEvaluator",
-    "batch_capable",
     "Trial",
     "TrialOutcome",
     "SimTrialEvaluator",

@@ -4,8 +4,10 @@ This module holds the per-trial measurement protocol:
 
 * :meth:`TrialEvaluator.statically_rejected` — the static resource
   pre-filter (identical occupancy check the executor would run);
-* :meth:`TrialEvaluator.measure` — execute one configuration and
-  classify the result into a :class:`TrialOutcome`.
+* :meth:`TrialEvaluator.measure_trials` — pre-filter and measure a list
+  of trials, classifying each into a :class:`TrialOutcome`;
+* :meth:`TrialEvaluator.measure` — execute one configuration (the
+  stochastic walk's one-at-a-time step).
 
 What the evaluators consume is a :class:`Trial`: a configuration with
 its built plan and block workload.  A sweep builds each trial once, in
@@ -13,11 +15,11 @@ its feasibility pass (:func:`repro.tuning.exhaustive.feasible_trials`),
 and every later stage — the pre-filter, measurement, model scoring and
 archive derivation — reads that trial instead of rebuilding it.
 
+Every tuner prices on :class:`repro.tuning.vectorized.VectorTrialEvaluator`
+by default, which :class:`repro.tuning.robust.ResilientEvaluator` wraps
+with faults, retries, per-config quarantine and a crash-safe journal.
 :class:`SimTrialEvaluator` (one clean simulator launch per trial) is the
-reference and the tuners' default; ``repro tune`` sessions price on
-:class:`repro.tuning.vectorized.VectorTrialEvaluator`, which
-:class:`repro.tuning.robust.ResilientEvaluator` wraps with faults,
-retries, per-config quarantine and a crash-safe journal.
+scalar reference the batch engine is checked against.
 
 :class:`TrialRunner` is the only place a trial is narrated: it runs the
 pre-filter and the measurement, tallies the reject stats, and emits the
@@ -191,7 +193,17 @@ def record_trial(
 
 
 class TrialEvaluator(Protocol):
-    """What a tuner needs from its measurement backend."""
+    """What a tuner needs from its measurement backend.
+
+    :meth:`measure_trials` takes trials the sweep already built (plan and
+    block workload, see :class:`Trial`), applies the static pre-filter
+    and measures, and returns one :class:`TrialOutcome` per input trial
+    **in input order** (statically rejected configurations come back as
+    :data:`STATUS_REJECTED_STATIC` outcomes instead of being silently
+    dropped).  It builds nothing itself.  :meth:`measure` prices one
+    trial on the scalar op table, for the stochastic walk, whose next
+    candidate depends on the previous measurement.
+    """
 
     def statically_rejected(self, block: "BlockWorkload") -> bool:
         """Would the static resource check refuse this launch?"""
@@ -207,48 +219,23 @@ class TrialEvaluator(Protocol):
         """Execute one configuration and classify the result."""
         ...  # pragma: no cover - protocol
 
-
-class BatchTrialEvaluator(TrialEvaluator, Protocol):
-    """A trial evaluator that can also measure whole batches at once.
-
-    :meth:`measure_trials` takes trials the sweep already built (plan and
-    block workload, see :class:`Trial`), applies the static pre-filter
-    and measures, and returns one :class:`TrialOutcome` per input trial
-    **in input order** (statically rejected configurations come back as
-    :data:`STATUS_REJECTED_STATIC` outcomes instead of being silently
-    dropped).  It builds nothing itself.  Deterministic ordering is the
-    contract that keeps a batched sweep's winner and tie-breaks
-    bit-identical to the serial loop.
-    """
-
     def measure_trials(
         self,
         trials: list[Trial],
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
-        """Measure every trial; outcomes in input order."""
+        """Pre-filter and measure every trial; outcomes in input order."""
         ...  # pragma: no cover - protocol
-
-
-def batch_capable(evaluator: TrialEvaluator) -> "BatchTrialEvaluator | None":
-    """The evaluator as a batch evaluator, or ``None`` when it is not one.
-
-    The tuners' feature probe: a plain evaluator keeps the historical
-    one-config-at-a-time loop; a batch-capable one (e.g.
-    :class:`repro.tuning.vectorized.VectorTrialEvaluator`) gets the whole
-    trial list in one call.
-    """
-    if hasattr(evaluator, "measure_trials"):
-        return evaluator  # type: ignore[return-value]
-    return None
 
 
 class TrialRunner:
     """Measure, classify and narrate trials — the tuners' one trial stage.
 
     Every tuner hands its trials to a runner; the tuners differ only in
-    which trials they hand over.  Per trial, the runner applies the
-    static pre-filter, measures, calls :func:`record_trial`, and (when
+    which trials they hand over.  :meth:`all` prices a list in one
+    :meth:`~TrialEvaluator.measure_trials` call; :meth:`one` applies the
+    static pre-filter and measures one trial.  Per trial, the runner
+    then calls :func:`record_trial`, and (when
     tracing is on) emits one ``tune.trial`` event plus one ``tune.*``
     counter: an instant for a static reject, otherwise a span around the
     measurement whose args say how it ended.  ``stats`` tallies the
@@ -286,30 +273,20 @@ class TrialRunner:
     ) -> list[TrialOutcome]:
         """Run every trial; outcomes in input order.
 
-        A batch-capable evaluator prices the whole list in one call
-        first; each outcome is then narrated exactly as :meth:`one`
-        would.  Otherwise each trial is measured inside its own span and
-        narrated before the next one is measured.
-
-        With no tracer, event sink or archive installed nothing listens,
-        so the trials are only measured and ``stats`` tallied: no label,
-        span args or :func:`record_trial` call per trial.
+        The evaluator prices the whole list in one call; each outcome is
+        then narrated exactly as :meth:`one` would.  With no tracer,
+        event sink or archive installed nothing listens, so ``stats`` is
+        only tallied: no label, span args or :func:`record_trial` call
+        per trial.
         """
-        batch = batch_capable(self.evaluator)
+        outcomes = self.evaluator.measure_trials(trials, self.grid_shape)
         if not self._narrated():
-            outcomes = (
-                [self._measure(t) for t in trials] if batch is None
-                else batch.measure_trials(trials, self.grid_shape)
-            )
             for outcome in outcomes:
                 self._tally(outcome)
             return outcomes
         scores: Sequence[float | None] = (
             [None] * len(trials) if predicted is None else predicted
         )
-        if batch is None:
-            return [self.one(t, p) for t, p in zip(trials, scores)]
-        outcomes = batch.measure_trials(trials, self.grid_shape)
         return [
             self._run(t, p, o) for t, p, o in zip(trials, scores, outcomes)
         ]
@@ -323,14 +300,6 @@ class TrialRunner:
             self._tracer is not None
             or current_sink() is not None
             or current_archive() is not None
-        )
-
-    def _measure(self, trial: Trial) -> TrialOutcome:
-        """Pre-filter and measure one trial, narrating nothing."""
-        if self.evaluator.statically_rejected(trial.block):
-            return TrialOutcome(config=trial.config, status=STATUS_REJECTED_STATIC)
-        return self.evaluator.measure(
-            trial.config, trial.plan, self.grid_shape, trial.block
         )
 
     def _tally(self, outcome: TrialOutcome) -> None:
@@ -387,26 +356,33 @@ class TrialRunner:
 
 
 class SimTrialEvaluator:
-    """The clean scalar reference: one simulator launch per measure call.
+    """The clean scalar reference: one simulator launch per trial.
 
-    Parameters
-    ----------
-    device:
-        The simulated device trials run on.
-    prefilter:
-        Mirrors the tuners' historical ``prefilter`` flag: with it off,
-        :meth:`statically_rejected` always answers ``False`` and
-        unlaunchable configurations are discovered by the simulator
-        (``rejected_simulated``) instead.
+    The tuners price on :class:`repro.tuning.vectorized.VectorTrialEvaluator`;
+    this evaluator runs the same trials through
+    :class:`~repro.gpusim.executor.DeviceExecutor`, one launch each, and
+    is what the batch engine's outcomes are checked against.
     """
 
-    def __init__(self, device: DeviceSpec, *, prefilter: bool = True) -> None:
+    def __init__(self, device: DeviceSpec) -> None:
         self.device = device
-        self.prefilter = prefilter
         self.executor = DeviceExecutor(device)
 
     def statically_rejected(self, block: "BlockWorkload") -> bool:
-        return self.prefilter and launch_failure(block, self.device) is not None
+        return launch_failure(block, self.device) is not None
+
+    def measure_trials(
+        self,
+        trials: list[Trial],
+        grid_shape: tuple[int, int, int],
+    ) -> list[TrialOutcome]:
+        """Pre-filter and measure every trial, one launch each."""
+        return [
+            TrialOutcome(config=t.config, status=STATUS_REJECTED_STATIC)
+            if self.statically_rejected(t.block)
+            else self.measure(t.config, t.plan, grid_shape, t.block)
+            for t in trials
+        ]
 
     def measure(
         self,

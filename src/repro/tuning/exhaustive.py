@@ -18,16 +18,19 @@ from repro.kernels.symmetric import tile_record_memo
 from repro.obs.events import emit as emit_event
 from repro.obs.schema import CAT_TUNE_RUN
 from repro.obs.tracer import current_tracer, maybe_span
-from repro.tuning.evaluator import (
-    SimTrialEvaluator,
-    Trial,
-    TrialEvaluator,
-    TrialRunner,
-)
+from repro.tuning.evaluator import Trial, TrialEvaluator, TrialRunner
 from repro.tuning.result import TuneEntry, TuneResult
 from repro.tuning.space import ParameterSpace, default_space
 
 KernelBuilder = Callable[[BlockConfig], KernelPlan]
+
+
+def default_evaluator(device: DeviceSpec) -> TrialEvaluator:
+    """The tuners' measurement backend: the batch engine on ``device``."""
+    # Deferred import: repro.gpusim.batch loads only when a tune prices.
+    from repro.tuning.vectorized import VectorTrialEvaluator
+
+    return VectorTrialEvaluator(device)
 
 
 def evaluate_configs(
@@ -35,7 +38,6 @@ def evaluate_configs(
     device: DeviceSpec,
     grid_shape: tuple[int, int, int],
     *,
-    prefilter: bool = True,
     stats: dict[str, Any] | None = None,
     evaluator: TrialEvaluator | None = None,
 ) -> list[TuneEntry]:
@@ -45,24 +47,20 @@ def evaluate_configs(
     workload each stage needs are already built, so nothing here (nor in
     the evaluator, nor in the archive capture) builds them again.
 
-    With ``prefilter`` (the default) the static resource check rejects
-    unlaunchable configurations from the workload record alone, skipping
-    the full timing pipeline; the check is the identical occupancy test
-    the executor would run, so the surviving set — and hence the chosen
-    optimum — is unchanged.  ``stats`` (optional, mutated in place)
-    receives ``rejected_static`` / ``rejected_simulated`` counts (and a
-    ``quarantined`` count when a resilient evaluator gave up on configs),
-    then ``jobs``.
+    The static resource check rejects unlaunchable configurations from
+    the workload record alone, skipping the timing pipeline; it is the
+    identical occupancy test the executor would run.  ``stats``
+    (optional, mutated in place) receives ``rejected_static`` /
+    ``rejected_simulated`` counts (and a ``quarantined`` count when a
+    resilient evaluator gave up on configs), then ``jobs``.
 
-    ``evaluator`` swaps the measurement backend (default: a plain
-    :class:`~repro.tuning.evaluator.SimTrialEvaluator`; pass a
-    :class:`~repro.tuning.robust.ResilientEvaluator` for retry /
-    quarantine / journal semantics).  When given, it owns the prefilter
-    decision and the ``prefilter`` argument is ignored.
+    ``evaluator`` is the measurement backend (default: a
+    :class:`~repro.tuning.vectorized.VectorTrialEvaluator` on
+    ``device``; pass a :class:`~repro.tuning.robust.ResilientEvaluator`
+    for retry / quarantine / journal semantics).
     """
     runner = TrialRunner(
-        evaluator or SimTrialEvaluator(device, prefilter=prefilter),
-        device, grid_shape,
+        evaluator or default_evaluator(device), device, grid_shape
     )
     outcomes = runner.all(trials)
     if stats is not None:
@@ -123,10 +121,13 @@ def exhaustive_tune(
     grid_shape: tuple[int, int, int],
     space: ParameterSpace | None = None,
     *,
-    prefilter: bool = True,
     evaluator: TrialEvaluator | None = None,
 ) -> TuneResult:
-    """Run the full feasible space; return the ranked result."""
+    """Run the full feasible space; return the ranked result.
+
+    ``evaluator`` is the measurement backend, as in
+    :func:`evaluate_configs`.
+    """
     trials = feasible_trials(build, device, grid_shape, space)
     stats: dict[str, Any] = {}
     emit_event(
@@ -138,8 +139,7 @@ def exhaustive_tune(
         method="exhaustive", device=device.name, space_size=len(trials),
     ) as run_span:
         entries = evaluate_configs(
-            trials, device, grid_shape, prefilter=prefilter,
-            stats=stats, evaluator=evaluator,
+            trials, device, grid_shape, stats=stats, evaluator=evaluator,
         )
         if run_span is not None:
             run_span.args.update(evaluated=len(entries), **stats)

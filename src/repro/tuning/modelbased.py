@@ -23,13 +23,8 @@ from repro.kernels.config import BlockConfig
 from repro.obs.events import emit as emit_event
 from repro.obs.schema import CAT_TUNE_RUN
 from repro.obs.tracer import current_tracer, maybe_span
-from repro.tuning.evaluator import (
-    SimTrialEvaluator,
-    Trial,
-    TrialEvaluator,
-    TrialRunner,
-)
-from repro.tuning.exhaustive import feasible_trials
+from repro.tuning.evaluator import Trial, TrialEvaluator, TrialRunner
+from repro.tuning.exhaustive import default_evaluator, feasible_trials
 from repro.tuning.perfmodel import ModelInputs, PaperModel
 from repro.tuning.result import TuneEntry, TuneResult
 from repro.tuning.space import ParameterSpace
@@ -44,17 +39,15 @@ def model_based_tune(
     beta: float = 0.05,
     space: ParameterSpace | None = None,
     *,
-    prefilter: bool = True,
     evaluator: TrialEvaluator | None = None,
 ) -> TuneResult:
     """Tune by executing only the model's top ``beta`` fraction.
 
     ``beta`` is a fraction in (0, 1]; the paper's default cutoff is 5%.
     The shortlist size N is always computed from the *full* feasible
-    space; ``prefilter`` only replaces the simulator's launch-failure
-    discovery with the equivalent static check, so the measured set and
-    the winner are unchanged.  ``evaluator`` swaps the measurement
-    backend (and then owns the prefilter decision).
+    space, so a shortlisted config the static check rejects still counts
+    toward N.  ``evaluator`` is the measurement backend (default: the
+    batch engine on ``device``).
     """
     if not 0.0 < beta <= 1.0:
         raise TuningError(f"beta must be in (0, 1], got {beta}")
@@ -89,8 +82,7 @@ def model_based_tune(
         shortlist = predictions[:n]
 
         runner = TrialRunner(
-            evaluator or SimTrialEvaluator(device, prefilter=prefilter),
-            device, grid_shape,
+            evaluator or default_evaluator(device), device, grid_shape
         )
         outcomes = runner.all(
             [t for t, _ in shortlist], [p for _, p in shortlist]

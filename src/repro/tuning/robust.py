@@ -243,7 +243,7 @@ _NON_RETRYABLE_KINDS = frozenset({"watchdog"})
 class ResilientEvaluator:
     """Fault overlay, retry, quarantine and journal on batch pricing.
 
-    A batch-capable :class:`~repro.tuning.evaluator.TrialEvaluator`: the
+    A :class:`~repro.tuning.evaluator.TrialEvaluator`: the
     tuners cannot tell they are talking to it, which is the whole point —
     the search logic stays fault-oblivious while every measurement gains
 
@@ -450,8 +450,8 @@ class RobustTuningSession:
         Identity the journal is bound to; defaults to
         ``device:grid[:faults]`` and should be extended by callers that
         vary more than that (the CLI prepends family/order/dtype).
-    prefilter / watchdog_cycles:
-        Forwarded to the pricing evaluator and the fault overlay.
+    watchdog_cycles:
+        Forwarded to the fault overlay.
     events_path:
         Where to stream structured events
         (:class:`repro.obs.events.JsonlEventSink`, tailed by
@@ -485,7 +485,6 @@ class RobustTuningSession:
         journal_path: str | Path | None = None,
         resume: bool = False,
         session_key: str | None = None,
-        prefilter: bool = True,
         watchdog_cycles: float | None = None,
         events_path: str | Path | None = None,
         archive_path: str | Path | None = None,
@@ -526,7 +525,7 @@ class RobustTuningSession:
         elif resume:
             raise JournalError("resume requested without a journal path")
         self.evaluator = ResilientEvaluator(
-            VectorTrialEvaluator(self.device, prefilter=prefilter),
+            VectorTrialEvaluator(self.device),
             faults=faults,
             watchdog_cycles=watchdog_cycles,
             policy=policy,

@@ -43,15 +43,6 @@ class ParameterSpace:
     rx_values: tuple[int, ...] = DEFAULT_RX
     ry_values: tuple[int, ...] = DEFAULT_RY
 
-    def raw_size(self) -> int:
-        """Size of the unconstrained cross product."""
-        return (
-            len(self.tx_values)
-            * len(self.ty_values)
-            * len(self.rx_values)
-            * len(self.ry_values)
-        )
-
     def candidates(self) -> Iterator[BlockConfig]:
         """All cross-product configurations, unconstrained."""
         for tx, ty, rx, ry in product(

@@ -23,13 +23,8 @@ from repro.kernels.config import BlockConfig
 from repro.obs.events import emit as emit_event
 from repro.obs.schema import CAT_TUNE_RUN
 from repro.obs.tracer import current_tracer, maybe_span
-from repro.tuning.evaluator import (
-    SimTrialEvaluator,
-    TrialEvaluator,
-    TrialOutcome,
-    TrialRunner,
-)
-from repro.tuning.exhaustive import feasible_trials
+from repro.tuning.evaluator import TrialEvaluator, TrialOutcome, TrialRunner
+from repro.tuning.exhaustive import default_evaluator, feasible_trials
 from repro.tuning.result import TuneEntry, TuneResult
 from repro.tuning.space import ParameterSpace, default_space
 
@@ -77,7 +72,6 @@ def stochastic_tune(
     seed: int = 0,
     initial_temperature: float = 0.15,
     space: ParameterSpace | None = None,
-    prefilter: bool = True,
     evaluator: TrialEvaluator | None = None,
 ) -> TuneResult:
     """Simulated-annealing search executing at most ``budget`` configs.
@@ -86,19 +80,17 @@ def stochastic_tune(
     :class:`TuneResult` reports the best measured configuration and every
     configuration actually executed, like the other tuners.
 
-    ``prefilter`` short-circuits unlaunchable configurations through the
-    static resource check; they still score 0.0 and still spend budget
-    (exactly like the simulator's launch failure), so the walk — and the
-    winner — is bit-identical with the filter on or off.  ``evaluator``
-    swaps the measurement backend (and then owns the prefilter decision);
-    quarantined configurations also score 0.0 and spend budget, keeping
-    the walk itself deterministic under fault storms.  When no walked
-    configuration measured ``ok`` it raises :class:`TuningError`, as the
-    other tuners do.
+    Unlaunchable configurations are short-circuited by the static
+    resource check; they still score 0.0 and still spend budget.
+    ``evaluator`` is the measurement backend (default: the batch engine
+    on ``device``); quarantined configurations also score 0.0 and spend
+    budget, keeping the walk itself deterministic under fault storms.
+    When no walked configuration measured ``ok`` it raises
+    :class:`TuningError`, as the other tuners do.
 
     The walk is inherently sequential — each step's candidate depends on
-    the previous measurement — so even a batch-capable evaluator is
-    driven one config at a time.
+    the previous measurement — so it is driven one config at a time
+    (:meth:`~repro.tuning.evaluator.TrialEvaluator.measure`).
     """
     if budget < 1:
         raise TuningError(f"budget must be >= 1, got {budget}")
@@ -108,8 +100,7 @@ def stochastic_tune(
     feas = set(configs)
     rng = random.Random(seed)
     runner = TrialRunner(
-        evaluator or SimTrialEvaluator(device, prefilter=prefilter),
-        device, grid_shape,
+        evaluator or default_evaluator(device), device, grid_shape
     )
     measured: dict[BlockConfig, TrialOutcome] = {}
 

@@ -1,18 +1,16 @@
 """In-process vectorized trial evaluator over the batch simulator core.
 
 :class:`VectorTrialEvaluator` is the measurement backend of every
-``repro tune`` session, plain or resilient.  It implements the
-:class:`~repro.tuning.evaluator.BatchTrialEvaluator` protocol: it takes
-the :class:`~repro.tuning.evaluator.Trial` list the sweep's feasibility
-pass already built (plan and block workload per config) and dispatches
-it to :class:`repro.gpusim.batch.BatchEngine` — one NumPy pass over the
-deduplicated block classes instead of N scalar pipeline walks — while
-classifying every outcome exactly as the serial loop would:
+``repro tune`` session, plain or resilient, and every tuner's default.
+It takes the :class:`~repro.tuning.evaluator.Trial` list the sweep's
+feasibility pass already built (plan and block workload per config) and
+dispatches it to :class:`repro.gpusim.batch.BatchEngine` — one NumPy
+pass over the deduplicated block classes instead of N scalar pipeline
+walks — while classifying every outcome exactly as the scalar
+:class:`~repro.tuning.evaluator.SimTrialEvaluator` would:
 
-* prefilter on + unlaunchable → ``rejected_static`` (the engine's
-  launch check *is* :func:`repro.analysis.resources.launch_failure`);
-* prefilter off + unlaunchable → ``rejected_simulated`` (the scalar
-  evaluator discovers the same :class:`ResourceLimitError` at run time);
+* unlaunchable → ``rejected_static`` (the engine's launch check *is*
+  :func:`repro.analysis.resources.launch_failure`);
 * launchable → ``ok`` with the bit-identical rate and the same
   ``info`` keys (``load_efficiency`` / ``occupancy`` / ``limiter``).
 
@@ -24,8 +22,8 @@ prices them through the same :meth:`~VectorTrialEvaluator.measure_trials`.
 
 Because the engine is bit-identical to the scalar path (the
 ``batch-identity`` gate in ``tools/check.py``), a tuner over this
-evaluator picks the same winner with the same tie-breaks as the serial
-loop — it is a pure throughput substitution.  Fault storms price here
+evaluator picks the same winner with the same tie-breaks as over the
+scalar reference — it is a pure throughput substitution.  Fault storms price here
 too: :class:`repro.tuning.robust.ResilientEvaluator` overlays its fault
 plan on these prices.
 """
@@ -82,11 +80,6 @@ class VectorTrialEvaluator:
     ----------
     device:
         Device spec or registry name trials run on.
-    prefilter:
-        The tuners' historical flag: with it on, unlaunchable configs are
-        classified ``rejected_static``; with it off, ``rejected_simulated``
-        (the classification the scalar pipeline produces in each mode —
-        the launch-reject set itself is identical either way).
     params:
         Optional timing-parameter override, forwarded to the engine.
     engine:
@@ -99,18 +92,16 @@ class VectorTrialEvaluator:
         self,
         device: DeviceSpec | str,
         *,
-        prefilter: bool = True,
         params: TimingParams | None = None,
         engine: BatchEngine | None = None,
     ) -> None:
         self.device = get_device(device) if isinstance(device, str) else device
-        self.prefilter = prefilter
         self.engine = engine or BatchEngine(self.device, params)
 
     # -- TrialEvaluator protocol ------------------------------------------
 
     def statically_rejected(self, block: "BlockWorkload") -> bool:
-        return self.prefilter and launch_failure(block, self.device) is not None
+        return launch_failure(block, self.device) is not None
 
     def measure(
         self,
@@ -123,20 +114,19 @@ class VectorTrialEvaluator:
         grid = plan.grid_workload(self.device, grid_shape)
         return classify(cfg, self.engine.score(BlockClass.of(block, grid)))
 
-    # -- BatchTrialEvaluator protocol -------------------------------------
-
     def measure_trials(
         self,
         trials: list[Trial],
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
-        """Measure every trial; outcomes in input order."""
+        """Pre-filter and measure every trial; outcomes in input order."""
         # Pricing is event-silent: the trial runner narrates from the
         # returned outcomes in input order.
         with suppress_events():
             scores = self.engine.scores(self.classes(trials, grid_shape))
         return [
-            classify(t.config, score, prefiltered=self.prefilter)
+            TrialOutcome(config=t.config, status=STATUS_REJECTED_STATIC)
+            if score.launch_error is not None else classify(t.config, score)
             for t, score in zip(trials, scores)
         ]
 
@@ -160,11 +150,15 @@ class VectorTrialEvaluator:
         return self.measure_trials(trials, grid_shape)
 
 
-def classify(cfg: BlockConfig, score: ClassScore, *, prefiltered: bool = False) -> TrialOutcome:
-    """The outcome of a clean launch of ``score``'s class for ``cfg``."""
+def classify(cfg: BlockConfig, score: ClassScore) -> TrialOutcome:
+    """The outcome of a clean launch of ``score``'s class for ``cfg``.
+
+    An unlaunchable class is ``rejected_simulated``: the launch itself
+    found it, as the scalar executor would.  :meth:`measure_trials`
+    classifies the same class ``rejected_static``, its pre-filter.
+    """
     if score.launch_error is not None:
-        status = STATUS_REJECTED_STATIC if prefiltered else STATUS_REJECTED_SIMULATED
-        return TrialOutcome(config=cfg, status=status)
+        return TrialOutcome(config=cfg, status=STATUS_REJECTED_SIMULATED)
     return TrialOutcome(
         config=cfg,
         status=STATUS_OK,

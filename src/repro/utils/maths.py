@@ -33,9 +33,3 @@ def is_power_of_two(value: int) -> bool:
     """True when ``value`` is a positive power of two."""
     return value > 0 and (value & (value - 1)) == 0
 
-
-def clamp(value: float, lo: float, hi: float) -> float:
-    """Clamp ``value`` to the closed interval [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"clamp interval is empty: [{lo}, {hi}]")
-    return max(lo, min(hi, value))

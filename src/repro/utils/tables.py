@@ -7,7 +7,7 @@ greppable, and readable in a terminal or CI log.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 
 def _cell(value: object, float_fmt: str) -> str:
@@ -69,12 +69,3 @@ def format_series(
     pairs = ", ".join(f"{x}={format(y, float_fmt)}" for x, y in zip(xs, ys))
     return f"{name}: {pairs}"
 
-
-def format_mapping(title: str, mapping: Mapping[str, object]) -> str:
-    """Render a flat mapping as aligned ``key : value`` lines."""
-    if not mapping:
-        return f"{title}\n  (empty)"
-    width = max(len(k) for k in mapping)
-    lines = [title]
-    lines.extend(f"  {k.ljust(width)} : {v}" for k, v in mapping.items())
-    return "\n".join(lines)

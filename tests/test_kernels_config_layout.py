@@ -21,10 +21,6 @@ class TestBlockConfig:
     def test_label_matches_table4_style(self):
         assert BlockConfig(256, 1, 1, 8).label() == "(256, 1, 1, 8)"
 
-    def test_coalescing_friendly(self):
-        assert BlockConfig(32, 4).coalescing_friendly
-        assert not BlockConfig(24, 4).coalescing_friendly
-
     @pytest.mark.parametrize("bad", [(0, 1), (1, 0), (1, 1, 0, 1), (1, 1, 1, -1)])
     def test_rejects_non_positive(self, bad):
         with pytest.raises(ConfigurationError):

@@ -15,7 +15,6 @@ from repro.kernels.pipeline import (
     expr_inplane_sweep,
     forward_sweep,
     inplane_sweep,
-    max_pipeline_depth,
 )
 from repro.stencils.applications import APPLICATIONS
 from repro.stencils.reference import apply_expr, apply_symmetric
@@ -63,10 +62,6 @@ class TestSymmetricSchedules:
         out = inplane_sweep(spec, g)
         ref = apply_symmetric(spec, g)
         assert out[2, 2, 2] == pytest.approx(ref[2, 2, 2], rel=1e-10)
-
-    def test_pipeline_depth_is_radius(self):
-        """Section III-C: 'a total of r output elements are cached'."""
-        assert max_pipeline_depth(symmetric(8)) == 4
 
     @settings(max_examples=20, deadline=None)
     @given(

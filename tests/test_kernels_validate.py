@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.kernels.config import BlockConfig
 from repro.kernels.validate import (
     check_exact_cover,
-    divides_evenly,
     halo_fits,
     tile_origins,
 )
@@ -44,10 +43,6 @@ class TestExactCover:
 
 
 class TestPredicates:
-    def test_divides_evenly(self):
-        assert divides_evenly(512, 512, BlockConfig(32, 4, 1, 4))
-        assert not divides_evenly(500, 512, BlockConfig(32, 4, 1, 4))
-
     def test_halo_fits(self):
         assert halo_fits(9, 9, 9, 4)
         assert not halo_fits(8, 9, 9, 4)
@@ -67,7 +62,6 @@ class TestEdgeCases:
     def test_non_divisible_grid_still_covers_exactly(self):
         # Partial edge tiles clip against the plane; coverage stays exact.
         check_exact_cover(500, 300, BlockConfig(32, 4, 1, 4))
-        assert not divides_evenly(500, 300, BlockConfig(32, 4, 1, 4))
 
     def test_register_tiled_plans_cover_exactly(self):
         for rx, ry in ((2, 1), (1, 8), (4, 4)):

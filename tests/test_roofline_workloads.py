@@ -10,13 +10,7 @@ from repro.kernels.factory import make_kernel
 from repro.metrics.roofline import roofline
 from repro.stencils.reference import apply_expr
 from repro.stencils.spec import symmetric
-from repro.workloads import (
-    checkerboard,
-    coordinate_polynomial,
-    hot_cube,
-    plane_wave,
-    random_grid,
-)
+from repro.workloads import hot_cube, random_grid
 
 GRID = (256, 256, 64)
 
@@ -76,25 +70,12 @@ class TestWorkloads:
         assert g[8, 8, 8] == 50.0
         assert g[0, 0, 0] == 0.0
 
-    def test_plane_wave_axis(self):
-        g = plane_wave((8, 8, 32), wavelength=8.0, axis=2)
-        # Constant across z and y, varying along x.
-        assert np.allclose(g[0], g[5])
-        assert not np.allclose(g[0, 0, :8], g[0, 0, 1:9])
-
-    def test_plane_wave_periodicity(self):
-        g = plane_wave((4, 4, 32), wavelength=8.0, axis=2)
-        np.testing.assert_allclose(g[0, 0, :8], g[0, 0, 8:16], atol=1e-6)
-
-    def test_checkerboard_alternates(self):
-        g = checkerboard((8, 8, 8), cell=2)
-        assert g[0, 0, 0] != g[0, 0, 2]
-        assert set(np.unique(g)) == {0.0, 1.0}
-
     def test_polynomial_known_laplacian(self):
         from repro.stencils.applications import laplacian
 
-        g = coordinate_polynomial((10, 10, 10), coeffs=(1.0, 2.0, 3.0))
+        # x^2 + 2y^2 + 3z^2: the discrete Laplacian is 2(1 + 2 + 3).
+        z, y, x = np.indices((10, 10, 10), dtype=np.float64)
+        g = x * x + 2.0 * y * y + 3.0 * z * z
         lap = apply_expr(laplacian(), [g])[0]
         np.testing.assert_allclose(lap[1:-1, 1:-1, 1:-1], 12.0, rtol=1e-12)
 
@@ -102,13 +83,3 @@ class TestWorkloads:
     def test_shape_validation(self, bad):
         with pytest.raises(GridShapeError):
             random_grid(bad)  # type: ignore[arg-type]
-
-    def test_plane_wave_validation(self):
-        with pytest.raises(GridShapeError):
-            plane_wave((4, 4, 4), axis=3)
-        with pytest.raises(GridShapeError):
-            plane_wave((4, 4, 4), wavelength=0)
-
-    def test_checkerboard_validation(self):
-        with pytest.raises(GridShapeError):
-            checkerboard((4, 4, 4), cell=0)

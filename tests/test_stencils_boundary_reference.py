@@ -12,9 +12,9 @@ from repro.stencils.boundary import (
     shifted_interior,
     with_boundary_from,
 )
-from repro.stencils.expr import symmetric_expr
 from repro.stencils.reference import apply_expr, apply_symmetric, iterate_symmetric
 from repro.stencils.spec import symmetric
+from tests.oracles.expr import symmetric_expr
 
 
 class TestBoundaryHelpers:

@@ -5,8 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import StencilDefinitionError
-from repro.stencils.expr import OutputSpec, StencilExpr, Tap, symmetric_expr
+from repro.stencils.expr import OutputSpec, StencilExpr, Tap
 from repro.stencils.spec import default_coefficients
+from tests.oracles.expr import symmetric_expr
 
 
 def simple_expr() -> StencilExpr:

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StencilDefinitionError
-from repro.stencils.expr import symmetric_expr
 from repro.stencils.parser import parse_stencil
 from repro.stencils.reference import apply_expr
 from repro.stencils.spec import default_coefficients
+from tests.oracles.expr import symmetric_expr
 
 
 class TestBasics:

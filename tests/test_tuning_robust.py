@@ -177,7 +177,8 @@ class TestBatchEqualsSerial:
 
     The batch path prices every fresh trial in one engine call, then
     applies the fault overlay trial by trial; the serial reference is
-    the trial runner's loop (static pre-filter, then ``measure``).  Both
+    the one-at-a-time step of ``TrialRunner.one`` (static pre-filter,
+    then ``measure``).  Both
     must give the same outcomes, stats and journal, and leave the plan's
     ``launch`` stream at the same index.
     """
@@ -211,12 +212,11 @@ class TestBatchEqualsSerial:
         rates=st.tuples(*[st.sampled_from((0.0, 0.05, 0.2, 0.25))] * 4),
         burst=st.none() | st.integers(0, 12),
         watchdog=st.none() | st.integers(0, 7),
-        prefilter=st.booleans(),
         retries=st.integers(0, 3),
         journaled=st.sets(st.integers(0, 7), max_size=4),
     )
     def test_batch_walk_matches_serial(
-        self, seed, rates, burst, watchdog, prefilter, retries, journaled
+        self, seed, rates, burst, watchdog, retries, journaled
     ):
         trials = self.trials()
         device = get_device("gtx580")
@@ -242,7 +242,7 @@ class TestBatchEqualsSerial:
                 watchdog_cycles=watchdog,
             )
             return ResilientEvaluator(
-                VectorTrialEvaluator(device, prefilter=prefilter),
+                VectorTrialEvaluator(device),
                 faults=faults, policy=RetryPolicy(max_retries=retries),
                 journal=TrialJournal.resume(path, "k"),
             )

@@ -30,7 +30,6 @@ class TestSpace:
         space = ParameterSpace(
             tx_values=(16, 32), ty_values=(1, 2), rx_values=(1,), ry_values=(1, 2)
         )
-        assert space.raw_size() == 8
         assert len(list(space.candidates())) == 8
 
     def test_default_space_covers_table4_optima(self):

@@ -1,8 +1,9 @@
 """VectorTrialEvaluator tests: the batch backend is a pure substitution.
 
 The evaluator's contract: same outcomes (status, bit-identical rate, same
-``info`` keys), same winner and tie-breaks as the serial
-:class:`~repro.tuning.evaluator.SimTrialEvaluator` loop — only faster.
+``info`` keys), same winner and tie-breaks as the scalar
+:class:`~repro.tuning.evaluator.SimTrialEvaluator` reference — only
+faster.  It is every tuner's default backend.
 """
 
 from contextlib import ExitStack
@@ -23,7 +24,6 @@ from repro.tuning.evaluator import (
     STATUS_REJECTED_STATIC,
     SimTrialEvaluator,
     TrialRunner,
-    batch_capable,
     build_trial,
 )
 from repro.tuning.exhaustive import (
@@ -34,11 +34,16 @@ from repro.tuning.exhaustive import (
 )
 from repro.tuning.modelbased import model_based_tune
 from repro.tuning.space import ParameterSpace, default_space
+from repro.tuning.stochastic import stochastic_tune
 from repro.tuning.vectorized import VectorTrialEvaluator, shared_grid_workloads
 
 GRID = (256, 256, 128)
 SMALL_SPACE = ParameterSpace(
     tx_values=(16, 32, 64), ty_values=(2, 4, 8), rx_values=(1, 2), ry_values=(1, 2)
+)
+#: dp order 8 on this space: the ty=32 corner is statically rejected.
+NARRATED_SPACE = ParameterSpace(
+    tx_values=(32,), ty_values=(8, 16, 32), rx_values=(1, 2), ry_values=(1, 2, 4),
 )
 #: Rejected by the scalar executor (register file / shared memory).
 DEAD_CONFIGS = [BlockConfig(64, 16, 2, 2), BlockConfig(64, 8, 4, 8)]
@@ -51,8 +56,16 @@ def builder(order=2, dtype="sp"):
 
 class TestProtocol:
     def test_is_batch_capable(self, gtx580):
-        ev = VectorTrialEvaluator(gtx580)
-        assert batch_capable(ev) is ev
+        """Both evaluators price a whole trial list, static rejects included."""
+        build = builder()
+        trials = [
+            build_trial(build, cfg, gtx580, GRID)
+            for cfg in [BlockConfig(32, 4, 1, 4), *DEAD_CONFIGS]
+        ]
+        vector = VectorTrialEvaluator(gtx580).measure_trials(trials, GRID)
+        scalar = SimTrialEvaluator(gtx580).measure_trials(trials, GRID)
+        assert vector == scalar
+        assert [o.status for o in vector] == [STATUS_OK] + [STATUS_REJECTED_STATIC] * 2
 
     def test_accepts_device_name(self):
         ev = VectorTrialEvaluator("gtx580")
@@ -83,14 +96,21 @@ class TestOutcomeParity:
             assert got.info == want.info
 
     def test_rejects_static_with_prefilter(self, gtx580):
-        ev = VectorTrialEvaluator(gtx580, prefilter=True)
+        ev = VectorTrialEvaluator(gtx580)
         outcomes = ev.measure_batch(builder(), DEAD_CONFIGS, GRID)
         assert [o.status for o in outcomes] == [STATUS_REJECTED_STATIC] * 2
 
     def test_rejects_simulated_without_prefilter(self, gtx580):
-        ev = VectorTrialEvaluator(gtx580, prefilter=False)
-        outcomes = ev.measure_batch(builder(), DEAD_CONFIGS, GRID)
-        assert [o.status for o in outcomes] == [STATUS_REJECTED_SIMULATED] * 2
+        """A one-trial ``measure`` skips the pre-filter; the launch itself
+        rejects, on the batch engine as on the scalar executor."""
+        build = builder()
+        for ev in (VectorTrialEvaluator(gtx580), SimTrialEvaluator(gtx580)):
+            for cfg in DEAD_CONFIGS:
+                plan = build(cfg)
+                block = plan.block_workload(gtx580, GRID)
+                assert ev.statically_rejected(block)
+                outcome = ev.measure(cfg, plan, GRID, block)
+                assert outcome.status == STATUS_REJECTED_SIMULATED
 
     def test_measure_single_matches_batch(self, gtx580):
         build = builder()
@@ -107,7 +127,10 @@ class TestOutcomeParity:
 
 class TestTunerIdentity:
     def test_exhaustive_winner_identical(self, paper_device):
-        base = exhaustive_tune(builder(), paper_device, GRID, SMALL_SPACE)
+        base = exhaustive_tune(
+            builder(), paper_device, GRID, SMALL_SPACE,
+            evaluator=SimTrialEvaluator(paper_device),
+        )
         fast = exhaustive_tune(
             builder(), paper_device, GRID, SMALL_SPACE,
             evaluator=VectorTrialEvaluator(paper_device),
@@ -120,7 +143,10 @@ class TestTunerIdentity:
         ]
 
     def test_model_based_winner_identical(self, gtx580):
-        base = model_based_tune(builder(), gtx580, GRID, beta=0.2, space=SMALL_SPACE)
+        base = model_based_tune(
+            builder(), gtx580, GRID, beta=0.2, space=SMALL_SPACE,
+            evaluator=SimTrialEvaluator(gtx580),
+        )
         fast = model_based_tune(
             builder(), gtx580, GRID, beta=0.2, space=SMALL_SPACE,
             evaluator=VectorTrialEvaluator(gtx580),
@@ -133,14 +159,10 @@ class TestTunerIdentity:
 
     @pytest.mark.parametrize("tuner", ["exhaustive", "model"])
     def test_narration_identical(self, gtx580, tuner):
-        """The batch path narrates each premeasured outcome through the
-        serial loop's per-trial code: same trial trace (args in the same
-        order), counters, stats and event stream on both backends."""
-        # dp order 8: the ty=32 corner is statically rejected.
-        space = ParameterSpace(
-            tx_values=(32,), ty_values=(8, 16, 32), rx_values=(1, 2),
-            ry_values=(1, 2, 4),
-        )
+        """Both backends' outcomes are narrated by the same per-trial
+        code: same trial trace (args in the same order), counters, stats
+        and event stream."""
+        space = NARRATED_SPACE
         build = builder(order=8, dtype="dp")
 
         def narrate(evaluator):
@@ -171,61 +193,86 @@ class TestTunerIdentity:
         assert serial[1]["tune.rejected_static"] > 0
         assert serial == batch
 
-    def test_autotune_accepts_evaluator(self, gtx580):
+    def test_autotune_prices_like_the_scalar_reference(self, gtx580):
         import repro
 
-        base = repro.autotune("inplane_fullslice", 2, gtx580, GRID, method="model")
-        fast = repro.autotune(
-            "inplane_fullslice", 2, gtx580, GRID, method="model",
-            evaluator=VectorTrialEvaluator(gtx580),
+        got = repro.autotune("inplane_fullslice", 2, gtx580, GRID, method="model")
+        want = model_based_tune(
+            builder(), gtx580, GRID, evaluator=SimTrialEvaluator(gtx580)
         )
-        assert fast.best_config == base.best_config
-        assert fast.best_mpoints == base.best_mpoints
+        assert got.entries == want.entries
+        assert got.info == want.info
+
+
+#: Every tuner, set to price all of :data:`NARRATED_SPACE`.
+TUNERS = {
+    "exhaustive": lambda build, device, **kw: exhaustive_tune(
+        build, device, GRID, NARRATED_SPACE, **kw
+    ),
+    "model": lambda build, device, **kw: model_based_tune(
+        build, device, GRID, beta=1.0, space=NARRATED_SPACE, **kw
+    ),
+    "stochastic": lambda build, device, **kw: stochastic_tune(
+        build, device, GRID, budget=100, seed=0, space=NARRATED_SPACE, **kw
+    ),
+}
+
+
+class TestDefaultBackend:
+    """A tuner given no evaluator prices on the batch engine, and returns
+    exactly what it returns over the scalar reference."""
+
+    @pytest.mark.parametrize("tuner", sorted(TUNERS))
+    def test_default_equals_scalar_reference(self, gtx580, tuner):
+        build = builder(order=8, dtype="dp")
+        default = TUNERS[tuner](build, gtx580)
+        scalar = TUNERS[tuner](build, gtx580, evaluator=SimTrialEvaluator(gtx580))
+        # Entries compare config, rate, prediction and info, in rank order.
+        assert default.entries == scalar.entries
+        assert default.info == scalar.info
+        assert default.space_size == scalar.space_size
+        assert default.info["rejected_static"] > 0
 
 
 class TestStatsShape:
-    """``stats['jobs']`` is always populated — serial and batch alike."""
+    """``stats['jobs']`` is always populated — on either backend."""
 
     def test_serial_evaluate_configs_sets_jobs(self, gtx580):
         trials = feasible_trials(builder(), gtx580, GRID, SMALL_SPACE)
         stats = {}
-        evaluate_configs(trials, gtx580, GRID, stats=stats)
+        evaluate_configs(
+            trials, gtx580, GRID, stats=stats,
+            evaluator=SimTrialEvaluator(gtx580),
+        )
         assert stats["jobs"] == 1
 
     def test_batch_evaluate_configs_sets_jobs(self, gtx580):
         trials = feasible_trials(builder(), gtx580, GRID, SMALL_SPACE)
         stats = {}
-        evaluate_configs(
-            trials, gtx580, GRID, stats=stats,
-            evaluator=VectorTrialEvaluator(gtx580),
-        )
+        evaluate_configs(trials, gtx580, GRID, stats=stats)
         assert stats["jobs"] == 1
 
     def test_exhaustive_info_jobs_both_backends(self, gtx580):
-        serial = exhaustive_tune(builder(), gtx580, GRID, SMALL_SPACE)
-        batch = exhaustive_tune(
+        serial = exhaustive_tune(
             builder(), gtx580, GRID, SMALL_SPACE,
-            evaluator=VectorTrialEvaluator(gtx580),
+            evaluator=SimTrialEvaluator(gtx580),
         )
+        batch = exhaustive_tune(builder(), gtx580, GRID, SMALL_SPACE)
         assert serial.info["jobs"] == 1
         assert batch.info["jobs"] == 1
         assert set(serial.info) == set(batch.info)
 
     def test_model_based_info_jobs_both_backends(self, gtx580):
-        serial = model_based_tune(builder(), gtx580, GRID, beta=0.2, space=SMALL_SPACE)
-        batch = model_based_tune(
+        serial = model_based_tune(
             builder(), gtx580, GRID, beta=0.2, space=SMALL_SPACE,
-            evaluator=VectorTrialEvaluator(gtx580),
+            evaluator=SimTrialEvaluator(gtx580),
         )
+        batch = model_based_tune(builder(), gtx580, GRID, beta=0.2, space=SMALL_SPACE)
         assert serial.info["jobs"] == 1
         assert batch.info["jobs"] == 1
         assert set(serial.info) == set(batch.info)
 
 
-#: dp order 8 on this space: the ty=32 corner is statically rejected.
-NARRATED_SPACE = ParameterSpace(
-    tx_values=(32,), ty_values=(8, 16, 32), rx_values=(1, 2), ry_values=(1, 2, 4),
-)
 PLANES = ("tracer", "events", "archive")
 
 

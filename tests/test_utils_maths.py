@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.maths import ceil_div, clamp, is_power_of_two, round_up
+from repro.utils.maths import ceil_div, is_power_of_two, round_up
 
 
 class TestCeilDiv:
@@ -62,17 +62,3 @@ class TestIsPowerOfTwo:
     def test_non_powers(self, v):
         assert not is_power_of_two(v)
 
-
-class TestClamp:
-    def test_inside(self):
-        assert clamp(0.5, 0.0, 1.0) == 0.5
-
-    def test_below(self):
-        assert clamp(-1.0, 0.0, 1.0) == 0.0
-
-    def test_above(self):
-        assert clamp(2.0, 0.0, 1.0) == 1.0
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            clamp(0.5, 1.0, 0.0)

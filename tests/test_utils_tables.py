@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.tables import format_mapping, format_series, format_table
+from repro.utils.tables import format_series, format_table
 
 
 class TestFormatTable:
@@ -39,13 +39,3 @@ class TestFormatSeries:
         with pytest.raises(ValueError):
             format_series("s", [1], [1.0, 2.0])
 
-
-class TestFormatMapping:
-    def test_alignment(self):
-        text = format_mapping("T", {"a": 1, "long_key": 2})
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert ":" in lines[1]
-
-    def test_empty(self):
-        assert "(empty)" in format_mapping("T", {})
