@@ -8,7 +8,6 @@ paper's observation that it "depends only on the radius of the stencil,
 and not on the block size".
 """
 
-from repro.gpusim.device import get_device
 from repro.kernels.config import BlockConfig
 from repro.kernels.inplane import InPlaneKernel
 from repro.stencils.catalog import redundant_corner_elems
@@ -18,7 +17,6 @@ GRID = (512, 512, 256)
 
 
 def test_corner_overhead_scaling(benchmark, save_render):
-    dev = get_device("gtx580")
     cfg = BlockConfig(32, 8, 1, 2)
 
     def run():

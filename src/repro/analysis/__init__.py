@@ -7,12 +7,11 @@ structured (:class:`Diagnostic`: rule id, severity, location, message, fix
 hint) and aggregate into an :class:`AnalysisReport` with stable exit codes
 for the ``repro lint`` CLI.
 
-Three integration layers consume it:
+Two integration layers consume it:
 
-* ``repro lint`` — text/JSON reports over plans and DSL source;
-* the tuners — :func:`repro.analysis.resources.launch_failure` as a
-  fast-reject pre-filter provably equivalent to the executor's
-  :class:`~repro.errors.ResourceLimitError` set;
+* ``repro lint`` — text/JSON reports over plans and DSL source; its
+  ``RES-*`` rules explain the launch check every price runs (the tuners
+  read that verdict from the price itself, with no separate pre-filter);
 * codegen — :func:`gate_codegen` refuses to emit error-level plans.
 
 Two further passes ride on the access-plan IR (:mod:`repro.analysis.planir`)
@@ -41,7 +40,6 @@ from repro.analysis.estimate import (
     reconcile_profile,
 )
 from repro.analysis.planir import AccessPlanIR, LoweringError, lower_plan
-from repro.analysis.resources import launch_failure
 from repro.analysis.rules import Rule, catalog
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "estimate_ir",
     "estimate_plan",
     "gate_codegen",
-    "launch_failure",
     "lower_plan",
     "prediction_header",
     "reconcile_profile",

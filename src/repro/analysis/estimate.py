@@ -19,8 +19,9 @@ as a reconciliation failure rather than a silently wrong comment.
 record of ``BENCH_profile.json`` is resimulated and compared
 value-for-value with the estimate derived from its plan's IR
 (faulted records are skipped, mirroring the regression sentinel — fault
-injection perturbs *measurement*, never the prediction).  ``tools/check.py``
-runs it as a required gate.
+injection perturbs *measurement*, never the prediction — and so are
+records of families outside access-plan lowering, which have no estimate).
+``tools/check.py`` runs it as a required gate.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.analysis.planir import DEFAULT_GRID, AccessPlanIR, lower_plan
-from repro.errors import ReproError
+from repro.errors import ReproError, UnsupportedPlanError
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.timing import TimingResult, params_for, time_kernel
 from repro.gpusim.workload import GridWorkload
@@ -253,15 +254,21 @@ class ReconcileReport:
     failures: tuple[RecordReconcile, ...]
     source_failures: tuple[str, ...]   #: emitted-source verification errors
     errors: tuple[str, ...]            #: records that failed to run at all
+    #: records of a family access-plan lowering does not support
+    skipped_unsupported: int = 0
 
     def exit_code(self) -> int:
         return 1 if self.failures or self.source_failures or self.errors else 0
 
     def render(self) -> str:
+        unsupported = (
+            f"{self.skipped_unsupported} unsupported skipped, "
+            if self.skipped_unsupported else ""
+        )
         lines = [
             f"estimate reconcile vs {self.baseline_path}: {self.total} records, "
             f"{self.compared} compared, {self.skipped_faulted} faulted skipped, "
-            f"{len(self.failures)} counter mismatch(es), "
+            f"{unsupported}{len(self.failures)} counter mismatch(es), "
             f"{len(self.source_failures)} source failure(s), "
             f"{len(self.errors)} error(s)"
         ]
@@ -271,7 +278,7 @@ class ReconcileReport:
         return "\n".join(lines)
 
     def to_json_obj(self) -> dict[str, Any]:
-        return {
+        obj: dict[str, Any] = {
             "baseline": self.baseline_path,
             "total": self.total,
             "compared": self.compared,
@@ -294,6 +301,9 @@ class ReconcileReport:
             "source_failures": list(self.source_failures),
             "errors": list(self.errors),
         }
+        if self.skipped_unsupported:
+            obj["skipped_unsupported"] = self.skipped_unsupported
+        return obj
 
 
 def _reconcile_record(record: Any, report: Any = None) -> RecordReconcile:
@@ -339,8 +349,9 @@ def _verify_record_sources(records: Iterable[Any]) -> list[str]:
 
     Generates all three backends unverified, then checks each against the
     shared IR — so the gate fails on an IR<->source divergence even if an
-    emitter's own self-check were bypassed.  Imported lazily: codegen
-    imports this package.
+    emitter's own self-check were bypassed.  Records of a family outside
+    lowering (hence outside codegen) are skipped.  Imported lazily:
+    codegen imports this package.
     """
     from repro.analysis.diagnostics import Severity
     from repro.analysis.srcverify import verify_emitted
@@ -357,6 +368,8 @@ def _verify_record_sources(records: Iterable[Any]) -> list[str]:
         try:
             plan = plan_for_record(record)
             ir = lower_plan(plan, record.grid)
+        except UnsupportedPlanError:
+            continue
         except ReproError as exc:
             failures.append(f"{record.kernel}: {exc}")
             continue
@@ -385,17 +398,23 @@ def reconcile_profile(
     Faulted records are skipped exactly as the regression sentinel skips
     them: their *measurements* embed an injected perturbation, while the
     estimate — a pure function of the plan — describes the clean launch.
+    Records of a family :func:`~repro.analysis.planir.lower_plan` does not
+    support have no estimate and are skipped too.
     """
     from repro.obs.regress import resimulate_profile
 
     records, comparable, reports = resimulate_profile(path)
     failures: list[RecordReconcile] = []
     errors: list[str] = []
+    unsupported = 0
     for record, report in zip(comparable, reports):
         try:
             if isinstance(report, Exception):
                 raise report
             outcome = _reconcile_record(record, report=report)
+        except UnsupportedPlanError:
+            unsupported += 1
+            continue
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             errors.append(f"{record.kernel} on {record.device}: {exc}")
             continue
@@ -407,9 +426,10 @@ def reconcile_profile(
     return ReconcileReport(
         baseline_path=str(path),
         total=len(records),
-        compared=len(comparable),
+        compared=len(comparable) - unsupported,
         skipped_faulted=len(records) - len(comparable),
         failures=tuple(failures),
         source_failures=source_failures,
         errors=tuple(errors),
+        skipped_unsupported=unsupported,
     )

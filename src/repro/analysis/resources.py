@@ -1,23 +1,14 @@
-"""Resource-overflow pre-checks — the tuner's fast-reject path.
+"""Resource-overflow diagnostics — the ``RES-*`` rules of ``repro lint``.
 
-The executor discovers an unlaunchable configuration by building the full
-timing pipeline and letting :func:`repro.gpusim.occupancy.compute_occupancy`
-raise; these helpers make the same verdict from the workload record alone.
+Whether a configuration can launch is decided in one place: the op
+table's launch check (:mod:`repro.gpusim.ops`), which every price runs —
+``BatchEngine.score(...).launch_error`` for the tuners, a
+:class:`~repro.errors.ResourceLimitError` from the executor.
 
-Two entry points with different contracts:
-
-* :func:`launch_failure` — the *decision* function the tuners call.  It
-  mirrors :func:`repro.gpusim.timing.time_kernel` exactly: registers are
-  capped at the architectural per-thread limit first (spilling runs — it
-  does not fail), then ``compute_occupancy`` itself is invoked.  Because it
-  runs the identical code path, the static reject set provably equals the
-  executor's :class:`~repro.errors.ResourceLimitError` set, which is what
-  keeps every tuner's chosen optimum unchanged.
-* :func:`resource_diagnostics` — the *explaining* function behind
-  ``repro lint``, re-deriving each limit with its own rule id and the
-  allocation-granularity arithmetic spelled out.  A test asserts its
-  error verdict coincides with :func:`launch_failure` on the whole default
-  tuning space.
+:func:`resource_diagnostics` *explains* that verdict: it re-derives each
+limit with its own rule id and the allocation-granularity arithmetic
+spelled out.  A test asserts its error verdict coincides with the price's
+launch check on the whole default tuning space.
 """
 
 from __future__ import annotations
@@ -26,9 +17,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis import rules
 from repro.analysis.diagnostics import Diagnostic
-from repro.errors import ResourceLimitError
 from repro.gpusim.arch import HALF_WARP, WARP_SIZE
-from repro.gpusim.occupancy import compute_occupancy
 from repro.utils.maths import ceil_div, round_up
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,33 +32,13 @@ def effective_registers(regs_per_thread: int, device: "DeviceSpec") -> int:
     return min(regs_per_thread, device.rules.max_regs_per_thread)
 
 
-def launch_failure(
-    workload: "BlockWorkload", device: "DeviceSpec"
-) -> str | None:
-    """Why this workload cannot launch, or ``None`` when it can.
-
-    Exactly the reject set of the executor: the same register cap followed
-    by the same :func:`compute_occupancy` call ``time_kernel`` makes.
-    """
-    try:
-        compute_occupancy(
-            device,
-            workload.threads_per_block,
-            effective_registers(workload.regs_per_thread, device),
-            workload.smem_bytes,
-        )
-    except ResourceLimitError as exc:
-        return str(exc)
-    return None
-
-
 def resource_diagnostics(
     plan: "KernelPlan", workload: "BlockWorkload", device: "DeviceSpec"
 ) -> list[Diagnostic]:
     """RES-* diagnostics for one workload on one device.
 
     The error-level findings re-derive, with the real allocation
-    granularities, the limits :func:`compute_occupancy` enforces; the
+    granularities, the limits the op table's launch check enforces; the
     warnings cover conditions that launch but hurt (spilling, a TX that
     breaks the paper's coalescing constraint (i)).
     """

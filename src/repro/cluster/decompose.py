@@ -12,14 +12,10 @@ plane, which the property tests assert over multiple steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import GridShapeError, HaloExchangeError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.gpusim.faults import FaultPlan
 
 
 @dataclass
@@ -119,57 +115,27 @@ def split_grid(grid: np.ndarray, parts: int, radius: int) -> list[Slab]:
     return slabs
 
 
-def exchange_halos(
-    slabs: list[Slab],
-    *,
-    faults: "FaultPlan | None" = None,
-    validate: bool = False,
-) -> int:
+def exchange_halos(slabs: list[Slab]) -> int:
     """Refresh every ghost plane from its neighbour's owned interior.
 
     Returns the number of planes moved (the quantity the cost model
     prices).  Mirrors a pairwise `cudaMemcpyPeer`/MPI exchange: lower
     ghosts receive the top of the slab below, upper ghosts the bottom of
-    the slab above.
-
-    ``faults`` (a :class:`repro.gpusim.faults.FaultPlan`) perturbs
-    transferred ghost regions on the plan's ``exchange`` stream — the
-    stand-in for a corrupted PCIe/MPI transfer.  ``validate`` re-checks
-    every ghost plane against its source after the exchange and raises
-    :class:`repro.errors.HaloExchangeError` on any mismatch or
-    non-finite ghost, which is how a corrupted transfer is caught before
-    it silently poisons the next sweep.
+    the slab above.  Corrupted transfers are the resilient engine's
+    business (:mod:`repro.cluster.resilient` corrupts through
+    :meth:`repro.gpusim.faults.ClusterFaultPlan.corrupt_ghosts` and
+    checks with :func:`validate_halos`).
     """
-    from repro.gpusim.faults import STREAM_EXCHANGE, observe_fault
-    from repro.obs.tracer import current_tracer
-
-    tracer = current_tracer()
     moved = 0
     for lo, hi in zip(slabs, slabs[1:]):
         r_up = hi.ghost_lo
         if r_up:
             hi.data[:r_up] = lo.interior_view()[lo.owned - r_up :]
             moved += r_up
-            if faults is not None:
-                event = faults.corrupt(hi.data[:r_up], STREAM_EXCHANGE)
-                if event is not None:
-                    observe_fault(
-                        tracer, event, stream=STREAM_EXCHANGE, slab=hi.index,
-                    )
         r_dn = lo.ghost_hi
         if r_dn:
             lo.data[lo.ghost_lo + lo.owned :] = hi.interior_view()[:r_dn]
             moved += r_dn
-            if faults is not None:
-                event = faults.corrupt(
-                    lo.data[lo.ghost_lo + lo.owned :], STREAM_EXCHANGE
-                )
-                if event is not None:
-                    observe_fault(
-                        tracer, event, stream=STREAM_EXCHANGE, slab=lo.index,
-                    )
-    if validate:
-        validate_halos(slabs)
     return moved
 
 

@@ -16,7 +16,7 @@ dominates the shrinking kernel time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from repro.cluster.decompose import (
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.executor import DeviceExecutor
 from repro.kernels.symmetric import SymmetricKernelPlan
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.gpusim.faults import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -145,23 +142,12 @@ class MultiGpuStencil:
     # ------------------------------------------------------------------
     # Numerics
     # ------------------------------------------------------------------
-    def run_steps(
-        self,
-        grid: np.ndarray,
-        gpus: int,
-        steps: int,
-        *,
-        faults: "FaultPlan | None" = None,
-        validate: bool = False,
-    ) -> np.ndarray:
+    def run_steps(self, grid: np.ndarray, gpus: int, steps: int) -> np.ndarray:
         """Execute ``steps`` sweeps with the slab-exchange schedule.
 
         Numerically exact: equals ``steps`` sweeps of the whole grid.
-        ``faults`` / ``validate`` are forwarded to
-        :func:`repro.cluster.decompose.exchange_halos` — with validation
-        on, a corrupted transfer raises
-        :class:`repro.errors.HaloExchangeError` instead of silently
-        contaminating subsequent sweeps.
+        Faults and halo validation belong to
+        :class:`repro.cluster.resilient.ResilientClusterStencil`.
         """
         plan = self.plan_builder()
         radius = plan.halo_radius()
@@ -169,7 +155,7 @@ class MultiGpuStencil:
         for _ in range(steps):
             for slab in slabs:
                 slab.data = plan.execute(slab.data)
-            exchange_halos(slabs, faults=faults, validate=validate)
+            exchange_halos(slabs)
         return merge_slabs(slabs)
 
     # ------------------------------------------------------------------

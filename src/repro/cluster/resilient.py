@@ -34,7 +34,6 @@ the plain path when nothing is being injected.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -68,15 +67,16 @@ from repro.errors import (
 from repro.gpusim.faults import ClusterFaultPlan
 from repro.obs.events import emit
 from repro.obs.tracer import set_gauge
+from repro.utils.maths import jittered_backoff
 
 
 @dataclass(frozen=True)
 class ClusterPolicy:
     """Recovery-ladder knobs for one campaign.
 
-    ``delay_s`` mirrors :meth:`repro.tuning.robust.RetryPolicy.delay_s`:
-    exponential backoff with deterministic string-seeded jitter, so the
-    backoff total a campaign accounts is reproducible run to run.  The
+    ``delay_s`` is :meth:`repro.tuning.robust.RetryPolicy.delay_s`'s
+    backoff (:func:`repro.utils.maths.jittered_backoff`), so the backoff
+    total a campaign accounts is reproducible run to run.  The
     engine never wall-clock sleeps unless ``sleep`` is provided (the
     fleet is simulated; delays are accounted, not suffered).
     """
@@ -112,11 +112,10 @@ class ClusterPolicy:
 
     def delay_s(self, key: str, attempt: int) -> float:
         """Deterministic jittered exponential backoff for ``attempt``."""
-        base = self.backoff_base_s * self.backoff_factor**attempt
-        if self.jitter == 0.0:
-            return base
-        rng = random.Random(f"{self.seed}:{key}:{attempt}")
-        return base * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+        return jittered_backoff(
+            self.backoff_base_s, self.backoff_factor, self.jitter, self.seed,
+            key, attempt,
+        )
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,6 @@ def _coefficients_block(plan: SymmetricKernelPlan) -> str:
 
 def _load_region_code(plan: SymmetricKernelPlan, vec: int) -> str:
     """The per-plane cooperative load, per loading variant."""
-    r = plan.spec.radius
-    ctype = _ctype(plan)
     vtype = _vec_type(plan, vec)
     variant = plan.variant
 

@@ -56,7 +56,7 @@ class DeviceExecutor:
         """Simulate one sweep of ``plan`` over ``grid_shape`` (LX, LY, LZ).
 
         ``block`` lets callers that already compiled the plan's block
-        workload (e.g. the tuners' static pre-filter) reuse it instead of
+        workload (e.g. the tuners' feasibility pass) reuse it instead of
         paying the traffic enumeration twice.
         """
         if block is None:

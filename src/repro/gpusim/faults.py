@@ -3,8 +3,8 @@
 Real tuning campaigns lose hours to hung kernels, ECC events and crashed
 runs (the fragility that motivates the paper's section VI economy
 argument); this module gives the simulator the same failure modes so the
-resilient layers above it (:mod:`repro.tuning.robust`, the cluster
-halo-exchange guards) can be exercised deterministically:
+resilient layers above it (:mod:`repro.tuning.robust`,
+:mod:`repro.cluster.resilient`) can be exercised deterministically:
 
 * **launch failures** — the launch dies before producing a result
   (``cudaErrorLaunchFailure``): :class:`repro.errors.FaultInjectedError`;
@@ -12,19 +12,21 @@ halo-exchange guards) can be exercised deterministically:
   budget: :class:`repro.errors.KernelHangError`;
 * **thermal throttling** — the launch completes but the clock is derated,
   so the *measurement* is degraded (a silently-wrong tuning sample);
-* **ECC events** — the launch completes but its computed planes are
-  suspect; array-side helpers (:func:`flip_bit`, :meth:`FaultPlan.corrupt`)
-  perturb real data for the numerics guards to catch.
+* **ECC events** — the launch completes but its result is flagged
+  suspect, so the measurement is retried.
+
+Real data is corrupted on the cluster plane only:
+:class:`ClusterFaultPlan` perturbs received halo planes (:func:`flip_bit`
+or a planted NaN) for the exchange validation to catch.
 
 The simulator prices every launch clean; :func:`apply_launch_faults`,
 the one place a plan touches a launch, overlays the next fault on it.
 
 Determinism is the core contract: a :class:`FaultPlan` is a pure function
-of ``(seed, stream, index)`` — the same plan replayed against the same
-sequence of launches injects the *identical* fault sequence, trial for
-trial, across processes (no ``PYTHONHASHSEED`` dependence).  Each
-consumer stream (device launches, halo exchanges) has its own monotonic
-index, advanced by :meth:`next_index`.
+of ``(seed, index)`` — the same plan replayed against the same sequence
+of launches injects the *identical* fault sequence, trial for trial,
+across processes (no ``PYTHONHASHSEED`` dependence).  One monotonic draw
+index, advanced by :meth:`next_index`, counts the launches.
 
 With no plan installed (``faults=None`` everywhere) nothing is drawn and
 every price passes through unperturbed, which is what keeps the recorded
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError, FaultInjectedError, KernelHangError, ResourceLimitError
+from repro.errors import ConfigurationError, FaultInjectedError, KernelHangError
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.timing import BlockClass, sweep_rates
 from repro.obs.events import emit as emit_fault_event
@@ -61,10 +63,9 @@ FAULT_KINDS: tuple[str, ...] = (
     KIND_ECC,
 )
 
-#: Launch stream name, drawn once per launch by :func:`apply_launch_faults`.
-STREAM_LAUNCH = "launch"
-#: Exchange stream name used by :func:`repro.cluster.decompose.exchange_halos`.
-STREAM_EXCHANGE = "exchange"
+#: Salt of every :class:`FaultPlan` draw; the recorded storm digests
+#: depend on it.
+_LAUNCH_SALT = zlib.crc32(b"launch")
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class FaultPlan:
     Rates are per-draw probabilities; at most one fault fires per draw
     (a single uniform sample is compared against the cumulative rates, so
     the rates are exact and must sum to <= 1).  ``burst`` limits injection
-    to the first ``burst`` draws of every stream — a storm that passes —
+    to the first ``burst`` draws — a storm that passes —
     which is how the degradation tests model "a tier that keeps faulting
     while the campaign as a whole can still succeed".
 
@@ -95,11 +96,6 @@ class FaultPlan:
     launches: any launch whose simulated cycles exceed the budget raises
     :class:`repro.errors.KernelHangError`, which is how per-trial timeout
     budgets are enforced on a simulator that never actually blocks.
-
-    ``ecc_mode`` selects how :meth:`corrupt` perturbs arrays: ``"flip"``
-    flips one mantissa/exponent bit (a single-bit ECC event), ``"nan"``
-    overwrites one element with NaN (an uncorrectable double-bit error
-    surfacing as garbage).
     """
 
     seed: int = 0
@@ -112,8 +108,7 @@ class FaultPlan:
     hang_multiplier: float = 64.0
     watchdog_cycles: float | None = None
     burst: int | None = None
-    ecc_mode: str = "flip"
-    _counters: dict[str, int] = field(default_factory=dict, repr=False)
+    _drawn: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         rates = (
@@ -135,26 +130,22 @@ class FaultPlan:
             )
         if self.hang_multiplier < 1.0:
             raise ConfigurationError("hang_multiplier must be >= 1")
-        if self.ecc_mode not in ("flip", "nan"):
-            raise ConfigurationError(
-                f"ecc_mode must be 'flip' or 'nan', got {self.ecc_mode!r}"
-            )
 
     # -- determinism core --------------------------------------------------
 
-    def _rng(self, stream: str, index: int) -> random.Random:
-        """Process-independent RNG for one (seed, stream, index) cell."""
+    def _rng(self, index: int) -> random.Random:
+        """Process-independent RNG for one (seed, index) draw."""
         mix = (
             (self.seed & 0xFFFFFFFF) * 0x9E3779B1
-            + zlib.crc32(stream.encode("ascii"))
+            + _LAUNCH_SALT
             + index * 0x85EBCA77
         ) & 0xFFFFFFFFFFFF
         return random.Random(mix)
 
-    def next_index(self, stream: str) -> int:
-        """Advance and return ``stream``'s monotonic draw index."""
-        index = self._counters.get(stream, 0)
-        self._counters[stream] = index + 1
+    def next_index(self) -> int:
+        """Advance and return the monotonic draw index."""
+        index = self._drawn
+        self._drawn = index + 1
         return index
 
     @property
@@ -169,8 +160,8 @@ class FaultPlan:
 
     # -- event schedule ----------------------------------------------------
 
-    def event_for(self, index: int, stream: str = STREAM_LAUNCH) -> FaultEvent | None:
-        """The fault injected at ``stream``'s draw ``index``, if any.
+    def event_for(self, index: int) -> FaultEvent | None:
+        """The fault injected at draw ``index``, if any.
 
         Pure: does not advance any counter, so tests can enumerate the
         whole schedule up front and assert the overlay saw exactly it.
@@ -179,7 +170,7 @@ class FaultPlan:
             return None
         if self.burst is not None and index >= self.burst:
             return None
-        rng = self._rng(stream, index)
+        rng = self._rng(index)
         u = rng.random()
         edge = self.launch_failure_rate
         if u < edge:
@@ -196,27 +187,9 @@ class FaultPlan:
             return FaultEvent(KIND_ECC, index)
         return None
 
-    def schedule(self, n: int, stream: str = STREAM_LAUNCH) -> list[FaultEvent | None]:
-        """The first ``n`` draws of ``stream`` — the reproducibility witness."""
-        return [self.event_for(i, stream) for i in range(n)]
-
-    # -- array-side ECC injection -----------------------------------------
-
-    def corrupt(self, array: np.ndarray, stream: str) -> FaultEvent | None:
-        """Maybe perturb ``array`` in place (one draw on ``stream``).
-
-        Only ``ecc``-kind events touch the data; other kinds make no sense
-        for an in-memory array and are reported to the caller untouched
-        (a launch-shaped fault against a data stream is still *observed*,
-        it just cannot corrupt anything here).
-        """
-        index = self.next_index(stream)
-        event = self.event_for(index, stream)
-        if event is None or event.kind != KIND_ECC:
-            return event
-        rng = self._rng(stream + ".payload", index)
-        _perturb(array, rng, self.ecc_mode)
-        return event
+    def schedule(self, n: int) -> list[FaultEvent | None]:
+        """The first ``n`` draws — the reproducibility witness."""
+        return [self.event_for(i) for i in range(n)]
 
     # -- CLI spec ----------------------------------------------------------
 
@@ -230,7 +203,6 @@ class FaultPlan:
         "throttle_max": ("throttle_max", float),
         "burst": ("burst", int),
         "watchdog": ("watchdog_cycles", float),
-        "ecc_mode": ("ecc_mode", str),
     }
 
     @classmethod
@@ -239,7 +211,7 @@ class FaultPlan:
 
         Keys: ``seed``, ``launch``, ``hang``, ``throttle``, ``ecc``
         (rates), ``throttle_min``/``throttle_max``, ``burst``,
-        ``watchdog``, ``ecc_mode``.
+        ``watchdog``.
         """
         return cls(**_parse_spec(spec, cls._SPEC_KEYS, "fault"))
 
@@ -458,10 +430,10 @@ def apply_launch_faults(
 ) -> tuple[tuple[float, float, float], FaultEvent | None]:
     """Draw the plan's next ``launch`` event and apply it to a priced launch.
 
-    ``score`` is the clean price (launch error, total cycles) of ``cls``.
-    In order: a launch failure raises :class:`FaultInjectedError`; an
-    unlaunchable class raises :class:`ResourceLimitError`; a hang
-    multiplies the clean cycles and raises :class:`KernelHangError`, as
+    ``score`` is the clean price (total cycles) of a launchable ``cls``;
+    callers reject an unlaunchable price (``score.launch_error``) before
+    it draws.  In order: a launch failure raises
+    :class:`FaultInjectedError`; a hang multiplies the clean cycles and raises :class:`KernelHangError`, as
     does the watchdog (``watchdog_cycles``, else the plan's own) when the
     clean cycles exceed it; a throttle derates the clock, never the
     cycles; an ECC event only flags.  Returns ``(time_s, MPoint/s,
@@ -469,7 +441,7 @@ def apply_launch_faults(
     """
     event = None
     if faults is not None:
-        event = faults.event_for(faults.next_index(STREAM_LAUNCH), STREAM_LAUNCH)
+        event = faults.event_for(faults.next_index())
         if watchdog_cycles is None:
             watchdog_cycles = faults.watchdog_cycles
     if event is not None and event.kind == KIND_LAUNCH_FAILURE:
@@ -478,8 +450,6 @@ def apply_launch_faults(
             f"injected launch failure for {kernel} (launch {event.index})",
             kind=event.kind, launch_index=event.index,
         )
-    if score.launch_error is not None:
-        raise ResourceLimitError(score.launch_error)
     cycles = score.total_cycles
     if faults is not None and event is not None and event.kind == KIND_HANG:
         hang_cycles = cycles * faults.hang_multiplier

@@ -136,8 +136,6 @@ def _expr_plane_term(
         if tap.offset[2] != dz_group:
             continue
         dx, dy, dz = tap.offset
-        lx = grids[0].shape[2]
-        ly = grids[0].shape[1]
         xs = slice(ex + dx, (-ex + dx) or None)
         yss = slice(ey + dy, (-ey + dy) or None)
         term = grids[tap.grid][z_out + dz, yss, xs]

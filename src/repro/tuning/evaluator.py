@@ -2,18 +2,21 @@
 
 This module holds the per-trial measurement protocol:
 
-* :meth:`TrialEvaluator.statically_rejected` — the static resource
-  pre-filter (identical occupancy check the executor would run);
-* :meth:`TrialEvaluator.measure_trials` — pre-filter and measure a list
-  of trials, classifying each into a :class:`TrialOutcome`;
-* :meth:`TrialEvaluator.measure` — execute one configuration (the
+* :meth:`TrialEvaluator.measure_trials` — price a list of trials,
+  classifying each into a :class:`TrialOutcome`;
+* :meth:`TrialEvaluator.measure` — price one configuration (the
   stochastic walk's one-at-a-time step).
+
+The price is the one launch verdict: a configuration the device cannot
+launch (constraints on threads, registers and shared memory) comes back
+``rejected_static`` from the same pricing that rates the launchable
+ones, with no separate pre-filter pass.
 
 What the evaluators consume is a :class:`Trial`: a configuration with
 its built plan and block workload.  A sweep builds each trial once, in
 its feasibility pass (:func:`repro.tuning.exhaustive.feasible_trials`),
-and every later stage — the pre-filter, measurement, model scoring and
-archive derivation — reads that trial instead of rebuilding it.
+and every later stage — measurement, model scoring and archive
+derivation — reads that trial instead of rebuilding it.
 
 Every tuner prices on :class:`repro.tuning.vectorized.VectorTrialEvaluator`
 by default, which :class:`repro.tuning.robust.ResilientEvaluator` wraps
@@ -22,7 +25,7 @@ with faults, retries, per-config quarantine and a crash-safe journal.
 scalar reference the batch engine is checked against.
 
 :class:`TrialRunner` is the only place a trial is narrated: it runs the
-pre-filter and the measurement, tallies the reject stats, and emits the
+measurement, tallies the reject stats, and emits the
 ``tune.trial`` span or instant, the ``tune.*`` counters, the trial-plane
 events and the archive record.  The evaluator measures, the runner
 narrates, and the three tuners differ only in which trials they hand it.
@@ -33,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol, Sequence
 
-from repro.analysis.resources import launch_failure
 from repro.errors import ResourceLimitError
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.executor import DeviceExecutor
@@ -151,10 +153,8 @@ def emit_trial_events(outcome: TrialOutcome) -> None:
             "trial.quarantined", config=cfg,
             attempts=outcome.attempts, faults=list(outcome.faults),
         )
-    elif outcome.status == STATUS_REJECTED_STATIC:
-        emit_event("trial.rejected", config=cfg, reason="static")
     else:
-        emit_event("trial.rejected", config=cfg, reason="simulated")
+        emit_event("trial.rejected", config=cfg, reason="static")
 
 
 def record_trial(
@@ -196,18 +196,14 @@ class TrialEvaluator(Protocol):
     """What a tuner needs from its measurement backend.
 
     :meth:`measure_trials` takes trials the sweep already built (plan and
-    block workload, see :class:`Trial`), applies the static pre-filter
-    and measures, and returns one :class:`TrialOutcome` per input trial
-    **in input order** (statically rejected configurations come back as
-    :data:`STATUS_REJECTED_STATIC` outcomes instead of being silently
+    block workload, see :class:`Trial`), prices them, and returns one
+    :class:`TrialOutcome` per input trial **in input order** (a
+    configuration its price finds unlaunchable comes back as a
+    :data:`STATUS_REJECTED_STATIC` outcome instead of being silently
     dropped).  It builds nothing itself.  :meth:`measure` prices one
     trial on the scalar op table, for the stochastic walk, whose next
     candidate depends on the previous measurement.
     """
-
-    def statically_rejected(self, block: "BlockWorkload") -> bool:
-        """Would the static resource check refuse this launch?"""
-        ...  # pragma: no cover - protocol
 
     def measure(
         self,
@@ -216,7 +212,7 @@ class TrialEvaluator(Protocol):
         grid_shape: tuple[int, int, int],
         block: "BlockWorkload",
     ) -> TrialOutcome:
-        """Execute one configuration and classify the result."""
+        """Price one configuration and classify the result."""
         ...  # pragma: no cover - protocol
 
     def measure_trials(
@@ -224,7 +220,7 @@ class TrialEvaluator(Protocol):
         trials: list[Trial],
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
-        """Pre-filter and measure every trial; outcomes in input order."""
+        """Price every trial; outcomes in input order."""
         ...  # pragma: no cover - protocol
 
 
@@ -233,15 +229,17 @@ class TrialRunner:
 
     Every tuner hands its trials to a runner; the tuners differ only in
     which trials they hand over.  :meth:`all` prices a list in one
-    :meth:`~TrialEvaluator.measure_trials` call; :meth:`one` applies the
-    static pre-filter and measures one trial.  Per trial, the runner
-    then calls :func:`record_trial`, and (when
-    tracing is on) emits one ``tune.trial`` event plus one ``tune.*``
-    counter: an instant for a static reject, otherwise a span around the
-    measurement whose args say how it ended.  ``stats`` tallies the
-    non-``ok`` outcomes: ``rejected_static`` and ``rejected_simulated``
-    always, ``quarantined`` from its first occurrence.  :meth:`all`
-    skips the narration when no plane listens; the tally stays.
+    :meth:`~TrialEvaluator.measure_trials` call; :meth:`one` prices one
+    trial with :meth:`~TrialEvaluator.measure`.  Both then narrate the
+    finished outcomes the same way: per trial, the runner calls
+    :func:`record_trial`, and (when tracing is on) emits one
+    ``tune.trial`` event plus one ``tune.*`` counter: an instant for a
+    static reject, otherwise a span around the narration whose args say
+    how the trial ended.  ``stats`` tallies the non-``ok`` outcomes:
+    ``rejected_static`` always, ``quarantined`` from its first
+    occurrence, and ``rejected_simulated`` as a constant 0, kept because
+    ``tune --json`` prints it.  The narration is skipped when no plane
+    listens; the tally stays.
 
     ``predicted`` is a model score the tuner already computed (the
     model-based shortlist); it rides on the trace args and the archive.
@@ -263,8 +261,11 @@ class TrialRunner:
         self._tracer = current_tracer()
 
     def one(self, trial: Trial, predicted: float | None = None) -> TrialOutcome:
-        """Run one trial: pre-filter, measure, narrate."""
-        return self._run(trial, predicted, None)
+        """Run one trial: measure, then narrate."""
+        outcome = self.evaluator.measure(
+            trial.config, trial.plan, self.grid_shape, trial.block
+        )
+        return self._narrate([trial], [predicted], [outcome])[0]
 
     def all(
         self,
@@ -274,12 +275,23 @@ class TrialRunner:
         """Run every trial; outcomes in input order.
 
         The evaluator prices the whole list in one call; each outcome is
-        then narrated exactly as :meth:`one` would.  With no tracer,
-        event sink or archive installed nothing listens, so ``stats`` is
-        only tallied: no label, span args or :func:`record_trial` call
-        per trial.
+        then narrated exactly as :meth:`one` would.
         """
         outcomes = self.evaluator.measure_trials(trials, self.grid_shape)
+        return self._narrate(trials, predicted, outcomes)
+
+    def _narrate(
+        self,
+        trials: list[Trial],
+        predicted: Sequence[float | None] | None,
+        outcomes: list[TrialOutcome],
+    ) -> list[TrialOutcome]:
+        """Tally and narrate finished outcomes, in input order.
+
+        With no tracer, event sink or archive installed nothing listens,
+        so ``stats`` is only tallied: no label, span args or
+        :func:`record_trial` call per trial.
+        """
         if not self._narrated():
             for outcome in outcomes:
                 self._tally(outcome)
@@ -307,36 +319,23 @@ class TrialRunner:
             self.stats[outcome.status] = self.stats.get(outcome.status, 0) + 1
 
     def _run(
-        self,
-        trial: Trial,
-        predicted: float | None,
-        premeasured: TrialOutcome | None,
+        self, trial: Trial, predicted: float | None, outcome: TrialOutcome
     ) -> TrialOutcome:
-        cfg = trial.config
-        label = cfg.label()
+        label = trial.config.label()
         tracer = self._tracer
         args: dict[str, Any] = {"config": label}
         if predicted is not None:
             args["predicted_mpoints_per_s"] = predicted
-        if premeasured is None and self.evaluator.statically_rejected(trial.block):
-            premeasured = TrialOutcome(config=cfg, status=STATUS_REJECTED_STATIC)
-        if premeasured is not None and premeasured.status == STATUS_REJECTED_STATIC:
-            self._record(premeasured, trial, predicted)
+        if outcome.status == STATUS_REJECTED_STATIC:
+            self._record(outcome, trial, predicted)
             if tracer is not None:
                 tracer.instant(label, CAT_TUNE_TRIAL, **args, rejected="static")
                 tracer.metrics.counter("tune.rejected_static").inc()
-            return premeasured
+            return outcome
         with maybe_span(tracer, label, CAT_TUNE_TRIAL, **args) as sp:
-            outcome = premeasured
-            if outcome is None:
-                outcome = self.evaluator.measure(
-                    cfg, trial.plan, self.grid_shape, trial.block
-                )
             self._record(outcome, trial, predicted)
             if sp is not None:
-                if outcome.status == STATUS_REJECTED_SIMULATED:
-                    sp.args["rejected"] = "simulated"
-                elif outcome.status == STATUS_QUARANTINED:
+                if outcome.status == STATUS_QUARANTINED:
                     sp.args["quarantined"] = True
                     sp.args["attempts"] = outcome.attempts
                 else:
@@ -361,28 +360,22 @@ class SimTrialEvaluator:
     The tuners price on :class:`repro.tuning.vectorized.VectorTrialEvaluator`;
     this evaluator runs the same trials through
     :class:`~repro.gpusim.executor.DeviceExecutor`, one launch each, and
-    is what the batch engine's outcomes are checked against.
+    is what the batch engine's outcomes are checked against.  A launch
+    the executor refuses (:class:`~repro.errors.ResourceLimitError`) is
+    ``rejected_static``.
     """
 
     def __init__(self, device: DeviceSpec) -> None:
         self.device = device
         self.executor = DeviceExecutor(device)
 
-    def statically_rejected(self, block: "BlockWorkload") -> bool:
-        return launch_failure(block, self.device) is not None
-
     def measure_trials(
         self,
         trials: list[Trial],
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
-        """Pre-filter and measure every trial, one launch each."""
-        return [
-            TrialOutcome(config=t.config, status=STATUS_REJECTED_STATIC)
-            if self.statically_rejected(t.block)
-            else self.measure(t.config, t.plan, grid_shape, t.block)
-            for t in trials
-        ]
+        """Measure every trial, one launch each."""
+        return [self.measure(t.config, t.plan, grid_shape, t.block) for t in trials]
 
     def measure(
         self,
@@ -394,7 +387,7 @@ class SimTrialEvaluator:
         try:
             report = self.executor.run(plan, grid_shape, block=block)
         except ResourceLimitError:
-            return TrialOutcome(config=cfg, status=STATUS_REJECTED_SIMULATED)
+            return TrialOutcome(config=cfg, status=STATUS_REJECTED_STATIC)
         return TrialOutcome(
             config=cfg,
             status=STATUS_OK,

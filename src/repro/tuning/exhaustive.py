@@ -47,12 +47,11 @@ def evaluate_configs(
     workload each stage needs are already built, so nothing here (nor in
     the evaluator, nor in the archive capture) builds them again.
 
-    The static resource check rejects unlaunchable configurations from
-    the workload record alone, skipping the timing pipeline; it is the
-    identical occupancy test the executor would run.  ``stats``
-    (optional, mutated in place) receives ``rejected_static`` /
-    ``rejected_simulated`` counts (and a ``quarantined`` count when a
-    resilient evaluator gave up on configs), then ``jobs``.
+    The evaluator's price rejects unlaunchable configurations
+    (``rejected_static``).  ``stats`` (optional, mutated in place)
+    receives ``rejected_static`` / ``rejected_simulated`` counts (the
+    latter always 0), a ``quarantined`` count when a resilient evaluator
+    gave up on configs, then ``jobs``.
 
     ``evaluator`` is the measurement backend (default: a
     :class:`~repro.tuning.vectorized.VectorTrialEvaluator` on

@@ -45,7 +45,7 @@ def model_based_tune(
 
     ``beta`` is a fraction in (0, 1]; the paper's default cutoff is 5%.
     The shortlist size N is always computed from the *full* feasible
-    space, so a shortlisted config the static check rejects still counts
+    space, so a shortlisted config its price rejects still counts
     toward N.  ``evaluator`` is the measurement backend (default: the
     batch engine on ``device``).
     """

@@ -47,8 +47,8 @@ class TuneResult:
         ``"exhaustive"``, ``"stochastic"`` or ``"model"``.
     info:
         Run-level diagnostics, e.g. ``rejected_static`` (configurations
-        the static analyzer pre-filtered without execution) and
-        ``rejected_simulated`` (launch failures the simulator caught).
+        whose price found them unlaunchable) and ``rejected_simulated``
+        (always 0, kept for output compatibility).
     """
 
     best: TuneEntry

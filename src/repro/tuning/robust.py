@@ -22,7 +22,9 @@ failure modes :mod:`repro.gpusim.faults` injects:
 A session prices on the same batch engine as a plain tune
 (:class:`~repro.tuning.vectorized.VectorTrialEvaluator`); faults are an
 overlay on those clean prices, applied per launch attempt by
-:func:`repro.gpusim.faults.apply_launch_faults`.
+:func:`repro.gpusim.faults.apply_launch_faults`.  A configuration whose
+price says it cannot launch is rejected before any of that: it draws no
+fault, is not journaled and moves no stat.
 
 Everything is deterministic: backoff jitter comes from a seeded RNG, the
 fault schedule from :class:`~repro.gpusim.faults.FaultPlan`, so the same
@@ -35,7 +37,6 @@ accounted in :attr:`ResilientEvaluator.stats`.
 from __future__ import annotations
 
 import logging
-import random
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -46,7 +47,6 @@ from repro.errors import (
     FaultInjectedError,
     JournalError,
     KernelHangError,
-    ResourceLimitError,
     TuningError,
 )
 from repro.gpusim.batch import BlockClass, ClassScore
@@ -68,7 +68,6 @@ from repro.obs.events import (
 from repro.obs.tracer import current_tracer, set_gauge
 from repro.tuning.evaluator import (
     STATUS_QUARANTINED,
-    STATUS_REJECTED_STATIC,
     TRIAL_STATUSES,
     Trial,
     TrialOutcome,
@@ -78,6 +77,7 @@ from repro.tuning.modelbased import model_based_tune
 from repro.tuning.result import TuneResult
 from repro.tuning.stochastic import stochastic_tune
 from repro.tuning.vectorized import VectorTrialEvaluator, classify
+from repro.utils.maths import jittered_backoff
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpusim.faults import FaultPlan
@@ -95,9 +95,9 @@ DEGRADATION_LADDER: tuple[str, ...] = ("model", "stochastic", "exhaustive")
 class RetryPolicy:
     """How transient-looking trial failures are retried.
 
-    Delays follow ``base * factor**attempt``, each scaled by a
-    deterministic jitter drawn from ``seed`` (so two sessions with the
-    same seed back off identically).  ``sleep`` is invoked with each
+    Delays are :func:`repro.utils.maths.jittered_backoff` (so two
+    sessions with the same seed back off identically).  ``sleep`` is
+    invoked with each
     delay; the default ``None`` means "account the delay but do not
     block" — right for the simulator, replaceable with ``time.sleep``
     for wall-clock campaigns.
@@ -123,11 +123,10 @@ class RetryPolicy:
 
     def delay_s(self, key: str, attempt: int) -> float:
         """Deterministic backoff before retry ``attempt`` of trial ``key``."""
-        base = self.backoff_base_s * self.backoff_factor ** attempt
-        # String seeding is process-independent (unlike tuple seeding,
-        # which goes through hash() and PYTHONHASHSEED).
-        rng = random.Random(f"{self.seed}:{key}:{attempt}")
-        return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+        return jittered_backoff(
+            self.backoff_base_s, self.backoff_factor, self.jitter, self.seed,
+            key, attempt,
+        )
 
 
 # -- the journal -----------------------------------------------------------
@@ -245,7 +244,8 @@ class ResilientEvaluator:
 
     A :class:`~repro.tuning.evaluator.TrialEvaluator`: the
     tuners cannot tell they are talking to it, which is the whole point —
-    the search logic stays fault-oblivious while every measurement gains
+    the search logic stays fault-oblivious while every launchable
+    configuration gains
 
     1. journal replay (a config already journaled never re-runs),
     2. one ``faults`` draw per launch attempt, overlaid on ``inner``'s
@@ -254,8 +254,11 @@ class ResilientEvaluator:
     4. quarantine once retries are exhausted (or immediately for
        deterministic failures like a genuine watchdog overrun).
 
-    :meth:`measure_trials` prices all fresh trials in one batch, then
-    draws for them in input order, exactly as one :meth:`measure` each.
+    A configuration ``inner``'s price finds unlaunchable is
+    ``rejected_static`` before any of these steps: it draws nothing,
+    writes no journal record and moves no stat.  :meth:`measure_trials`
+    prices every trial in one batch, then walks them in input order,
+    exactly as one :meth:`measure` each.
 
     ``stats`` accumulates across tiers: ``live_trials`` (launch attempts),
     ``replayed``, ``retries``, ``quarantined_configs`` and ``backoff_s``
@@ -284,9 +287,6 @@ class ResilientEvaluator:
             "backoff_s": 0.0,
         }
 
-    def statically_rejected(self, block: "BlockWorkload") -> bool:
-        return self.inner.statically_rejected(block)
-
     def measure(
         self,
         cfg: BlockConfig,
@@ -294,13 +294,10 @@ class ResilientEvaluator:
         grid_shape: tuple[int, int, int],
         block: "BlockWorkload",
     ) -> TrialOutcome:
-        replayed = self._replay(cfg)
-        if replayed is not None:
-            return replayed
         cls = BlockClass.of(block, plan.grid_workload(self.inner.device, grid_shape))
         with suppress_events():
             score = self.inner.engine.score(cls)
-            return self._attempt(cfg, plan.name, score, cls, current_tracer())
+            return self._measure(cfg, plan.name, score, cls, current_tracer())
 
     def measure_trials(
         self,
@@ -308,24 +305,25 @@ class ResilientEvaluator:
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
         """Measure every trial; outcomes in input order."""
-        static = [self.statically_rejected(t.block) for t in trials]
-        fresh = [
-            t for t, rejected in zip(trials, static)
-            if not rejected and (self.journal is None or self.journal.get(t.config) is None)
-        ]
         # Events are silenced across the measurement: the trial runner
         # narrates each trial from its finished outcome, in input order.
         with suppress_events():
-            classes = self.inner.classes(fresh, grid_shape)
+            classes = self.inner.classes(trials, grid_shape)
             scores = self.inner.engine.scores(classes)
-            priced = {t.config: price for t, price in zip(fresh, zip(scores, classes))}
             tracer = current_tracer()
             return [
-                TrialOutcome(config=t.config, status=STATUS_REJECTED_STATIC) if rejected
-                else self._replay(t.config)
-                or self._attempt(t.config, t.plan.name, *priced[t.config], tracer)
-                for t, rejected in zip(trials, static)
+                self._measure(t.config, t.plan.name, score, cls, tracer)
+                for t, score, cls in zip(trials, scores, classes)
             ]
+
+    def _measure(
+        self, cfg: BlockConfig, kernel: str, score: ClassScore,
+        cls: BlockClass, tracer: Any,
+    ) -> TrialOutcome:
+        """Reject an unlaunchable price, else replay or attempt the launch."""
+        if score.launch_error is not None:
+            return classify(cfg, score)
+        return self._replay(cfg) or self._attempt(cfg, kernel, score, cls, tracer)
 
     def _replay(self, cfg: BlockConfig) -> TrialOutcome | None:
         """The journaled outcome for ``cfg``, counted as replayed."""
@@ -360,9 +358,6 @@ class ResilientEvaluator:
                     self.faults, self.inner.device, kernel, score, cls,
                     watchdog_cycles=self.watchdog_cycles, tracer=tracer,
                 )
-            except ResourceLimitError:
-                # A deterministic rejection the simulator would repeat.
-                return self._finish(replace(classify(cfg, score), attempts=attempts))
             except (FaultInjectedError, KernelHangError) as exc:
                 faults_seen.append(exc.kind)
                 if exc.kind in _NON_RETRYABLE_KINDS:

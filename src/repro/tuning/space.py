@@ -10,10 +10,9 @@ The search runs over (TX, TY, RX, RY) with the paper's constraints:
 
 Feasibility checks only these four constraints.  It does not check
 registers: a configuration whose block cannot fit an SM's register file
-stays in the space, and the tuners classify it when they reach it —
-``rejected_static`` by the static pre-filter, or ``rejected_simulated``
-when the simulator refuses the launch — just as a real tuner meets a
-launch failure.  Configurations that merely *spill* run, just slowly.
+stays in the space, and the tuners classify it ``rejected_static`` when
+its price finds it unlaunchable — just as a real tuner meets a launch
+failure.  Configurations that merely *spill* run, just slowly.
 """
 
 from __future__ import annotations

@@ -80,8 +80,8 @@ def stochastic_tune(
     :class:`TuneResult` reports the best measured configuration and every
     configuration actually executed, like the other tuners.
 
-    Unlaunchable configurations are short-circuited by the static
-    resource check; they still score 0.0 and still spend budget.
+    Unlaunchable configurations are rejected by their price; they still
+    score 0.0 and still spend budget.
     ``evaluator`` is the measurement backend (default: the batch engine
     on ``device``); quarantined configurations also score 0.0 and spend
     budget, keeping the walk itself deterministic under fault storms.

@@ -9,8 +9,9 @@ pass over the deduplicated block classes instead of N scalar pipeline
 walks — while classifying every outcome exactly as the scalar
 :class:`~repro.tuning.evaluator.SimTrialEvaluator` would:
 
-* unlaunchable → ``rejected_static`` (the engine's launch check *is*
-  :func:`repro.analysis.resources.launch_failure`);
+* unlaunchable → ``rejected_static``, read from the price's
+  ``launch_error`` (the op table's launch check, the same one that makes
+  the executor raise :class:`~repro.errors.ResourceLimitError`);
 * launchable → ``ok`` with the bit-identical rate and the same
   ``info`` keys (``load_efficiency`` / ``occupancy`` / ``limiter``).
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.analysis.resources import launch_failure
 from repro.gpusim.batch import BatchEngine, BlockClass, ClassScore
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.timing import TimingParams
@@ -40,7 +40,6 @@ from repro.kernels.config import BlockConfig
 from repro.obs.events import suppress_events
 from repro.tuning.evaluator import (
     STATUS_OK,
-    STATUS_REJECTED_SIMULATED,
     STATUS_REJECTED_STATIC,
     Trial,
     TrialOutcome,
@@ -100,9 +99,6 @@ class VectorTrialEvaluator:
 
     # -- TrialEvaluator protocol ------------------------------------------
 
-    def statically_rejected(self, block: "BlockWorkload") -> bool:
-        return launch_failure(block, self.device) is not None
-
     def measure(
         self,
         cfg: BlockConfig,
@@ -119,16 +115,12 @@ class VectorTrialEvaluator:
         trials: list[Trial],
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
-        """Pre-filter and measure every trial; outcomes in input order."""
+        """Price every trial; outcomes in input order."""
         # Pricing is event-silent: the trial runner narrates from the
         # returned outcomes in input order.
         with suppress_events():
             scores = self.engine.scores(self.classes(trials, grid_shape))
-        return [
-            TrialOutcome(config=t.config, status=STATUS_REJECTED_STATIC)
-            if score.launch_error is not None else classify(t.config, score)
-            for t, score in zip(trials, scores)
-        ]
+        return [classify(t.config, score) for t, score in zip(trials, scores)]
 
     def classes(self, trials: list[Trial], grid_shape: tuple[int, int, int]) -> list[BlockClass]:
         """Each trial's block class, sharing grid workloads across trials."""
@@ -153,12 +145,11 @@ class VectorTrialEvaluator:
 def classify(cfg: BlockConfig, score: ClassScore) -> TrialOutcome:
     """The outcome of a clean launch of ``score``'s class for ``cfg``.
 
-    An unlaunchable class is ``rejected_simulated``: the launch itself
-    found it, as the scalar executor would.  :meth:`measure_trials`
-    classifies the same class ``rejected_static``, its pre-filter.
+    An unlaunchable class (``score.launch_error`` set) is
+    ``rejected_static``: the one launch verdict every evaluator reads.
     """
     if score.launch_error is not None:
-        return TrialOutcome(config=cfg, status=STATUS_REJECTED_SIMULATED)
+        return TrialOutcome(config=cfg, status=STATUS_REJECTED_STATIC)
     return TrialOutcome(
         config=cfg,
         status=STATUS_OK,

@@ -5,9 +5,14 @@ These mirror the integer arithmetic a CUDA kernel's launch code performs
 granularities) and are deliberately strict about their domains: sizes are
 positive, granularities are positive, and violations raise ``ValueError``
 rather than returning nonsense.
+
+:func:`jittered_backoff` is the one retry delay both recovery ladders
+(tuning sessions and cluster campaigns) use.
 """
 
 from __future__ import annotations
+
+import random
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -32,4 +37,18 @@ def round_up(value: int, granularity: int) -> int:
 def is_power_of_two(value: int) -> bool:
     """True when ``value`` is a positive power of two."""
     return value > 0 and (value & (value - 1)) == 0
+
+
+def jittered_backoff(
+    base_s: float, factor: float, jitter: float, seed: int, key: str, attempt: int
+) -> float:
+    """Deterministic delay before retry ``attempt`` of ``key``.
+
+    ``base_s * factor**attempt``, scaled by a jitter in ``[1 - jitter,
+    1 + jitter]`` drawn from ``seed``, so two runs with the same seed back
+    off identically.  String seeding is process-independent (unlike tuple
+    seeding, which goes through hash() and PYTHONHASHSEED).
+    """
+    rng = random.Random(f"{seed}:{key}:{attempt}")
+    return base_s * factor ** attempt * (1.0 + jitter * (2.0 * rng.random() - 1.0))
 

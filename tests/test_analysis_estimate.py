@@ -201,6 +201,25 @@ class TestReconcile:
         assert report.source_failures == ()
         assert report.exit_code() == 0
 
+    def test_unsupported_family_is_skipped(self, tmp_path, gtx580):
+        """A full bench run records texture launches; lowering has no IR
+        for them, so reconcile skips them instead of failing."""
+        from repro.kernels.factory import make_kernel
+        from repro.obs.telemetry import TelemetryCollector
+
+        collector = TelemetryCollector()
+        collector.add_report(
+            simulate(make_kernel("texture", 2, (32, 4)), gtx580, (64, 64, 32)),
+            order=2, source="test",
+        )
+        path = tmp_path / "profile.json"
+        collector.write(path)
+        report = reconcile_profile(path, verify_sources=True)
+        assert report.exit_code() == 0
+        assert (report.total, report.compared, report.skipped_unsupported) == (1, 0, 1)
+        assert "1 unsupported skipped" in report.render()
+        assert report.to_json_obj()["skipped_unsupported"] == 1
+
     def test_report_renders_and_serializes(self):
         report = reconcile_profile("BENCH_profile.json", verify_sources=False)
         text = report.render()

@@ -1,13 +1,10 @@
-"""Resource pre-checks: provable agreement with the executor."""
+"""Resource diagnostics: their error verdict is the price's launch check."""
 
 import pytest
 
-from repro.analysis.resources import (
-    effective_registers,
-    launch_failure,
-    resource_diagnostics,
-)
+from repro.analysis.resources import effective_registers, resource_diagnostics
 from repro.errors import ResourceLimitError
+from repro.gpusim.batch import BatchEngine, BlockClass
 from repro.gpusim.device import get_device
 from repro.gpusim.executor import DeviceExecutor
 from repro.kernels.config import BlockConfig
@@ -24,6 +21,19 @@ def build(order):
     return lambda cfg: InPlaneKernel(spec, cfg)
 
 
+def price_error(plan, device):
+    """The tuners' launch verdict: the batch engine's scalar price."""
+    cls = BlockClass.of(
+        plan.block_workload(device, GRID), plan.grid_workload(device, GRID)
+    )
+    return BatchEngine(device).score(cls).launch_error
+
+
+def has_error(plan, device):
+    diags = resource_diagnostics(plan, plan.block_workload(device, GRID), device)
+    return any(d.severity.label == "error" for d in diags)
+
+
 class TestLaunchFailureEquivalence:
     @pytest.mark.parametrize("order", (2, 8))
     @pytest.mark.parametrize("device_name", ("gtx580", "gtx680", "gtx285"))
@@ -31,43 +41,39 @@ class TestLaunchFailureEquivalence:
         self, order, device_name
     ):
         """For every feasible configuration of the default space, the
-        static check and the executor agree on launchability — by
-        construction (same compute_occupancy call), verified here."""
+        diagnostics' error verdict, the tuners' price and the executor
+        agree on launchability, with the same message from both prices."""
         device = get_device(device_name)
         builder = build(order)
         executor = DeviceExecutor(device)
         configs = feasible_configs(builder, device, GRID, default_space())
         assert configs
         disagreements = []
-        statically_rejected = 0
+        rejected = 0
         for cfg in configs:
             plan = builder(cfg)
-            workload = plan.block_workload(device, GRID)
-            static = launch_failure(workload, device)
-            if static is not None:
-                statically_rejected += 1
+            priced = price_error(plan, device)
+            if priced is not None:
+                rejected += 1
             try:
                 executor.run(plan, GRID)
                 dynamic = None
             except ResourceLimitError as exc:
                 dynamic = str(exc)
-            if (static is None) != (dynamic is None):
-                disagreements.append((cfg, static, dynamic))
+            if priced != dynamic or has_error(plan, device) != (priced is not None):
+                disagreements.append((cfg, priced, dynamic))
         assert not disagreements, disagreements[:3]
         if order == 8 and device_name == "gtx580":
             # The acceptance criterion's "nonzero share": the Table IV
-            # high-order sweep does contain statically rejectable configs.
-            assert statically_rejected > 0
+            # high-order sweep does contain unlaunchable configs.
+            assert rejected > 0
 
     def test_diagnostics_error_verdict_matches_launch_failure(self):
         device = get_device("gtx580")
         builder = build(8)
         for cfg in feasible_configs(builder, device, GRID, default_space()):
             plan = builder(cfg)
-            workload = plan.block_workload(device, GRID)
-            diags = resource_diagnostics(plan, workload, device)
-            has_error = any(d.severity.label == "error" for d in diags)
-            assert has_error == (launch_failure(workload, device) is not None), cfg
+            assert has_error(plan, device) == (price_error(plan, device) is not None), cfg
 
     def test_spill_is_a_warning_not_a_failure(self):
         device = get_device("gtx580")
@@ -96,5 +102,5 @@ class TestLaunchFailureEquivalence:
         assert [d.rule for d in diags if d.severity.label == "error"] == [
             "RES-THREADS"
         ]
-        assert launch_failure(workload, device) is not None
+        assert price_error(plan, device) is not None
 

@@ -251,7 +251,8 @@ class TestHaloValidation:
 
         slabs = self.make_slabs(rng)
         validate_halos(slabs)  # no raise
-        assert exchange_halos(slabs, validate=True) > 0
+        assert exchange_halos(slabs) > 0
+        validate_halos(slabs)
 
     def test_corrupted_ghost_detected(self, rng):
         from repro.cluster import validate_halos
@@ -272,17 +273,14 @@ class TestHaloValidation:
             validate_halos(slabs)
 
     def test_fault_injected_exchange_caught(self, rng):
+        """A corrupted transfer, injected as ``repro cluster run`` injects
+        it, fails validation."""
+        from repro.cluster import validate_halos
         from repro.errors import HaloExchangeError
-        from repro.gpusim.faults import FaultPlan
+        from repro.gpusim.faults import ClusterFaultPlan
 
         slabs = self.make_slabs(rng)
-        plan = FaultPlan(seed=1, ecc_rate=1.0, ecc_mode="nan")
-        with pytest.raises(HaloExchangeError):
-            exchange_halos(slabs, faults=plan, validate=True)
-
-    def test_run_steps_with_validation_stays_exact(self, rng):
-        grid = rng.random((16, 8, 8)).astype(np.float32)
-        stencil = MultiGpuStencil(plan_builder(), "gtx580")
-        out = stencil.run_steps(grid, gpus=3, steps=2, validate=True)
-        ref = iterate_symmetric(symmetric(2), grid, steps=2)
-        np.testing.assert_allclose(out, ref, rtol=1e-4)
+        plan = ClusterFaultPlan(seed=1, link_corrupt_rate=1.0, corrupt_mode="nan")
+        assert plan.corrupt_ghosts(slabs[1].data[: slabs[1].ghost_lo], 0, 0)
+        with pytest.raises(HaloExchangeError, match="slab 1: non-finite"):
+            validate_halos(slabs)

@@ -43,6 +43,14 @@ class TestPolicy:
             got = policy.delay_s("k", attempt)
             assert expect * (1 - policy.jitter) <= got <= expect * (1 + policy.jitter)
 
+    def test_delay_is_the_tuning_backoff(self):
+        from repro.tuning.robust import RetryPolicy
+
+        for attempt in range(4):
+            assert ClusterPolicy(seed=3).delay_s("k", attempt) == RetryPolicy(
+                seed=3
+            ).delay_s("k", attempt)
+
     def test_zero_jitter_is_pure_exponential(self):
         policy = ClusterPolicy(jitter=0.0, backoff_base_s=1.0, backoff_factor=3.0)
         assert [policy.delay_s("k", a) for a in range(3)] == [1.0, 3.0, 9.0]

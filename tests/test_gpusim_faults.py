@@ -4,18 +4,11 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.errors import (
-    ConfigurationError,
-    FaultInjectedError,
-    KernelHangError,
-    ResourceLimitError,
-)
-from repro.gpusim.batch import BatchEngine, BlockClass, ClassScore
+from repro.errors import ConfigurationError, FaultInjectedError, KernelHangError
+from repro.gpusim.batch import BatchEngine, BlockClass
 from repro.gpusim.executor import DeviceExecutor
 from repro.gpusim.faults import (
     FAULT_KINDS,
-    STREAM_EXCHANGE,
-    STREAM_LAUNCH,
     FaultPlan,
     apply_launch_faults,
     flip_bit,
@@ -47,18 +40,12 @@ class TestSchedule:
         b = FaultPlan(seed=8, **STORM).schedule(200)
         assert a != b
 
-    def test_streams_independent(self):
-        plan = FaultPlan(seed=7, **STORM)
-        assert plan.schedule(200, STREAM_LAUNCH) != plan.schedule(
-            200, STREAM_EXCHANGE
-        )
-
     def test_event_for_is_pure(self):
         plan = FaultPlan(seed=3, **STORM)
         first = [plan.event_for(i) for i in range(50)]
         # Draw counters have no effect on the schedule.
         for _ in range(17):
-            plan.next_index(STREAM_LAUNCH)
+            plan.next_index()
         assert [plan.event_for(i) for i in range(50)] == first
 
     def test_empirical_rates_match(self):
@@ -100,8 +87,6 @@ class TestSchedule:
             FaultPlan(launch_failure_rate=0.7, hang_rate=0.7)
         with pytest.raises(ConfigurationError):
             FaultPlan(throttle_min=0.5)
-        with pytest.raises(ConfigurationError):
-            FaultPlan(ecc_mode="zap")
 
 
 class TestParse:
@@ -115,16 +100,19 @@ class TestParse:
 
     def test_all_keys(self):
         plan = FaultPlan.parse(
-            "seed=3,ecc=0.1,ecc_mode=nan,burst=5,watchdog=1e9,"
+            "seed=3,ecc=0.1,burst=5,watchdog=1e9,"
             "throttle_min=1.5,throttle_max=2.0"
         )
-        assert plan.ecc_mode == "nan"
+        assert plan.ecc_rate == 0.1
         assert plan.burst == 5
         assert plan.watchdog_cycles == 1e9
 
     def test_bad_key_raises(self):
         with pytest.raises(ConfigurationError, match="bad fault spec entry"):
             FaultPlan.parse("frobnicate=1")
+        # Launch faults never touch array data: there is no ECC mode.
+        with pytest.raises(ConfigurationError, match="bad fault spec entry"):
+            FaultPlan.parse("ecc=0.1,ecc_mode=nan")
 
     def test_bad_value_raises(self):
         with pytest.raises(ConfigurationError, match="bad fault spec value"):
@@ -165,7 +153,7 @@ class TestExecutorFaults:
                 out.append(exc.kind)
             else:
                 out.append(event.kind if event is not None else "clean")
-        assert faults.next_index(STREAM_LAUNCH) == n  # one draw per launch
+        assert faults.next_index() == n  # one draw per launch
         return out
 
     def test_fault_sequence_reproducible(self, plan, gtx580, priced):
@@ -187,18 +175,6 @@ class TestExecutorFaults:
             )
         assert exc.value.kind == "launch_failure"
         assert exc.value.launch_index == 0
-
-    def test_launch_failure_precedes_resource_limit(self, plan, gtx580, priced):
-        _score, cls = priced
-        unlaunchable = (ClassScore(launch_error="too many threads"), cls)
-        with pytest.raises(FaultInjectedError):
-            self.launch(
-                FaultPlan(launch_failure_rate=1.0), plan, gtx580, unlaunchable
-            )
-        faults = FaultPlan(hang_rate=1.0)
-        with pytest.raises(ResourceLimitError, match="too many threads"):
-            self.launch(faults, plan, gtx580, unlaunchable)
-        assert faults.next_index(STREAM_LAUNCH) == 1  # the draw came first
 
     def test_hang_raises(self, plan, gtx580, priced):
         with pytest.raises(KernelHangError) as exc:
@@ -263,7 +239,7 @@ class TestExecutorFaults:
         rates, event = self.launch(faults, plan, gtx580, priced)
         assert event is None
         assert rates == (clean.time_s, clean.mpoints_per_s, clean.gflops)
-        assert faults.next_index(STREAM_LAUNCH) == 1
+        assert faults.next_index() == 1
 
     def test_faults_observable_in_trace(self, plan, gtx580, priced):
         with obs.tracing() as tracer:
@@ -296,34 +272,3 @@ class TestArrayCorruption:
             flip_bit(np.ones(3, dtype=np.float16), random.Random(0))
         with pytest.raises(ConfigurationError):
             flip_bit(np.empty(0, dtype=np.float32), random.Random(0))
-
-    def test_corrupt_nan_mode_plants_nan(self):
-        plan = FaultPlan(ecc_rate=1.0, ecc_mode="nan")
-        arr = np.ones((8, 8), dtype=np.float64)
-        event = plan.corrupt(arr, STREAM_EXCHANGE)
-        assert event is not None and event.kind == "ecc"
-        assert np.isnan(arr).sum() == 1
-
-    def test_corrupt_flip_mode_changes_value(self):
-        plan = FaultPlan(ecc_rate=1.0, ecc_mode="flip")
-        arr = np.ones((8, 8), dtype=np.float64)
-        event = plan.corrupt(arr, STREAM_EXCHANGE)
-        assert event is not None and event.kind == "ecc"
-        assert not np.array_equal(arr, np.ones((8, 8)))
-
-    def test_corrupt_reports_non_ecc_without_touching(self):
-        plan = FaultPlan(launch_failure_rate=1.0)
-        arr = np.ones(16, dtype=np.float32)
-        event = plan.corrupt(arr, STREAM_EXCHANGE)
-        assert event is not None and event.kind == "launch_failure"
-        assert np.array_equal(arr, np.ones(16, dtype=np.float32))
-
-    def test_corrupt_is_reproducible(self):
-        results = []
-        for _ in range(2):
-            plan = FaultPlan(seed=11, ecc_rate=0.5, ecc_mode="nan")
-            arr = np.ones((4, 4), dtype=np.float64)
-            for _ in range(10):
-                plan.corrupt(arr, STREAM_EXCHANGE)
-            results.append(np.isnan(arr))
-        assert np.array_equal(results[0], results[1])

@@ -230,9 +230,6 @@ class TestTunerTrace:
             def __init__(self, inner, k):
                 self.inner, self.k, self.measured = inner, k, []
 
-            def statically_rejected(self, block):
-                return self.inner.statically_rejected(block)
-
             def measure(self, cfg, plan, grid_shape, block):
                 if len(self.measured) + 1 == self.k:
                     raise RuntimeError(f"measurement {self.k} failed")

@@ -1,4 +1,4 @@
-"""The repository gate's stdlib unused-import scan (``tools/check.py``)."""
+"""The repository gate's stdlib ast scans (``tools/check.py``)."""
 
 import importlib.util
 from pathlib import Path
@@ -73,3 +73,59 @@ class TestUnusedImports:
 
     def test_the_repository_is_clean(self, check):
         assert check.unused_import_check() == "ok"
+
+
+def scan_locals(check, tmp_path, source):
+    path = tmp_path / "mod.py"
+    path.write_text(dedent(source))
+    return check.unused_locals(path)
+
+
+class TestUnusedLocals:
+    def test_flags_a_plain_store_never_read(self, check, tmp_path):
+        found = scan_locals(check, tmp_path, """
+            def f(grid):
+                r = grid.radius
+                lx = grid.shape[2]
+                total: int = 0
+                return lx
+        """)
+        assert found == [(3, "r"), (5, "total")]
+
+    def test_exempts_tuples_loops_underscores_and_declared_names(
+        self, check, tmp_path
+    ):
+        assert scan_locals(check, tmp_path, """
+            counter = 0
+
+            def f(pairs):
+                global counter
+                a, b = pairs[0]
+                for x in pairs:
+                    pass
+                _unused = 1
+                counter = 2
+        """) == []
+
+    def test_reads_in_closures_and_augmented_stores_count(self, check, tmp_path):
+        assert scan_locals(check, tmp_path, """
+            def outer():
+                seen = []
+                step = 1
+                step += 1
+
+                def inner():
+                    return seen
+                return inner
+        """) == []
+
+    def test_module_and_class_stores_are_not_locals(self, check, tmp_path):
+        assert scan_locals(check, tmp_path, """
+            CONSTANT = 1
+
+            class C:
+                attr = 2
+        """) == []
+
+    def test_the_repository_is_clean(self, check):
+        assert check.unused_local_check() == "ok"

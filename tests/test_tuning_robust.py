@@ -21,7 +21,7 @@ from repro.errors import JournalError, TuningError
 from repro.gpusim.batch import BatchEngine
 from repro.gpusim.device import get_device
 from repro.gpusim.executor import DeviceExecutor
-from repro.gpusim.faults import STREAM_LAUNCH, FaultPlan
+from repro.gpusim.faults import FaultPlan
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
 from repro.obs.recordlog import main as recordlog_main
@@ -175,12 +175,11 @@ class TestResilientEvaluator:
 class TestBatchEqualsSerial:
     """``measure_trials`` walks the trials exactly as one ``measure`` each.
 
-    The batch path prices every fresh trial in one engine call, then
-    applies the fault overlay trial by trial; the serial reference is
-    the one-at-a-time step of ``TrialRunner.one`` (static pre-filter,
-    then ``measure``).  Both
-    must give the same outcomes, stats and journal, and leave the plan's
-    ``launch`` stream at the same index.
+    The batch path prices every trial in one engine call, then applies
+    the fault overlay trial by trial; the serial reference is the
+    one-at-a-time ``measure`` of ``TrialRunner.one``.  Both must give the
+    same outcomes, stats and journal, and leave the plan at the same
+    draw index.
     """
 
     CONFIGS = (
@@ -199,12 +198,7 @@ class TestBatchEqualsSerial:
 
     @staticmethod
     def serial(evaluator, trials):
-        return [
-            TrialOutcome(config=t.config, status=STATUS_REJECTED_STATIC)
-            if evaluator.statically_rejected(t.block)
-            else evaluator.measure(t.config, t.plan, GRID, t.block)
-            for t in trials
-        ]
+        return [evaluator.measure(t.config, t.plan, GRID, t.block) for t in trials]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -257,9 +251,7 @@ class TestBatchEqualsSerial:
             assert (Path(tmp) / "batch.journal").read_bytes() == (
                 Path(tmp) / "serial.journal"
             ).read_bytes()
-        assert batch.faults.next_index(STREAM_LAUNCH) == serial.faults.next_index(
-            STREAM_LAUNCH
-        )
+        assert batch.faults.next_index() == serial.faults.next_index()
 
 
 class TestJournal:
@@ -361,11 +353,30 @@ class TestJournal:
 
     def test_bad_record_fields_raise(self, tmp_path):
         path = tmp_path / "t.journal"
-        journal = TrialJournal.create(path, "k")
+        TrialJournal.create(path, "k")
         with open(path, "a") as fh:
             fh.write(json.dumps({"config": [32, 4], "status": "bogus"}) + "\n")
         with pytest.raises(JournalError, match="bad journal record"):
             TrialJournal.resume(path, "k")
+
+
+class TestUnlaunchableNeverDraws:
+    """The price rejects an unlaunchable config before the fault overlay:
+    it spends no draw, so the plan's draws equal the launch attempts."""
+
+    @pytest.mark.parametrize("method", ["exhaustive", "stochastic"])
+    def test_draws_equal_live_trials(self, gtx580, method):
+        spec = symmetric(8)
+        session = RobustTuningSession(
+            gtx580, (256, 256, 32),
+            faults=FaultPlan(seed=7, launch_failure_rate=0.1, hang_rate=0.02),
+        )
+        sres = session.run(
+            lambda cfg: make_kernel("inplane_fullslice", spec, cfg, "sp"),
+            method=method, seed=2,
+        )
+        assert sres.result.info[STATUS_REJECTED_STATIC] > 0
+        assert session.evaluator.faults.next_index() == sres.stats["live_trials"]
 
 
 class TestSession:

@@ -20,7 +20,6 @@ from repro.obs.schema import CAT_TUNE_TRIAL
 from repro.stencils.spec import symmetric
 from repro.tuning.evaluator import (
     STATUS_OK,
-    STATUS_REJECTED_SIMULATED,
     STATUS_REJECTED_STATIC,
     SimTrialEvaluator,
     TrialRunner,
@@ -33,6 +32,7 @@ from repro.tuning.exhaustive import (
     feasible_trials,
 )
 from repro.tuning.modelbased import model_based_tune
+from repro.tuning.robust import ResilientEvaluator, TrialJournal
 from repro.tuning.space import ParameterSpace, default_space
 from repro.tuning.stochastic import stochastic_tune
 from repro.tuning.vectorized import VectorTrialEvaluator, shared_grid_workloads
@@ -100,17 +100,25 @@ class TestOutcomeParity:
         outcomes = ev.measure_batch(builder(), DEAD_CONFIGS, GRID)
         assert [o.status for o in outcomes] == [STATUS_REJECTED_STATIC] * 2
 
-    def test_rejects_simulated_without_prefilter(self, gtx580):
-        """A one-trial ``measure`` skips the pre-filter; the launch itself
-        rejects, on the batch engine as on the scalar executor."""
+    def test_one_trial_measure_rejects_static(self, gtx580, tmp_path):
+        """A one-trial ``measure`` rejects from its own price on every
+        evaluator; the resilient one journals nothing for it."""
         build = builder()
-        for ev in (VectorTrialEvaluator(gtx580), SimTrialEvaluator(gtx580)):
+        path = tmp_path / "t.journal"
+        resilient = ResilientEvaluator(
+            VectorTrialEvaluator(gtx580), journal=TrialJournal.create(path, "k")
+        )
+        header = path.read_bytes()
+        evaluators = (
+            VectorTrialEvaluator(gtx580), SimTrialEvaluator(gtx580), resilient,
+        )
+        for ev in evaluators:
             for cfg in DEAD_CONFIGS:
                 plan = build(cfg)
-                block = plan.block_workload(gtx580, GRID)
-                assert ev.statically_rejected(block)
-                outcome = ev.measure(cfg, plan, GRID, block)
-                assert outcome.status == STATUS_REJECTED_SIMULATED
+                outcome = ev.measure(cfg, plan, GRID, plan.block_workload(gtx580, GRID))
+                assert outcome.status == STATUS_REJECTED_STATIC
+        assert path.read_bytes() == header
+        assert resilient.stats["live_trials"] == resilient.stats["replayed"] == 0
 
     def test_measure_single_matches_batch(self, gtx580):
         build = builder()

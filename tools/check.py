@@ -12,15 +12,18 @@ Runs, in order:
    ``__all__``, ``TYPE_CHECKING`` imports named in string annotations and
    ``# noqa: F401`` — so orphans left by deletions fail the gate even
    where ruff is not installed)
-4. the profiler trace-schema self-check (``python -m repro.obs.selfcheck``:
+4. the unused-local scan (:func:`unused_locals`: the same ``ast`` pass
+   flags every function local assigned and never read — plain name
+   stores only; tuple and loop targets and ``_`` names are exempt)
+5. the profiler trace-schema self-check (``python -m repro.obs.selfcheck``:
    traces one launch, validates the exported Chrome trace against the
    schema, asserts wave-sum reconciliation and reconciles the
    hardware-counter set against the simulator's enumerators)
-5. the perf-regression sentinel (``repro bench diff`` against the
+6. the perf-regression sentinel (``repro bench diff`` against the
    recorded ``BENCH_profile.json`` trajectory: every record resimulated,
    exact tolerance — any slowdown fails the gate with the responsible
    counter named)
-6. the session smoke test (one seeded storm ``repro tune`` writes a
+7. the session smoke test (one seeded storm ``repro tune`` writes a
    journal, an event stream, a trial archive and a metrics exposition,
    and a seeded stochastic storm writes its own event stream and
    archive; ``python -m repro.obs.recordlog`` validates the five record
@@ -29,12 +32,12 @@ Runs, in order:
    the archive and every exported Vega-Lite landscape spec must parse,
    and a ``--resume`` of the journal must exit 0 — retry, quarantine and
    crash-safe replay end to end)
-7. the cluster resilience smoke test (``repro cluster run`` under a
+8. the cluster resilience smoke test (``repro cluster run`` under a
    seeded dropout + corruption + degradation storm with checkpoints,
    then the same campaign stopped early and ``--resume``\ d: the
    resumed final-grid digest must be bit-identical to the
    uninterrupted run's, and the event stream must validate strictly)
-8. the batch-identity gate (``python -m repro.gpusim.batch``): the model
+9. the batch-identity gate (``python -m repro.gpusim.batch``): the model
    is written once over an op table (``repro.gpusim.ops``), and this
    checks that the two tables agree — every ``BENCH_profile.json``
    record is resimulated through the scalar executor (builtins table)
@@ -43,13 +46,13 @@ Runs, in order:
    the scalar report's rate, load efficiency, occupancy, limiter and
    total cycles (which the fault overlay prices from) — the
    bit-identity contract of ``docs/SIMULATOR.md``
-9. the estimator-reconciliation gate (``repro estimate --reconcile``:
+10. the estimator-reconciliation gate (``repro estimate --reconcile``:
    every ``BENCH_profile.json`` record's plan is lowered to its
    access-plan IR, the codegen-time estimate is compared bit-for-bit
    against the resimulated hardware counters, and every distinct
    plan's CUDA/OpenCL/HIP sources are re-parsed and verified against
    the IR — any IR↔source or estimator↔counters mismatch fails)
-10. the tier-1 test suite (``pytest tests/``)
+11. the tier-1 test suite (``pytest tests/``)
 
 Static tools that are not installed are reported as *skipped* and do not
 fail the gate — the container bakes in the runtime toolchain but not
@@ -65,6 +68,7 @@ import ast
 import shutil
 import subprocess
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -311,23 +315,85 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
     )
 
 
-def unused_import_check() -> str:
-    """Every Python file of the repo: no import left unused (pyflakes F401,
-    with the standard library only, so it runs where ruff is absent)."""
-    label = "unused-imports"
+#: Nodes that open a new local scope.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(func: ast.AST):
+    """The nodes of ``func``'s body outside any nested scope."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(path: Path) -> list[tuple[int, str]]:
+    """``(line, name)`` of each function local assigned and never read.
+
+    Counts plain ``name = ...`` / ``name: T = ...`` stores only: tuple
+    and for-loop targets, ``_``-prefixed names and names declared
+    ``global`` or ``nonlocal`` are exempt.  A read anywhere in the
+    function, nested functions included (a closure reads its outer
+    locals), counts as a use (pyflakes F841, standard library only).
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored: dict[str, int] = {}
+        declared: set[str] = set()
+        for node in _own_scope(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name) and not t.id.startswith("_"):
+                        stored.setdefault(t.id, t.lineno)
+        read = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, ast.Nonlocal):
+                read.update(node.names)
+        found += [
+            (line, name) for name, line in stored.items()
+            if name not in read and name not in declared
+        ]
+    return sorted(found)
+
+
+def _ast_check(label: str, scan: Callable[[Path], list], what: str) -> str:
+    """Run one ast scan over every Python file of the repo."""
     tops = ("src", "tests", "benchmarks", "examples", "tools")
     print(f"[check] {label}: ast scan of {', '.join(tops)}")
     findings = [
-        f"{path.relative_to(REPO)}:{line}: {name!r} imported but unused"
+        f"{path.relative_to(REPO)}:{line}: {name!r} {what}"
         for top in tops
         for path in sorted((REPO / top).rglob("*.py"))
-        for line, name in unused_imports(path)
+        for line, name in scan(path)
     ]
     for finding in findings:
         print(f"  {finding}")
     status = "FAILED" if findings else "ok"
     print(f"[check] {label}: {status}")
     return status
+
+
+def unused_import_check() -> str:
+    """Every Python file of the repo: no import left unused (pyflakes F401,
+    with the standard library only, so it runs where ruff is absent)."""
+    return _ast_check("unused-imports", unused_imports, "imported but unused")
+
+
+def unused_local_check() -> str:
+    """Every Python file of the repo: no local assigned and never read."""
+    return _ast_check("unused-locals", unused_locals, "assigned but never read")
 
 
 def main() -> int:
@@ -344,6 +410,7 @@ def main() -> int:
         ),
         "mypy": run("mypy", ["mypy"], required=False),
         "unused-imports": unused_import_check(),
+        "unused-locals": unused_local_check(),
         "obs-selfcheck": run(
             "obs-selfcheck",
             [sys.executable, "-m", "repro.obs.selfcheck"],
