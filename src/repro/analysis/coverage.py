@@ -2,13 +2,10 @@
 
 The correctness contract of every kernel plan is that one sweep writes
 every output point of the plane **exactly once**: a gap is a stale result,
-an overlap is a write race between thread blocks.  For the axis-aligned
-tilings this library launches the proof used to live in
-:func:`repro.kernels.validate.check_exact_cover`, which literally paints an
-LX x LY array — exact but O(area), and only able to talk about plain
-thread tiles.
-
-This module generalizes that proof three ways, while staying exact:
+an overlap is a write race between thread blocks.  Painting an LX x LY
+array would prove it for plain thread tiles in O(area) (the tests do
+exactly that, as the reference); this module is the library's one
+cover proof and goes further three ways, while staying exact:
 
 * **arbitrary rectangle sets** via a sweep-line over compressed x-spans
   (O(R log R) in the number of rectangles, independent of grid area), so

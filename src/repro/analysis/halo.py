@@ -5,9 +5,9 @@ computes; a plan is only sound when the grid leaves room for that reach
 (interior points exist at all), when the effective tile fits inside one
 plane, and when the shared-memory staging buffer is at least large enough
 to hold what the kernel stages into it.  These are the static versions of
-the eager checks in :meth:`repro.kernels.base.KernelPlan.check_grid_shape`
-and :func:`repro.kernels.validate.halo_fits`, extended to per-tap offsets
-of general :class:`~repro.stencils.expr.StencilExpr` programs.
+the eager checks in :meth:`repro.kernels.base.KernelPlan.check_grid_shape`,
+extended to per-tap offsets of general
+:class:`~repro.stencils.expr.StencilExpr` programs.
 """
 
 from __future__ import annotations

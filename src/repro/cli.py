@@ -47,12 +47,14 @@ resimulates a recorded ``BENCH_profile.json`` trajectory against the
 current tree and exits nonzero on regressions, naming the counter that
 moved.
 
-``repro tune`` with ``--faults``, ``--journal``/``--resume``, or a
-``stochastic``/``auto`` method runs a resilient session
-(:mod:`repro.tuning.robust`) with retries, quarantine, and a crash-safe
-journal.  Its exit codes are stable: 0 success, 1 tuning failed (every
-tier exhausted or all configs quarantined), 2 bad ``--faults`` spec or
-unusable journal (missing, corrupt, or from a different session).
+Every ``repro tune`` runs one tuning session
+(:mod:`repro.tuning.robust`); ``--faults``, ``--journal``/``--resume``,
+``--retries``, ``--watchdog`` or a ``stochastic``/``auto`` method engage
+its retries, quarantine and crash-safe journal, and add ``session`` and
+``stats`` to the ``--json`` result.  Its exit codes are stable: 0
+success, 1 tuning failed (every tier exhausted or all configs
+quarantined), 2 bad ``--faults`` spec or unusable journal (missing,
+corrupt, or from a different session).
 ``--events`` streams the session's structured events
 (:mod:`repro.obs.events`) to a JSONL file, and ``repro top`` follows
 that stream plus the journal live (or ``--json`` for scripts; exit 1
@@ -144,8 +146,8 @@ def _maybe_tracing(args: argparse.Namespace):
 def _maybe_events(args: argparse.Namespace):
     """An installed JSONL event sink when ``--events`` was given.
 
-    Only used on the *plain* tune paths; the resilient session wires its
-    own sink (tee'd with the flight recorder) from ``events_path``.
+    Used by ``cluster run``; a tune's session wires its own sink (tee'd
+    with the flight recorder) from ``events_path``.
     """
     from contextlib import nullcontext
 
@@ -156,24 +158,6 @@ def _maybe_events(args: argparse.Namespace):
     from repro.obs.events import JsonlEventSink, event_stream
 
     return event_stream(JsonlEventSink(path))
-
-
-def _maybe_archive(args: argparse.Namespace, session: str | None = None):
-    """An installed trial archive when ``--archive`` was given.
-
-    Only used on the *plain* tune paths; the resilient session owns its
-    archive (``archive_path``) so resume/replay capture stays inside its
-    journal discipline.
-    """
-    from contextlib import nullcontext
-
-    path = getattr(args, "archive", None)
-    if not path:
-        return nullcontext(None)
-
-    from repro.obs.archive import TrialArchive, archive_stream
-
-    return archive_stream(TrialArchive(path, session=session))
 
 
 def _finish_trace(tracer, path: str | None) -> None:
@@ -228,8 +212,10 @@ def _print_tune_entries(result) -> None:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.harness.runner import THREAD_ONLY_SPACE, tune_family
-    from repro.tuning.modelbased import model_based_tune
+    from repro.errors import ConfigurationError, JournalError, TuningError
+    from repro.gpusim.faults import FaultPlan
+    from repro.tuning.robust import RetryPolicy, RobustTuningSession
+    from repro.tuning.space import THREAD_ONLY_SPACE
 
     grid = _parse_ints(args.grid, 3)
     device = get_device(args.device)
@@ -239,42 +225,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         return make_kernel(args.kernel, spec, cfg, args.dtype)
 
     space = THREAD_ONLY_SPACE if args.no_register_blocking else None
-    # The resilient session engages when any robustness feature is asked
-    # for; the plain paths below stay byte-identical otherwise.
-    robust = bool(
-        args.faults or args.journal or args.resume
-        or args.retries is not None or args.watchdog is not None
-        or args.method in ("stochastic", "auto")
-    )
-    plain_session = f"{args.kernel}:o{args.order}:{args.dtype}"
-    if not robust:
-        with _maybe_tracing(args) as tracer, _maybe_events(args), \
-                _maybe_archive(args, session=plain_session):
-            if args.method == "model":
-                result = model_based_tune(
-                    build, device, grid, beta=args.beta, space=space
-                )
-            else:
-                result = tune_family(
-                    args.kernel, args.order, device, dtype=args.dtype,
-                    grid=grid,
-                    register_blocking=not args.no_register_blocking,
-                )
-        if args.json:
-            import json
-
-            print(json.dumps(result.to_json_obj(), indent=2, sort_keys=True))
-        else:
-            print(result.summary())
-            _print_tune_entries(result)
-        _finish_trace(tracer, args.trace)
-        _finish_metrics(tracer, args.metrics_out)
-        return EXIT_TUNE_OK
-
-    from repro.errors import ConfigurationError, JournalError, TuningError
-    from repro.gpusim.faults import FaultPlan
-    from repro.tuning.robust import RetryPolicy, RobustTuningSession
-
     try:
         faults = FaultPlan.parse(args.faults) if args.faults else None
     except ConfigurationError as exc:
@@ -313,8 +263,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         import json
 
         obj = sres.result.to_json_obj()
-        obj["session"] = session_key
-        obj["stats"] = dict(sorted(stats.items()))
+        # A plain tune (no robustness option) keeps the bare result shape.
+        if (
+            args.faults or args.journal or args.resume
+            or args.retries is not None or args.watchdog is not None
+            or args.method in ("stochastic", "auto")
+        ):
+            obj["session"] = session_key
+            obj["stats"] = dict(sorted(stats.items()))
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         print(sres.summary())

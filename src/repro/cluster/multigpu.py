@@ -175,15 +175,8 @@ class MultiGpuStencil:
             self._single_time_cache[grid_shape] = cached
         return cached
 
-    def step_cost(
-        self, grid_shape: tuple[int, int, int], gpus: int, *, link: LinkSpec | None = None
-    ) -> ScalingPoint:
-        """Per-step time and rate for ``gpus`` slabs of ``grid_shape``.
-
-        ``link`` overrides the interconnect for this one point — how the
-        resilient engine prices a degraded-bandwidth step without
-        perturbing the nominal model.
-        """
+    def step_cost(self, grid_shape: tuple[int, int, int], gpus: int) -> ScalingPoint:
+        """Per-step time and rate for ``gpus`` slabs of ``grid_shape``."""
         lx, ly, lz = grid_shape
         plan = self.plan_builder()
         radius = plan.halo_radius()
@@ -194,7 +187,6 @@ class MultiGpuStencil:
                 f"{gpus} GPUs leave slabs thinner than the radius {radius}"
             ) from exc
         executor = DeviceExecutor(self.device)
-        link = self.link if link is None else link
 
         # The thickest slab is the straggler every step waits for; its
         # true shape (owned planes plus the ghosts it actually holds)
@@ -206,22 +198,11 @@ class MultiGpuStencil:
         else:
             kernel_time = executor.run(plan, (lx, ly, thickest)).time_s
 
-        interfaces = gpus - 1
-        if interfaces == 0:
-            exchange_time = 0.0
-        else:
-            bytes_per_interface = 2 * radius * lx * ly * plan.elem_bytes
-            total = link.transfer_time_s(
-                bytes_per_interface * interfaces, transfers=2 * interfaces
-            )
-            # All interfaces transfer concurrently only if links are
-            # disjoint; through a shared host path they serialize per
-            # neighbour pair on the busiest GPU (2 transfers), which the
-            # latency term reflects.
-            exchange_time = max(
-                total / interfaces,
-                link.transfer_time_s(bytes_per_interface, transfers=2),
-            )
+        exchange_time = exchange_cost_s(
+            self.link,
+            interfaces=gpus - 1,
+            bytes_per_interface=2 * radius * lx * ly * plan.elem_bytes,
+        )
 
         step_time = kernel_time + (1.0 - self.overlap) * exchange_time
         single = (

@@ -67,7 +67,7 @@ from repro.errors import (
 from repro.gpusim.faults import ClusterFaultPlan
 from repro.obs.events import emit
 from repro.obs.tracer import set_gauge
-from repro.utils.maths import jittered_backoff
+from repro.utils.maths import backoff_error, jittered_backoff
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,9 @@ class ClusterPolicy:
             raise ConfigurationError(
                 f"max_exchange_retries must be >= 0, got {self.max_exchange_retries}"
             )
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                "backoff must have base >= 0 and factor >= 1, got "
-                f"base={self.backoff_base_s}, factor={self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1), got {self.jitter}"
-            )
+        error = backoff_error(self.backoff_base_s, self.backoff_factor, self.jitter)
+        if error is not None:
+            raise ConfigurationError(error)
         if self.min_gpus < 1:
             raise ConfigurationError(
                 f"min_gpus must be >= 1, got {self.min_gpus}"

@@ -45,7 +45,6 @@ import numpy as np
 from repro.errors import ConfigurationError, FaultInjectedError, KernelHangError
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.timing import BlockClass, sweep_rates
-from repro.obs.events import emit as emit_fault_event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpusim.batch import ClassScore
@@ -395,18 +394,14 @@ class ClusterFaultPlan:
 
 
 def observe_fault(tracer: Any, event: FaultEvent, **args: Any) -> None:
-    """Surface one injected fault in the obs layer (instant + counter),
-    and re-emit it as a first-class ``fault.injected`` event.
+    """Surface one injected fault in the tracer (instant + counter).
 
     ``tracer`` is a :class:`repro.obs.tracer.Tracer` or ``None`` (no-op);
-    typed as ``Any`` to keep this module import-light.  The event fires
-    independently of the tracer, so a storm session's event stream is
-    complete without tracing enabled — except during tuning measurement,
-    where emission is suppressed and the trial runner derives
-    ``fault.observed`` events from the finished outcome instead
+    typed as ``Any`` to keep this module import-light.  Faults reach the
+    event stream only as ``fault.observed``, which the trial runner
+    derives from the finished outcome
     (:func:`repro.tuning.evaluator.emit_trial_events`).
     """
-    emit_fault_event("fault.injected", kind=event.kind, index=event.index)
     if tracer is None:
         return
     from repro.obs.schema import CAT_SIM_FAULT

@@ -404,7 +404,7 @@ def fig11_applications(
     space: ParameterSpace | None = None,
 ) -> ExperimentResult:
     """Application stencils: in-plane full-slice vs forward-plane method."""
-    from repro.harness.runner import THREAD_ONLY_SPACE
+    from repro.tuning.space import THREAD_ONLY_SPACE
     from repro.tuning.exhaustive import exhaustive_tune
 
     space = space or FULL_SPACE

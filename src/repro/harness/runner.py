@@ -22,13 +22,10 @@ from repro.obs.tracer import current_tracer, maybe_span
 from repro.stencils.spec import symmetric
 from repro.tuning.exhaustive import exhaustive_tune
 from repro.tuning.result import TuneResult
-from repro.tuning.space import ParameterSpace
+from repro.tuning.space import THREAD_ONLY_SPACE, ParameterSpace
 
 #: The paper's evaluation grid (section IV-B).
 PAPER_GRID: tuple[int, int, int] = (512, 512, 256)
-
-#: Search space for experiments that tune thread blocking only (Fig 7).
-THREAD_ONLY_SPACE = ParameterSpace(rx_values=(1,), ry_values=(1,))
 
 #: Full search space (Table IV, Figs 8, 10, 12).
 FULL_SPACE = ParameterSpace()

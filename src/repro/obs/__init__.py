@@ -36,7 +36,6 @@ from repro.obs.events import (
     emit,
     event_stream,
     read_events,
-    suppress_events,
     validate_event,
     validate_stream,
 )
@@ -142,7 +141,6 @@ __all__ = [
     "emit",
     "event_stream",
     "read_events",
-    "suppress_events",
     "validate_event",
     "validate_stream",
     "SERVICE_GAUGES",

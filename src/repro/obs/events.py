@@ -101,8 +101,6 @@ EVENT_SPECS: tuple[EventSpec, ...] = (
     EventSpec("trial.replayed", "a journaled outcome was reused, not re-run",
               ("config", "status")),
     # -- fault plane (repro.gpusim.faults) ---------------------------------
-    EventSpec("fault.injected", "one injected fault fired (live contexts)",
-              ("kind", "index")),
     EventSpec("fault.observed", "a fault kind touched a finished trial",
               ("config", "kind")),
     # -- archive plane (repro.obs.archive) ---------------------------------
@@ -347,22 +345,6 @@ def event_stream(sink: EventSink) -> Iterator[EventSink]:
     token = _ACTIVE.set(sink)
     try:
         yield sink
-    finally:
-        _ACTIVE.reset(token)
-
-
-@contextmanager
-def suppress_events() -> Iterator[None]:
-    """Silence event emission for the ``with`` body.
-
-    Used around trial *measurement* (the resilient evaluator's inner
-    call, the batch evaluator's plan construction): trial-plane events
-    are derived from the finished outcome by the trial runner, so live
-    emission from inside a measurement would double-report.
-    """
-    token = _ACTIVE.set(None)
-    try:
-        yield
     finally:
         _ACTIVE.reset(token)
 

@@ -60,7 +60,7 @@ class SessionSnapshot:
     )
     retries: int = 0
     replayed: int = 0
-    #: Fault observations by kind (``fault.observed`` + ``fault.injected``).
+    #: Fault observations by kind (``fault.observed``).
     faults: dict[str, int] = field(default_factory=dict)
     best_config: str | None = None
     best_mpoints: float = 0.0
@@ -193,7 +193,7 @@ def _apply_event(snap: SessionSnapshot, event: Event) -> None:
         snap.retries += int(payload.get("retries", 0))
     elif name == "trial.replayed":
         snap.replayed += 1
-    elif name in ("fault.observed", "fault.injected"):
+    elif name == "fault.observed":
         kind = str(payload.get("kind", "?"))
         snap.faults[kind] = snap.faults.get(kind, 0) + 1
 

@@ -122,11 +122,10 @@ def emit_trial_events(outcome: TrialOutcome) -> None:
 
     The event-layer side of "the evaluator measures, the runner
     narrates": :class:`TrialRunner` calls this (through
-    :func:`record_trial`) **in input order** after a trial completes,
-    never live from inside a measurement (which runs under
-    :func:`repro.obs.events.suppress_events`).  The stream is thereby a
-    pure function of the outcome sequence, and its counts match the
-    journal by construction.
+    :func:`record_trial`) **in input order** after a trial completes;
+    nothing inside a measurement emits.  The stream is thereby a pure
+    function of the outcome sequence, and its counts match the journal
+    by construction.
 
     A replayed outcome emits only ``trial.replayed``: the work it
     describes happened (and was streamed) in the session that journaled

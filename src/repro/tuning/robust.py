@@ -19,7 +19,9 @@ failure modes :mod:`repro.gpusim.faults` injects:
   ladder model → stochastic → exhaustive, falling through when a tier
   cannot produce a usable winner.
 
-A session prices on the same batch engine as a plain tune
+Every ``repro tune`` is one session; with no fault plan, journal or
+event sink it is exactly a plain tuner run.  A session prices on the
+tuners' batch engine
 (:class:`~repro.tuning.vectorized.VectorTrialEvaluator`); faults are an
 overlay on those clean prices, applied per launch attempt by
 :func:`repro.gpusim.faults.apply_launch_faults`.  A configuration whose
@@ -63,7 +65,6 @@ from repro.obs.events import (
     current_sink,
     emit as emit_event,
     event_stream,
-    suppress_events,
 )
 from repro.obs.tracer import current_tracer, set_gauge
 from repro.tuning.evaluator import (
@@ -77,7 +78,7 @@ from repro.tuning.modelbased import model_based_tune
 from repro.tuning.result import TuneResult
 from repro.tuning.stochastic import stochastic_tune
 from repro.tuning.vectorized import VectorTrialEvaluator, classify
-from repro.utils.maths import jittered_backoff
+from repro.utils.maths import backoff_error, jittered_backoff
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpusim.faults import FaultPlan
@@ -113,13 +114,9 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise TuningError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise TuningError(
-                "backoff must satisfy base >= 0 and factor >= 1, got "
-                f"base={self.backoff_base_s}, factor={self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise TuningError(f"jitter must be in [0, 1], got {self.jitter}")
+        error = backoff_error(self.backoff_base_s, self.backoff_factor, self.jitter)
+        if error is not None:
+            raise TuningError(error)
 
     def delay_s(self, key: str, attempt: int) -> float:
         """Deterministic backoff before retry ``attempt`` of trial ``key``."""
@@ -295,9 +292,8 @@ class ResilientEvaluator:
         block: "BlockWorkload",
     ) -> TrialOutcome:
         cls = BlockClass.of(block, plan.grid_workload(self.inner.device, grid_shape))
-        with suppress_events():
-            score = self.inner.engine.score(cls)
-            return self._measure(cfg, plan.name, score, cls, current_tracer())
+        score = self.inner.engine.score(cls)
+        return self._measure(cfg, plan.name, score, cls, current_tracer())
 
     def measure_trials(
         self,
@@ -305,16 +301,13 @@ class ResilientEvaluator:
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
         """Measure every trial; outcomes in input order."""
-        # Events are silenced across the measurement: the trial runner
-        # narrates each trial from its finished outcome, in input order.
-        with suppress_events():
-            classes = self.inner.classes(trials, grid_shape)
-            scores = self.inner.engine.scores(classes)
-            tracer = current_tracer()
-            return [
-                self._measure(t.config, t.plan.name, score, cls, tracer)
-                for t, score, cls in zip(trials, scores, classes)
-            ]
+        classes = self.inner.classes(trials, grid_shape)
+        scores = self.inner.engine.scores(classes)
+        tracer = current_tracer()
+        return [
+            self._measure(t.config, t.plan.name, score, cls, tracer)
+            for t, score, cls in zip(trials, scores, classes)
+        ]
 
     def _measure(
         self, cfg: BlockConfig, kernel: str, score: ClassScore,
@@ -452,7 +445,7 @@ class RobustTuningSession:
         (:class:`repro.obs.events.JsonlEventSink`, tailed by
         ``repro top``).  ``None`` (default) leaves the event layer
         exactly as the caller configured it — off unless a sink is
-        already installed — so a plain session stays zero-perturbation.
+        already installed.
     archive_path:
         Where to write the per-trial decision-provenance archive
         (:class:`repro.obs.archive.TrialArchive`: measured rate, model
@@ -607,7 +600,7 @@ class RobustTuningSession:
             if self.events_path is not None:
                 sinks.append(JsonlEventSink(self.events_path, session=self.session_key))
             if not sinks and self.crash_report_path is None:
-                # Event layer untouched: a plain session stays zero-overhead.
+                # No sink and no crash dump: leave the event layer off.
                 return ladder()
             sinks.append(self.flight)
             stack.enter_context(event_stream(TeeEventSink(sinks)))

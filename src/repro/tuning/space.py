@@ -99,3 +99,9 @@ class ParameterSpace:
 def default_space() -> ParameterSpace:
     """The space used by the paper-reproduction experiments."""
     return ParameterSpace()
+
+
+#: Thread blocking only (RX = RY = 1): how the nvstencil baseline and the
+#: Fig 7 comparison are tuned, and what ``repro tune
+#: --no-register-blocking`` searches.
+THREAD_ONLY_SPACE = ParameterSpace(rx_values=(1,), ry_values=(1,))

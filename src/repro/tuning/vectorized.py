@@ -1,7 +1,7 @@
 """In-process vectorized trial evaluator over the batch simulator core.
 
 :class:`VectorTrialEvaluator` is the measurement backend of every
-``repro tune`` session, plain or resilient, and every tuner's default.
+``repro tune`` session and every tuner's default.
 It takes the :class:`~repro.tuning.evaluator.Trial` list the sweep's
 feasibility pass already built (plan and block workload per config) and
 dispatches it to :class:`repro.gpusim.batch.BatchEngine` — one NumPy
@@ -37,7 +37,6 @@ from repro.gpusim.batch import BatchEngine, BlockClass, ClassScore
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.timing import TimingParams
 from repro.kernels.config import BlockConfig
-from repro.obs.events import suppress_events
 from repro.tuning.evaluator import (
     STATUS_OK,
     STATUS_REJECTED_STATIC,
@@ -116,10 +115,7 @@ class VectorTrialEvaluator:
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
         """Price every trial; outcomes in input order."""
-        # Pricing is event-silent: the trial runner narrates from the
-        # returned outcomes in input order.
-        with suppress_events():
-            scores = self.engine.scores(self.classes(trials, grid_shape))
+        scores = self.engine.scores(self.classes(trials, grid_shape))
         return [classify(t.config, score) for t, score in zip(trials, scores)]
 
     def classes(self, trials: list[Trial], grid_shape: tuple[int, int, int]) -> list[BlockClass]:
@@ -134,11 +130,9 @@ class VectorTrialEvaluator:
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
         """Build each configuration's trial, then :meth:`measure_trials`."""
-        with suppress_events():
-            trials = [
-                build_trial(build, cfg, self.device, grid_shape)
-                for cfg in configs
-            ]
+        trials = [
+            build_trial(build, cfg, self.device, grid_shape) for cfg in configs
+        ]
         return self.measure_trials(trials, grid_shape)
 
 

@@ -7,7 +7,8 @@ positive, granularities are positive, and violations raise ``ValueError``
 rather than returning nonsense.
 
 :func:`jittered_backoff` is the one retry delay both recovery ladders
-(tuning sessions and cluster campaigns) use.
+(tuning sessions and cluster campaigns) use, and :func:`backoff_error`
+the one check of its parameters.
 """
 
 from __future__ import annotations
@@ -52,3 +53,19 @@ def jittered_backoff(
     rng = random.Random(f"{seed}:{key}:{attempt}")
     return base_s * factor ** attempt * (1.0 + jitter * (2.0 * rng.random() - 1.0))
 
+
+def backoff_error(base_s: float, factor: float, jitter: float) -> str | None:
+    """Why ``(base_s, factor, jitter)`` is unusable by
+    :func:`jittered_backoff`, or ``None`` when it is usable.
+
+    A jitter of 1 could scale a delay to zero, so the range is [0, 1).
+    Callers raise their own error type with the message.
+    """
+    if base_s < 0 or factor < 1.0:
+        return (
+            "backoff must satisfy base >= 0 and factor >= 1, got "
+            f"base={base_s}, factor={factor}"
+        )
+    if not 0.0 <= jitter < 1.0:
+        return f"jitter must be in [0, 1), got {jitter}"
+    return None

@@ -187,6 +187,8 @@ class TestCliExplain:
             assert "occupancy" in entry["info"]
             assert "load_efficiency" in entry["info"]
         assert obj["best"] == obj["entries"][0]
+        # No robustness option: the bare result, no session framing.
+        assert "session" not in obj and "stats" not in obj
 
     def test_tune_archive_then_explain(self, tmp_path, capsys):
         archive = str(tmp_path / "a.jsonl")
@@ -243,6 +245,30 @@ class TestCliExplain:
         assert "session" in obj and obj["session"].startswith("inplane")
         assert "stats" in obj
         assert obj["entries"]
+
+
+class TestCliTuneSession:
+    """Every ``repro tune`` runs one session: a plain tune's logs carry the
+    same framing as a storm's."""
+
+    def test_plain_tune_logs_are_framed_by_the_session(self, tmp_path, capsys):
+        import json
+
+        from repro.obs.recordlog import main as recordlog_main
+
+        events, archive = tmp_path / "t.events", tmp_path / "t.archive"
+        assert main([
+            "-q", "tune", "--kernel", "inplane_fullslice", "--order", "2",
+            "--device", "gtx580", "--grid", "64,64,32",
+            "--events", str(events), "--archive", str(archive),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["-q", "top", "--json", "--events", str(events)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["session"] == "inplane_fullslice:o2:sp:gtx580:64x64x32"
+        assert doc["finished"] is True
+        assert doc["tiers"] == [["exhaustive", "won"]]
+        assert recordlog_main([str(events), str(archive)]) == 0
 
 
 class TestCliUnsupportedFamilies:
@@ -307,8 +333,9 @@ class TestCliUnsupportedFamilies:
 
 
 class TestCliImports:
-    def test_cli_imports_no_multiprocessing(self):
-        """Every command runs in-process, so startup never pays for it."""
+    @staticmethod
+    def probe(code: str) -> str:
+        """The last stdout line of ``code`` run in a fresh interpreter."""
         import os
         import subprocess
         import sys
@@ -319,12 +346,24 @@ class TestCliImports:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        probe = (
-            "import sys, repro.cli; "
-            "print('multiprocessing' in sys.modules)"
-        )
         out = subprocess.run(
-            [sys.executable, "-c", probe],
+            [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.splitlines()[-1]
+
+    def test_cli_imports_no_multiprocessing(self):
+        """Every command runs in-process, so startup never pays for it."""
+        assert self.probe(
+            "import sys, repro.cli; "
+            "print('multiprocessing' in sys.modules)"
+        ) == "False"
+
+    def test_tune_leaves_the_harness_unloaded(self):
+        """``repro tune`` needs the tuners, not the experiment harness."""
+        assert self.probe(
+            "import sys, repro.cli; "
+            "repro.cli.main(['-q', 'tune', '--grid', '64,64,32', "
+            "'--no-register-blocking']); "
+            "print('repro.harness' in sys.modules)"
+        ) == "False"

@@ -78,7 +78,7 @@ class TestFullPipeline:
         """Text in, tuned MPoint/s out — the Patus-style workflow."""
         from repro.kernels.multigrid import MultiGridKernel
         from repro.tuning.exhaustive import exhaustive_tune
-        from repro.harness.runner import THREAD_ONLY_SPACE
+        from repro.tuning.space import THREAD_ONLY_SPACE
 
         expr, inputs = repro.parse_stencil(
             "o[i,j,k] = 0.7 * u[i,j,k] + 0.1 * u[i-1,j,k] + 0.1 * u[i+1,j,k]"

@@ -29,7 +29,6 @@ from repro.obs.events import (
     emit,
     event_stream,
     read_events,
-    suppress_events,
     validate_event,
     validate_stream,
 )
@@ -78,16 +77,6 @@ class TestSinks:
                 emit("made.up")
         assert [e.seq for e in sink.events] == [0, 1]
         assert current_sink() is None  # context restored
-
-    def test_suppress_events_silences_the_sink(self):
-        sink = MemoryEventSink()
-        with event_stream(sink):
-            with suppress_events():
-                emit("session.tier_start", tier="hidden")
-            emit("session.tier_start", tier="seen")
-        assert [dict(e.fields)["tier"] for e in sink.events] == ["seen"]
-        # The suppressed emission must not burn a sequence number.
-        assert sink.events[0].seq == 0
 
     def test_tee_fans_out_with_independent_policies(self):
         stream, flight = MemoryEventSink(), FlightRecorder(capacity=1)

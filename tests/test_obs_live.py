@@ -11,6 +11,8 @@ The two headline acceptance properties of the event plane:
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.gpusim.faults import FaultPlan
 from repro.kernels.config import BlockConfig
@@ -213,6 +215,25 @@ class TestFollow:
         text = render_snapshot(SessionSnapshot())
         assert "? [running]" in text
         assert "0 trial(s)" in text
+
+    def test_retired_fault_injected_is_read_but_not_valid(self, tmp_path):
+        """A stream written before ``fault.injected`` left the catalog:
+        ``repro top`` still reads it, strict validation refuses it."""
+        from repro.obs.events import EventSchemaError, validate_stream
+
+        events = tmp_path / "old.events"
+        with event_stream(JsonlEventSink(events, session="k")):
+            emit("trial.measured", config="(16, 2)", mpoints_per_s=7.0,
+                 attempts=1)
+        with events.open("a") as fh:
+            fh.write(json.dumps({
+                "event": "fault.injected", "seq": 1,
+                "index": 0, "kind": "launch_failure",
+            }) + "\n")
+        snap = snapshot_session(None, events)
+        assert snap.completed == 1 and snap.faults == {}
+        with pytest.raises(EventSchemaError, match="unknown event"):
+            validate_stream(events)
 
     def test_journal_reader_skips_foreign_lines(self, tmp_path, caplog):
         header = (

@@ -24,6 +24,7 @@ from repro.gpusim.executor import DeviceExecutor
 from repro.gpusim.faults import FaultPlan
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
+from repro.obs.events import MemoryEventSink, event_stream
 from repro.obs.recordlog import main as recordlog_main
 from repro.stencils.spec import symmetric
 from repro.tuning.evaluator import (
@@ -84,6 +85,8 @@ class TestRetryPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(TuningError):
             RetryPolicy(jitter=2.0)
+        with pytest.raises(TuningError):
+            RetryPolicy(jitter=1.0)
 
 
 class TestStormEqualsClean:
@@ -157,6 +160,19 @@ class TestResilientEvaluator:
         assert outcome.status == STATUS_OK
         assert "throttle" in outcome.faults  # flagged, not hidden
         assert outcome.mpoints_per_s > 0
+
+    def test_measurement_never_emits(self, gtx580):
+        """The evaluator measures, the trial runner narrates: a storm
+        measured under an installed sink leaves it empty."""
+        trials = TestBatchEqualsSerial.trials()
+        evaluator = storm_evaluator(
+            gtx580, retries=2, launch_failure_rate=0.3, throttle_rate=0.2
+        )
+        sink = MemoryEventSink()
+        with event_stream(sink):
+            evaluator.measure_trials(trials, GRID)
+        assert evaluator.stats["retries"] > 0  # the storm actually hit
+        assert sink.events == []
 
     def test_sleep_callable_receives_delays(self, gtx580):
         slept = []

@@ -25,9 +25,9 @@ Runs, in order:
    counter named)
 7. the session smoke test (one seeded storm ``repro tune`` writes a
    journal, an event stream, a trial archive and a metrics exposition,
-   and a seeded stochastic storm writes its own event stream and
-   archive; ``python -m repro.obs.recordlog`` validates the five record
-   logs strictly, ``python -m repro.obs.export --lint`` lints the exposition
+   a seeded stochastic storm and a plain tune each write their own event
+   stream and archive; ``python -m repro.obs.recordlog`` validates the
+   seven record logs strictly, ``python -m repro.obs.export --lint`` lints the exposition
    and the exporters' own sample output, ``repro explain --json`` over
    the archive and every exported Vega-Lite landscape spec must parse,
    and a ``--resume`` of the journal must exit 0 — retry, quarantine and
@@ -107,13 +107,14 @@ def run_phases(label: str, phases: list, env: dict) -> dict | None:
 
 
 def session_smoke(env: dict) -> str:
-    """One logged storm session: validated, exported, explained, resumed.
+    """Logged tuning sessions: validated, exported, explained, resumed.
 
     A seeded storm tune (``--method auto``, which settles on the model
     tier) writes a journal, an event stream, a trial archive and a
     metrics exposition; a seeded stochastic storm (the sequential walk)
-    writes its own event stream and archive.  All five record logs must
-    validate strictly (``python -m repro.obs.recordlog``); the exposition
+    writes its own event stream and archive; a plain tune (no robustness
+    option) writes an event stream and archive too.  All seven record
+    logs must validate strictly (``python -m repro.obs.recordlog``); the exposition
     and the exporters' own sample output must pass the Prometheus lint;
     ``repro explain --json`` over the archive must parse as JSON, as must
     every exported Vega-Lite landscape spec; and a ``--resume`` of the
@@ -124,16 +125,20 @@ def session_smoke(env: dict) -> str:
 
     label = "session-smoke"
     with tempfile.TemporaryDirectory() as tmp:
-        journal, events, archive, metrics, land, walk_events, walk_archive = (
+        (journal, events, archive, metrics, land, walk_events, walk_archive,
+         plain_events, plain_archive) = (
             str(Path(tmp) / name) for name in (
                 "gate.journal", "gate.events", "gate.archive", "gate.prom",
-                "landscape", "walk.events", "walk.archive",
+                "landscape", "walk.events", "walk.archive", "plain.events",
+                "plain.archive",
             )
         )
-        storm = [
+        plain = [
             sys.executable, "-m", "repro.cli", "-q", "tune",
             "--kernel", "inplane_fullslice", "--order", "2",
             "--device", "gtx580", "--grid", "64,64,32",
+        ]
+        storm = plain + [
             "--faults", "seed=7,launch=0.1,hang=0.02,throttle=0.05",
         ]
         tune = storm + ["--method", "auto", "--journal", journal]
@@ -145,9 +150,11 @@ def session_smoke(env: dict) -> str:
             ("storm", tune + ["--events", events, "--archive", archive,
                               "--metrics-out", metrics]),
             ("walk", walk),
+            ("plain", plain + ["--events", plain_events,
+                               "--archive", plain_archive]),
             ("validate", [sys.executable, "-m", "repro.obs.recordlog",
                           journal, events, archive, walk_events,
-                          walk_archive]),
+                          walk_archive, plain_events, plain_archive]),
             ("export", [
                 sys.executable, "-m", "repro.obs.export", "--lint", metrics,
             ]),
