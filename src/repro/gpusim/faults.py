@@ -422,7 +422,7 @@ def apply_launch_faults(
     *,
     watchdog_cycles: float | None = None,
     tracer: Any = None,
-) -> tuple[tuple[float, float, float], FaultEvent | None]:
+) -> tuple[tuple[float, float, float] | None, FaultEvent | None]:
     """Draw the plan's next ``launch`` event and apply it to a priced launch.
 
     ``score`` is the clean price (total cycles) of a launchable ``cls``;
@@ -432,7 +432,8 @@ def apply_launch_faults(
     does the watchdog (``watchdog_cycles``, else the plan's own) when the
     clean cycles exceed it; a throttle derates the clock, never the
     cycles; an ECC event only flags.  Returns ``(time_s, MPoint/s,
-    GFlop/s)`` and the throttle/ECC event survived, or ``None``.
+    GFlop/s)`` and the throttle/ECC event that survived; with no such
+    event both are ``None`` (the launch ran clean, at ``score``'s rates).
     """
     event = None
     if faults is not None:
@@ -461,13 +462,17 @@ def apply_launch_faults(
             f"{cycles:.0f} > {watchdog_cycles:.0f}",
             kind="watchdog", cycles=cycles, budget=watchdog_cycles,
         )
-    if event is not None and event.kind == KIND_THROTTLE:
+    if event is None:
+        return None, None
+    if event.kind == KIND_THROTTLE:
         observe_fault(tracer, event, kernel=kernel, factor=event.factor)
-    elif event is not None:
+    else:
         observe_fault(tracer, event, kernel=kernel)
-    # A throttle's factor derates the clock; every other event's is 1.0.
-    derate = 1.0 if event is None else event.factor
-    return sweep_rates(device, cycles, cls.total_points, cls.flops_per_point, derate), event
+    # A throttle's factor derates the clock; an ECC event's is 1.0.
+    rates = sweep_rates(
+        device, cycles, cls.total_points, cls.flops_per_point, event.factor
+    )
+    return rates, event
 
 
 def _parse_spec(

@@ -247,7 +247,8 @@ class TrialArchive:
         ))
 
     def record(self, record: ArchiveRecord) -> None:
-        """Append one record (flushed and fsynced)."""
+        """Append one record, written at once and fsynced before
+        returning, or with its batch inside a :func:`recordlog.batch`."""
         recordlog.append(self.path, record.to_obj())
         self.records_written += 1
 

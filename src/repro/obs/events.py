@@ -4,9 +4,10 @@ The tracer (:mod:`repro.obs.tracer`) and the trial journal
 (:mod:`repro.tuning.robust`) are both *post-hoc*: spans become visible
 when a trace is exported, journal records when a session is resumed.
 This module adds the third plane — a schema-versioned stream of small
-structured events, appended (flushed + fsynced, like the journal) as a
-campaign runs, so long tuning sessions and the future ``repro serve``
-daemon can be observed *while* they run (``repro top`` tails it).
+structured events, appended as a campaign runs (each line written at
+once, fsynced per event or with its trial batch, like the journal), so
+long tuning sessions and the future ``repro serve`` daemon can be
+observed *while* they run (``repro top`` tails it).
 
 Design contracts, in decreasing order of importance:
 

@@ -3,11 +3,12 @@
 A running (or finished, or crashed) resilient tuning session leaves two
 append-only artifacts: the crash-safe trial journal
 (:class:`repro.tuning.robust.TrialJournal`) and the structured event
-stream (:mod:`repro.obs.events`).  Both are fsync'd per record and
-tolerate a torn final line, so they can be read *while the session is
-writing them* — which is exactly what this module does: parse whatever
-prefix exists right now into a :class:`SessionSnapshot`, render it, and
-repeat.
+stream (:mod:`repro.obs.events`).  Both write each record as one whole
+line the moment it completes (fsync'd per record, or once per trial
+batch) and tolerate a torn final line, so they can be read *while the
+session is writing them* — which is exactly what this module does: parse
+whatever prefix exists right now into a :class:`SessionSnapshot`, render
+it, and repeat.
 
 Ground truth discipline: **trial counts come from the journal** whenever
 one is available — the journal is the record the session itself resumes

@@ -3,8 +3,9 @@
 (:class:`repro.obs.events.JsonlEventSink`) and the trial archive
 (:class:`repro.obs.archive.TrialArchive`); each owner keeps only its
 record schema, and the cluster checkpoint shares :func:`check_header`.
-Format, durability and the torn-tail rule: docs/OBSERVABILITY.md,
-"Record logs".
+Format, durability (one ``fsync`` per record, or per file per
+:func:`batch`) and the torn-tail rule: docs/OBSERVABILITY.md, "Record
+logs".
 """
 
 from __future__ import annotations
@@ -12,10 +13,18 @@ from __future__ import annotations
 import json
 import logging
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 logger = logging.getLogger("repro.obs.recordlog")
+
+#: The logs appended to inside the open :func:`batch` scope, in the order
+#: first touched; ``None`` outside one, where every append fsyncs itself.
+_batch_touched: ContextVar[dict[Path, None] | None] = ContextVar(
+    "repro_recordlog_batch", default=None
+)
 
 #: What one record is called in messages, per record-log kind.
 _RECORD_NOUN = {"journal": "journal", "stream": "event", "archive": "archive"}
@@ -62,7 +71,7 @@ def make_header(
     return header
 
 
-def _write_line(path: Path, flags: int, obj: Any) -> None:
+def _write_line(path: Path, flags: int, obj: Any, sync: bool) -> None:
     # A bare descriptor, not open(): skipping the buffered-text layers keeps
     # an append within a few microseconds of a write through a kept handle.
     data = (json.dumps(obj, sort_keys=True) + "\n").encode()
@@ -70,21 +79,90 @@ def _write_line(path: Path, flags: int, obj: Any) -> None:
     try:
         while data:
             data = data[os.write(fd, data):]
+        if sync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _fsync(path: Path) -> None:
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
         os.fsync(fd)
     finally:
         os.close(fd)
 
 
 def create(path: str | Path, header: dict[str, Any]) -> None:
-    """Start a record log with ``header`` as line 1 (truncating any file)."""
+    """Start a record log with ``header`` as line 1 (truncating any file),
+    fsynced before returning, inside a :func:`batch` or not."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_line(path, os.O_TRUNC, header)
+    _write_line(path, os.O_TRUNC, header, sync=True)
 
 
 def append(path: str | Path, obj: Any) -> None:
-    """Append one record (fsynced before returning)."""
-    _write_line(Path(path), os.O_APPEND, obj)
+    """Append one record, written and closed before returning.
+
+    Outside a :func:`batch` the record is fsynced before returning;
+    inside one, with the batch's other records when the scope exits.
+    Either way a reader sees the whole line at once.
+    """
+    path = Path(path)
+    touched = _batch_touched.get()
+    if touched is not None:
+        touched[path] = None
+    _write_line(path, os.O_APPEND, obj, sync=touched is None)
+
+
+@contextmanager
+def batch() -> Iterator[None]:
+    """Defer every :func:`append`'s ``fsync`` to the end of the scope.
+
+    Appends still write and close each line at once, so a reader tailing
+    a log sees every record as it lands.  On exit, normal or raised, each
+    log touched is fsynced once, in the order first touched.  A nested
+    scope joins the outer one.  A crash inside the scope can lose only
+    the scope's unsynced tail; the durable file is still a line prefix
+    with at most one torn final line, which :func:`read` drops.
+    """
+    if _batch_touched.get() is not None:
+        yield
+        return
+    touched: dict[Path, None] = {}
+    token = _batch_touched.set(touched)
+    try:
+        yield
+    finally:
+        _batch_touched.reset(token)
+        for path in touched:
+            _fsync(path)
+
+
+def end_on_line(path: str | Path) -> None:
+    """Make a log end on a line boundary before it is appended to again.
+
+    A torn final line (the one :func:`read` drops) is cut off, so the
+    next record does not land on the end of it; a whole record that
+    lacks only its newline gets one.  A log that already ends on a
+    boundary is left untouched.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    if not data or data.endswith(b"\n"):
+        return
+    start = data.rfind(b"\n") + 1
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        try:
+            json.loads(data[start:])
+        except ValueError:
+            os.ftruncate(fd, start)
+        else:
+            os.write(fd, b"\n")
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def read(

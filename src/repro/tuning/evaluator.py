@@ -274,10 +274,18 @@ class TrialRunner:
         """Run every trial; outcomes in input order.
 
         The evaluator prices the whole list in one call; each outcome is
-        then narrated exactly as :meth:`one` would.
+        then narrated exactly as :meth:`one` would.  The whole call is
+        one :func:`repro.obs.recordlog.batch`: every journal, event and
+        archive record it appends is written at once and fsynced with
+        its batch before this returns (or raises), one ``fsync`` per log.
         """
-        outcomes = self.evaluator.measure_trials(trials, self.grid_shape)
-        return self._narrate(trials, predicted, outcomes)
+        # Deferred import: ``python -m repro.obs.recordlog`` must be the
+        # first to import its own module.
+        from repro.obs import recordlog
+
+        with recordlog.batch():
+            outcomes = self.evaluator.measure_trials(trials, self.grid_shape)
+            return self._narrate(trials, predicted, outcomes)
 
     def _narrate(
         self,

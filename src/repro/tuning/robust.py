@@ -12,9 +12,11 @@ failure modes :mod:`repro.gpusim.faults` injects:
 * **per-config quarantine** — a configuration that keeps faulting is
   recorded as ``quarantined`` and excluded from the ranking instead of
   poisoning it with a degraded number;
-* **crash-safe journal** — every completed trial is appended to a fsynced
-  record log (:mod:`repro.obs.recordlog`), so a killed campaign resumes
-  with ``repro tune --resume`` without re-running any journaled trial;
+* **crash-safe journal** — every completed trial is appended to a record
+  log (:mod:`repro.obs.recordlog`), fsynced per record on the stochastic
+  walk and once per batch (with its events and archive records) when a
+  tuner prices a list of trials, so a killed campaign resumes with
+  ``repro tune --resume`` without re-running any journaled trial;
 * **graceful degradation** — :class:`RobustTuningSession` walks the tier
   ladder model → stochastic → exhaustive, falling through when a tier
   cannot produce a usable winner.
@@ -169,7 +171,9 @@ class TrialJournal:
     foreign measurements.  Every subsequent line is one completed
     :class:`~repro.tuning.evaluator.TrialOutcome`.  A process killed
     mid-write leaves at most one torn final line, which :meth:`resume`
-    drops (the interrupted trial simply re-runs).
+    drops (the interrupted trial simply re-runs); a crash inside a trial
+    batch can also lose the batch's unsynced records, which re-run the
+    same way.
     """
 
     VERSION = 1
@@ -179,6 +183,7 @@ class TrialJournal:
         self.path = Path(path)
         self.session_key = session_key
         self._outcomes: dict[BlockConfig, TrialOutcome] = {}
+        self._torn_tail_possible = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -199,6 +204,7 @@ class TrialJournal:
             raise JournalError(f"{journal.path}: resume journal does not exist")
         for outcome in read_journal(journal.path, session_key=session_key):
             journal._outcomes[outcome.config] = outcome
+        journal._torn_tail_possible = True
         return journal
 
     # -- record/replay -----------------------------------------------------
@@ -208,7 +214,16 @@ class TrialJournal:
         return self._outcomes.get(config)
 
     def record(self, outcome: TrialOutcome) -> None:
-        """Append one completed trial (flushed and fsynced)."""
+        """Append one completed trial, written at once and fsynced before
+        returning, or with its batch inside a :func:`recordlog.batch`
+        (every :meth:`~repro.tuning.evaluator.TrialRunner.all`).
+
+        The first record after :meth:`resume` first cuts off a torn tail
+        the reader dropped, so it starts a line of its own.
+        """
+        if self._torn_tail_possible:
+            recordlog.end_on_line(self.path)
+            self._torn_tail_possible = False
         self._outcomes[outcome.config] = outcome
         recordlog.append(self.path, _outcome_to_obj(outcome))
 
@@ -336,14 +351,13 @@ class ResilientEvaluator:
         cls: BlockClass, tracer: Any,
     ) -> TrialOutcome:
         """Launch until clean, retries exhausted or a deterministic failure."""
-        key = cfg.label()
         faults_seen: list[str] = []
         degraded: TrialOutcome | None = None
         attempts = 0
         while attempts <= self.policy.max_retries:
             if attempts:
                 self.stats["retries"] += 1
-                self._backoff(key, attempts - 1)
+                self._backoff(cfg.label(), attempts - 1)
             attempts += 1
             self.stats["live_trials"] += 1
             try:
@@ -354,23 +368,29 @@ class ResilientEvaluator:
             except (FaultInjectedError, KernelHangError) as exc:
                 faults_seen.append(exc.kind)
                 if exc.kind in _NON_RETRYABLE_KINDS:
-                    logger.warning("%s: non-retryable %s fault, quarantining", key, exc.kind)
+                    logger.warning(
+                        "%s: non-retryable %s fault, quarantining",
+                        cfg.label(), exc.kind,
+                    )
                     break
                 logger.info(
-                    "%s: attempt %d faulted (%s), %s", key, attempts, exc.kind,
-                    "retrying" if attempts <= self.policy.max_retries
+                    "%s: attempt %d faulted (%s), %s", cfg.label(), attempts,
+                    exc.kind, "retrying" if attempts <= self.policy.max_retries
                     else "quarantining",
                 )
                 continue
             if event is None:
-                return self._finish(replace(classify(cfg, score), attempts=attempts))
+                clean = classify(cfg, score)
+                return self._finish(
+                    clean if attempts == 1 else replace(clean, attempts=attempts)
+                )
             # Completed but fault-flagged (throttle/ECC): the number is
             # suspect.  Keep it as a last resort and retry for clean.
             faults_seen.append(event.kind)
             degraded = replace(classify(cfg, score), mpoints_per_s=rates[1])
             logger.info(
                 "%s: attempt %d returned a fault-flagged measurement (%s)",
-                key, attempts, event.kind,
+                cfg.label(), attempts, event.kind,
             )
 
         if degraded is not None:

@@ -13,6 +13,7 @@ from repro.gpusim.faults import (
     apply_launch_faults,
     flip_bit,
 )
+from repro.gpusim.timing import sweep_rates
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
 from repro.stencils.spec import symmetric
@@ -226,19 +227,34 @@ class TestExecutorFaults:
         assert event.kind == "ecc"
         assert rates == (clean.time_s, clean.mpoints_per_s, clean.gflops)
 
+    @staticmethod
+    def clean_rates(gtx580, priced):
+        """The rates the caller keeps for a clean launch: ``score``'s,
+        which equal the overlay's un-derated sweep."""
+        score, cls = priced
+        rates = sweep_rates(
+            gtx580, score.total_cycles, cls.total_points, cls.flops_per_point
+        )
+        assert rates[1] == score.mpoints_per_s
+        return rates
+
     def test_no_plan_means_no_meta(self, plan, gtx580, priced):
         report = DeviceExecutor(gtx580).run(plan, GRID)
         assert "faults" not in report.meta
         rates, event = self.launch(None, plan, gtx580, priced)
-        assert event is None
-        assert rates == (report.time_s, report.mpoints_per_s, report.gflops)
+        assert event is None and rates is None
+        assert self.clean_rates(gtx580, priced) == (
+            report.time_s, report.mpoints_per_s, report.gflops
+        )
 
     def test_zero_rate_plan_is_unperturbed(self, plan, gtx580, priced):
         clean = DeviceExecutor(gtx580).run(plan, GRID)
         faults = FaultPlan(seed=9)
         rates, event = self.launch(faults, plan, gtx580, priced)
-        assert event is None
-        assert rates == (clean.time_s, clean.mpoints_per_s, clean.gflops)
+        assert event is None and rates is None
+        assert self.clean_rates(gtx580, priced) == (
+            clean.time_s, clean.mpoints_per_s, clean.gflops
+        )
         assert faults.next_index() == 1
 
     def test_faults_observable_in_trace(self, plan, gtx580, priced):

@@ -193,6 +193,71 @@ class TestModuleEntryPoint:
         assert "ok (stream, 1 event record(s))" in proc.stdout
 
 
+class TestRecordLogBatch:
+    """``recordlog.batch``: lines land at once, fsyncs wait for the scope."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        """The inode of every ``os.fsync``, in call order."""
+        calls = []
+        real = os.fsync
+
+        def spy(fd):
+            calls.append(os.fstat(fd).st_ino)
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        return calls
+
+    @staticmethod
+    def header():
+        return recordlog.make_header("stream", "t", 1)
+
+    def test_appends_land_at_once_and_sync_once_per_file(
+        self, tmp_path, fsyncs
+    ):
+        a, b = tmp_path / "a.log", tmp_path / "b.log"
+        recordlog.create(a, self.header())
+        assert len(fsyncs) == 1
+        with recordlog.batch():
+            recordlog.create(b, self.header())  # a header syncs at once
+            assert len(fsyncs) == 2
+            for i in range(3):
+                recordlog.append(b, {"i": i})
+                recordlog.append(a, {"i": i})
+                with recordlog.batch():  # joins the outer scope
+                    recordlog.append(a, {"nested": i})
+                assert len(a.read_text().splitlines()) == 1 + 2 * (i + 1)
+            assert len(fsyncs) == 2
+        # Once per file touched, in the order first touched.
+        assert fsyncs[2:] == [b.stat().st_ino, a.stat().st_ino]
+        recordlog.append(a, {"after": True})
+        assert fsyncs[4:] == [a.stat().st_ino]
+
+    def test_a_raising_batch_still_syncs(self, tmp_path, fsyncs):
+        path = tmp_path / "a.log"
+        recordlog.create(path, self.header())
+        with pytest.raises(RuntimeError), recordlog.batch():
+            recordlog.append(path, {"i": 0})
+            raise RuntimeError("killed mid-batch")
+        assert fsyncs == [path.stat().st_ino] * 2
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_end_on_line(self, tmp_path):
+        path = tmp_path / "a.log"
+        recordlog.create(path, self.header())
+        recordlog.append(path, {"i": 0})
+        whole = path.read_bytes()
+        recordlog.end_on_line(path)
+        assert path.read_bytes() == whole
+        path.write_bytes(whole + b'{"i": ')  # a torn tail is cut off
+        recordlog.end_on_line(path)
+        assert path.read_bytes() == whole
+        path.write_bytes(whole + b'{"i": 1}')  # a whole record ends its line
+        recordlog.end_on_line(path)
+        assert path.read_bytes() == whole + b'{"i": 1}\n'
+
+
 class TestFlightRecorder:
     def test_ring_keeps_last_capacity_and_counts_dropped(self, tmp_path):
         flight = FlightRecorder(capacity=4)

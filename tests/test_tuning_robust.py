@@ -8,6 +8,7 @@ journaled trial.
 
 import functools
 import json
+import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from repro.gpusim.executor import DeviceExecutor
 from repro.gpusim.faults import FaultPlan
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
-from repro.obs.events import MemoryEventSink, event_stream
+from repro.obs.events import MemoryEventSink, event_stream, read_events
 from repro.obs.recordlog import main as recordlog_main
 from repro.stencils.spec import symmetric
 from repro.tuning.evaluator import (
@@ -41,6 +42,7 @@ from repro.tuning.robust import (
     RetryPolicy,
     RobustTuningSession,
     TrialJournal,
+    read_journal,
 )
 from repro.tuning.space import ParameterSpace
 from repro.tuning.stochastic import stochastic_tune
@@ -53,6 +55,9 @@ SPACE = ParameterSpace(
 #: Storm with a >= 10% per-launch failure probability that still lets a
 #: retried trial through (rates apply per launch, independently).
 STORM = dict(launch_failure_rate=0.08, hang_rate=0.04, throttle_rate=0.06)
+#: A storm whose faults only abort launches, never derate one: whatever
+#: a session measures ``ok`` is priced exactly as a clean launch.
+ABORTS = dict(launch_failure_rate=0.1, hang_rate=0.02)
 
 
 def build(cfg: BlockConfig):
@@ -510,3 +515,171 @@ class TestCliExitCodes:
 
     def test_bad_fault_spec_exits_two(self):
         assert main(self.ARGS + ["--faults", "frobnicate=1"]) == 2
+
+
+class TestCrashCut:
+    """A crash inside a trial batch leaves a line prefix of the journal,
+    possibly with one torn final line; ``--resume`` recovers from each.
+
+    An exhaustive session journals all its trials in one batch
+    (:meth:`~repro.tuning.evaluator.TrialRunner.all`), fsynced once at the
+    end, so every such prefix is a state a crash can leave on disk.
+    """
+
+    def session(self, gtx580, path, resume=False):
+        return RobustTuningSession(
+            gtx580, GRID, faults=FaultPlan(seed=7, **ABORTS),
+            journal_path=path, resume=resume,
+        )
+
+    def test_every_cut_resumes_to_clean_rates(self, gtx580, tmp_path):
+        clean = {
+            e.config: e.mpoints_per_s
+            for e in exhaustive_tune(build, gtx580, GRID, SPACE).entries
+        }
+        path = tmp_path / "full.journal"
+        self.session(gtx580, path).run(build, method="exhaustive", space=SPACE)
+        header, *records = path.read_bytes().splitlines(keepends=True)
+        launchable = {o.config for o in read_journal(path)}
+        assert len(records) == len(launchable) > 10
+
+        # Every line boundary inside the batch, then a few torn tails.
+        cuts = [(k, b"") for k in range(len(records) + 1)] + [
+            (k, records[k][: len(records[k]) // 2])
+            for k in (0, len(records) // 2, len(records) - 1)
+        ]
+        for kept, torn in cuts:
+            cut = tmp_path / f"cut{kept}-{len(torn)}.journal"
+            prefix = header + b"".join(records[:kept])
+            cut.write_bytes(prefix + torn)
+            sres = self.session(gtx580, cut, resume=True).run(
+                build, method="exhaustive", space=SPACE
+            )
+            assert sres.stats["replayed"] == kept, (kept, torn)
+            for entry in sres.result.entries:
+                assert entry.mpoints_per_s == clean[entry.config]
+            # The kept records stay as they were, the torn tail is gone
+            # and the resumed journal is whole: one record per config.
+            assert cut.read_bytes().startswith(prefix)
+            outcomes = read_journal(cut, strict=True)
+            assert len(outcomes) == len(launchable)
+            assert {o.config for o in outcomes} == launchable
+            for outcome in outcomes:
+                assert outcome.status in (STATUS_OK, STATUS_QUARANTINED)
+                if outcome.status == STATUS_OK:
+                    assert outcome.mpoints_per_s == clean[outcome.config]
+
+
+class TestFsyncBudget:
+    """One ``fsync`` per log per trial batch, not one per record."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        """Every ``os.fsync`` as ``(inode, file size)``, in call order."""
+        calls: list[tuple[int, int]] = []
+        real = os.fsync
+
+        def spy(fd):
+            st = os.fstat(fd)
+            calls.append((st.st_ino, st.st_size))
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        return calls
+
+    @staticmethod
+    def logs(tmp_path, name):
+        return {
+            kind: tmp_path / f"{name}.{kind}"
+            for kind in ("journal", "events", "archive")
+        }
+
+    def run(self, gtx580, logs, method, space=SPACE, policy=None):
+        session = RobustTuningSession(
+            gtx580, GRID, faults=FaultPlan(seed=7, **ABORTS), policy=policy,
+            journal_path=logs["journal"], events_path=logs["events"],
+            archive_path=logs["archive"],
+        )
+        return session.run(build, method=method, space=space, budget=12, seed=3)
+
+    @staticmethod
+    def per_log(calls, logs):
+        by_inode = {path.stat().st_ino: kind for kind, path in logs.items()}
+        counts = dict.fromkeys(logs, 0)
+        for inode, _size in calls:
+            counts[by_inode[inode]] += 1
+        return counts
+
+    @staticmethod
+    def session_events(path):
+        return [
+            e.name for e in read_events(path, strict=True)[1]
+            if not e.name.startswith(("trial.", "fault."))
+        ]
+
+    def test_exhaustive_session_is_independent_of_trial_count(
+        self, gtx580, tmp_path, fsyncs
+    ):
+        wide = ParameterSpace(
+            tx_values=(16, 32, 64, 128), ty_values=(1, 2, 4, 8),
+            rx_values=(1, 2, 4), ry_values=(1, 2, 4),
+        )
+        counts = []
+        for name, space in (("small", SPACE), ("wide", wide)):
+            fsyncs.clear()
+            logs = self.logs(tmp_path, name)
+            self.run(gtx580, logs, "exhaustive", space=space)
+            counts.append(self.per_log(fsyncs, logs))
+            session = self.session_events(logs["events"])
+            # Header, then one per log for the batch; the session-level
+            # events outside it keep one each.
+            assert counts[-1] == {
+                "journal": 2, "archive": 2, "events": 2 + len(session),
+            }
+            assert "sweep.start" in session and "session.finished" in session
+        assert len(read_journal(tmp_path / "wide.journal")) > 2 * len(
+            read_journal(tmp_path / "small.journal")
+        )
+        assert counts[0] == counts[1]
+
+    def test_stochastic_walk_keeps_one_per_record(self, gtx580, tmp_path, fsyncs):
+        logs = self.logs(tmp_path, "walk")
+        self.run(gtx580, logs, "stochastic")
+        lines = {
+            kind: len(path.read_bytes().splitlines())
+            for kind, path in logs.items()
+        }
+        assert lines["journal"] > 10
+        assert self.per_log(fsyncs, logs) == lines
+
+    def test_raise_mid_batch_syncs_what_completed(self, gtx580, tmp_path, fsyncs):
+        full = self.logs(tmp_path, "full")
+        self.run(gtx580, full, "exhaustive")
+
+        class Stop(Exception):
+            pass
+
+        backoffs = []
+
+        def sleep(delay):
+            backoffs.append(delay)
+            if len(backoffs) == 3:
+                raise Stop
+
+        fsyncs.clear()
+        logs = self.logs(tmp_path, "cut")
+        with pytest.raises(Stop):
+            self.run(gtx580, logs, "exhaustive", policy=RetryPolicy(sleep=sleep))
+        data = logs["journal"].read_bytes()
+        # Every record completed before the raise is on disk, as the
+        # prefix an uninterrupted session writes ...
+        assert len(read_journal(logs["journal"], strict=True)) > 0
+        assert full["journal"].read_bytes().startswith(data)
+        assert len(data) < full["journal"].stat().st_size
+        # ... and the batch fsynced it on the way out: header, then once
+        # with every record in place.
+        journal = [
+            size for inode, size in fsyncs
+            if inode == logs["journal"].stat().st_ino
+        ]
+        assert len(journal) == 2 and journal[-1] == len(data)

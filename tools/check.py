@@ -30,8 +30,10 @@ Runs, in order:
    seven record logs strictly, ``python -m repro.obs.export --lint`` lints the exposition
    and the exporters' own sample output, ``repro explain --json`` over
    the archive and every exported Vega-Lite landscape spec must parse,
-   and a ``--resume`` of the journal must exit 0 — retry, quarantine and
-   crash-safe replay end to end)
+   a ``--resume`` of the journal must exit 0, and so must a ``--resume``
+   of a copy cut mid-file with a torn final line, after which the copy
+   must validate strictly — retry, quarantine and crash-safe replay end
+   to end)
 8. the cluster resilience smoke test (``repro cluster run`` under a
    seeded dropout + corruption + degradation storm with checkpoints,
    then the same campaign stopped early and ``--resume``\ d: the
@@ -117,8 +119,11 @@ def session_smoke(env: dict) -> str:
     logs must validate strictly (``python -m repro.obs.recordlog``); the exposition
     and the exporters' own sample output must pass the Prometheus lint;
     ``repro explain --json`` over the archive must parse as JSON, as must
-    every exported Vega-Lite landscape spec; and a ``--resume`` of the
-    journal must exit 0.
+    every exported Vega-Lite landscape spec; a ``--resume`` of the
+    journal must exit 0; and so must ``resume-cut``, a ``--resume`` of a
+    copy of the journal cut mid-file with a torn final line (the state a
+    crash inside a trial batch can leave), after which the copy must
+    validate strictly.
     """
     import json
     import tempfile
@@ -126,11 +131,11 @@ def session_smoke(env: dict) -> str:
     label = "session-smoke"
     with tempfile.TemporaryDirectory() as tmp:
         (journal, events, archive, metrics, land, walk_events, walk_archive,
-         plain_events, plain_archive) = (
+         plain_events, plain_archive, cut) = (
             str(Path(tmp) / name) for name in (
                 "gate.journal", "gate.events", "gate.archive", "gate.prom",
                 "landscape", "walk.events", "walk.archive", "plain.events",
-                "plain.archive",
+                "plain.archive", "cut.journal",
             )
         )
         plain = [
@@ -166,6 +171,19 @@ def session_smoke(env: dict) -> str:
             ("resume", tune + ["--resume"]),
         ], env)
         if out is None:
+            return "FAILED"
+        # Half the records, then half of the next line: a torn tail.
+        lines = Path(journal).read_bytes().splitlines(keepends=True)
+        half = 1 + (len(lines) - 1) // 2
+        Path(cut).write_bytes(
+            b"".join(lines[:half]) + lines[half][: len(lines[half]) // 2]
+        )
+        if run_phases(label, [
+            ("resume-cut", storm + [
+                "--method", "auto", "--journal", cut, "--resume",
+            ]),
+            ("validate-cut", [sys.executable, "-m", "repro.obs.recordlog", cut]),
+        ], env) is None:
             return "FAILED"
         try:
             json.loads(out["explain"])
