@@ -109,9 +109,6 @@ class AnalysisReport:
         """True when no error-level diagnostics were found."""
         return not self.errors
 
-    def rules_fired(self) -> list[str]:
-        return sorted({d.rule for d in self.diagnostics})
-
     def exit_code(self) -> int:
         """Stable CLI exit code: 0 clean (warnings allowed), 1 errors."""
         return 0 if self.ok else 1

@@ -5,7 +5,8 @@ brute-force enumerator so the lint's verdicts are *checked*, not guessed:
 
 * :func:`analytic_conflict_degree` — the serialization factor of a strided
   shared-memory access, in closed form over gcd(stride, banks); agrees
-  exactly with the counting loop in :func:`repro.gpusim.smem.conflict_degree`.
+  exactly with a counting loop the tests keep as a reference
+  (``tests/oracles/smem.py``).
 * Region verdicts — read from the :class:`~repro.gpusim.memory.RegionRecord`
   geometry the load builders attach to every workload, whose phase-averaged
   transaction counts agree exactly with a lane-by-lane address
@@ -43,7 +44,7 @@ def analytic_conflict_degree(
     a bank exactly when ``i = j (mod banks / gcd(stride, banks))``, so the
     worst bank serves ``ceil(lanes / (banks / gcd))`` distinct words.  A
     stride of zero is a broadcast (degree 1).  Must agree exactly with the
-    brute-force :func:`repro.gpusim.smem.conflict_degree` — enforced by a
+    brute-force counting loop of ``tests/oracles/smem.py`` — enforced by a
     property test over the full argument space.
     """
     if lanes <= 0:

@@ -2,7 +2,7 @@
 
 Whether a configuration can launch is decided in one place: the op
 table's launch check (:mod:`repro.gpusim.ops`), which every price runs —
-``BatchEngine.score(...).launch_error`` for the tuners, a
+``BatchEngine.scores(...)[i].launch_error`` for the tuners, a
 :class:`~repro.errors.ResourceLimitError` from the executor.
 
 :func:`resource_diagnostics` *explains* that verdict: it re-derives each

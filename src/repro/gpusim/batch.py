@@ -34,9 +34,9 @@ Two contracts make it safe to substitute for the scalar path anywhere:
 
 :meth:`BatchEngine.scores` — the tuners' call — runs the headline stage
 only; :meth:`BatchEngine.outcomes` runs the counter stage after it.  The
-identity gate checks both calls.  :meth:`BatchEngine.score` prices a
-single class on the scalar table into the same memo, for callers that
-price one class at a time.
+identity gate checks both calls.  ``scores`` prices a lone missing class
+on the scalar table instead of a one-row NumPy pass, into the same memo;
+the engine picks the table from the input size, and no option selects it.
 
 Unlaunchable configurations do not raise: the stages carry a per-row
 failure reason, and each failing class reports the
@@ -78,6 +78,7 @@ from repro.obs.counters import CounterSet, counter_stage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.kernels.base import KernelPlan
+    from repro.obs.telemetry import TelemetryRecord
 
 
 def _first_min(names: Sequence[str], values: Sequence[Any]) -> tuple[Any, Any]:
@@ -195,10 +196,15 @@ class BatchEngine:
     def scores(self, classes: Sequence[BlockClass]) -> list[ClassScore]:
         """Tuner-grade results (rate / efficiency / occupancy / limiter).
 
-        Runs the headline stage only: no counter is derived.
+        Runs the headline stage only: no counter is derived.  A lone
+        class missing from the memo (the stochastic walk's step) is
+        priced on the scalar op table, which is cheaper than a one-row
+        NumPy pass; two or more go through NumPy.  Both are bit-identical.
         """
         missing = self._missing(classes, self._scores)
-        if missing:
+        if len(missing) == 1:
+            self._scores[missing[0]] = self._scalar_score(missing[0])
+        elif missing:
             cols = self._pipeline(missing)
             t = cols["timing"]
             live = zip(
@@ -212,24 +218,6 @@ class BatchEngine:
                     if reason else ClassScore(None, *next(live))
                 )
         return [self._scores[c] for c in classes]
-
-    def score(self, cls: BlockClass) -> ClassScore:
-        """:meth:`scores` for one class on the scalar op table: bit-identical,
-        same memo, and cheaper than a one-row NumPy pass (the stochastic walk)."""
-        if cls not in self._scores:
-            try:
-                t = time_stage(SCALAR, self.device, self.params, cls)[2]
-            except ResourceLimitError as exc:
-                self._scores[cls] = ClassScore(launch_error=str(exc))
-            else:
-                _, mpoints, _ = sweep_rates(
-                    self.device, t.total_cycles, cls.total_points, cls.flops_per_point
-                )
-                self._scores[cls] = ClassScore(
-                    None, mpoints, t.load_efficiency, t.occupancy.occupancy,
-                    t.occupancy.limiter, t.total_cycles,
-                )
-        return self._scores[cls]
 
     def outcomes(self, classes: Sequence[BlockClass]) -> list[ClassOutcome]:
         """Full results: timing breakdown plus the derived counter set."""
@@ -273,6 +261,20 @@ class BatchEngine:
             if c not in cache:
                 seen.setdefault(c)
         return list(seen)
+
+    def _scalar_score(self, cls: BlockClass) -> ClassScore:
+        """The headline stage for one class on the scalar op table."""
+        try:
+            t = time_stage(SCALAR, self.device, self.params, cls)[2]
+        except ResourceLimitError as exc:
+            return ClassScore(launch_error=str(exc))
+        _, mpoints, _ = sweep_rates(
+            self.device, t.total_cycles, cls.total_points, cls.flops_per_point
+        )
+        return ClassScore(
+            None, mpoints, t.load_efficiency, t.occupancy.occupancy,
+            t.occupancy.limiter, t.total_cycles,
+        )
 
     # ------------------------------------------------------------------
     # the two stages over columns
@@ -429,8 +431,9 @@ def check_identity(baseline: str) -> tuple[bool, str]:
 
     The batch path is checked twice per record: the full report from
     :meth:`BatchEngine.outcomes`, and the fields of a fresh engine's
-    :meth:`BatchEngine.scores`, which stops before the counter stage and
-    so could drift from ``outcomes()`` unseen: the tuners' four, plus
+    :meth:`BatchEngine.scores` over all of the device's records in one
+    list (the NumPy pass), which stops before the counter stage and so
+    could drift from ``outcomes()`` unseen: the tuners' four, plus
     ``total_cycles``, which the fault overlay prices from.
     Returns ``(ok, summary)``; the summary carries the per-path digests
     so CI logs show *what* diverged, not just that something did.
@@ -447,6 +450,7 @@ def check_identity(baseline: str) -> tuple[bool, str]:
     batch_payloads: list[dict[str, Any]] = []
     mismatches: list[str] = []
     classes_seen: set[BlockClass] = set()
+    tuned: dict[str, list[tuple["TelemetryRecord", BlockClass, SimReport]]] = {}
     for record in records:
         plan = plan_for_record(record)
         dev = get_device(record.device)
@@ -464,26 +468,7 @@ def check_identity(baseline: str) -> tuple[bool, str]:
             plan.grid_workload(dev, record.grid),
         )
         classes_seen.add(cls)
-        # The tuners' path: a fresh engine's headline stage alone.
-        score = BatchEngine(dev).scores([cls])[0]
-        score_diffs = [
-            key for key, a, b in (
-                ("mpoints_per_s", score.mpoints_per_s, scalar_report.mpoints_per_s),
-                ("load_efficiency", score.load_efficiency,
-                 scalar_report.load_efficiency),
-                ("occupancy", score.occupancy, scalar_report.occupancy.occupancy),
-                ("limiter", score.limiter, scalar_report.occupancy.limiter),
-                ("total_cycles", score.total_cycles, scalar_report.total_cycles),
-            )
-            if _num(a) != _num(b)
-        ]
-        if score.launch_error is not None:
-            score_diffs = [f"launch ({score.launch_error})"]
-        if score_diffs:
-            mismatches.append(
-                f"{record.kernel} on {record.device} [{record.source}]: "
-                f"scores() diverged in {', '.join(score_diffs)}"
-            )
+        tuned.setdefault(record.device, []).append((record, cls, scalar_report))
         sp = report_payload(scalar_report)
         bp = report_payload(batch_result)
         scalar_payloads.append(sp)
@@ -497,6 +482,35 @@ def check_identity(baseline: str) -> tuple[bool, str]:
                 f"{record.kernel} on {record.device} [{record.source}]: "
                 f"diverged in {', '.join(diffs)}"
             )
+
+    # The tuners' path: a fresh engine's headline stage alone, one list
+    # per device, so the NumPy table prices it.
+    for device_name, items in tuned.items():
+        scores = BatchEngine(get_device(device_name)).scores(
+            [cls for _, cls, _ in items]
+        )
+        for (record, _, scalar_report), score in zip(items, scores):
+            score_diffs = [
+                key for key, a, b in (
+                    ("mpoints_per_s", score.mpoints_per_s,
+                     scalar_report.mpoints_per_s),
+                    ("load_efficiency", score.load_efficiency,
+                     scalar_report.load_efficiency),
+                    ("occupancy", score.occupancy,
+                     scalar_report.occupancy.occupancy),
+                    ("limiter", score.limiter, scalar_report.occupancy.limiter),
+                    ("total_cycles", score.total_cycles,
+                     scalar_report.total_cycles),
+                )
+                if _num(a) != _num(b)
+            ]
+            if score.launch_error is not None:
+                score_diffs = [f"launch ({score.launch_error})"]
+            if score_diffs:
+                mismatches.append(
+                    f"{record.kernel} on {record.device} [{record.source}]: "
+                    f"scores() diverged in {', '.join(score_diffs)}"
+                )
 
     def digest(payloads: list[dict[str, Any]]) -> str:
         blob = json.dumps(payloads, sort_keys=True).encode()

@@ -186,10 +186,6 @@ class FaultPlan:
             return FaultEvent(KIND_ECC, index)
         return None
 
-    def schedule(self, n: int) -> list[FaultEvent | None]:
-        """The first ``n`` draws — the reproducibility witness."""
-        return [self.event_for(i) for i in range(n)]
-
     # -- CLI spec ----------------------------------------------------------
 
     _SPEC_KEYS = {
@@ -400,7 +396,7 @@ def observe_fault(tracer: Any, event: FaultEvent, **args: Any) -> None:
     typed as ``Any`` to keep this module import-light.  Faults reach the
     event stream only as ``fault.observed``, which the trial runner
     derives from the finished outcome
-    (:func:`repro.tuning.evaluator.emit_trial_events`).
+    (:meth:`repro.tuning.evaluator.TrialRunner._record`).
     """
     if tracer is None:
         return

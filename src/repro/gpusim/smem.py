@@ -7,44 +7,18 @@ reads in-plane neighbours from the shared tile with *consecutive lanes at
 consecutive x*, which is conflict-free by construction — but 8-byte (DP)
 accesses occupy two banks and halve effective throughput on Fermi, and a
 tile pitch that is a multiple of the bank count produces conflicts for any
-column-strided access.  The simulator includes the exact conflict-degree
-computation both because kernels must *prove* (in tests) that their chosen
-tile padding is conflict-free and because bank conflicts are the first of
-the three error sources the paper's section VI model explicitly ignores.
+column-strided access.  Bank conflicts are the first of the three error
+sources the paper's section VI model explicitly ignores; the conflict
+degree of a strided access is computed in closed form by
+:func:`repro.analysis.memaccess.analytic_conflict_degree`, which the tests
+check against a counting loop (``tests/oracles/smem.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpusim.arch import WARP_SIZE, ArchRules
-
-
-def conflict_degree(
-    stride_words: int,
-    *,
-    lanes: int = WARP_SIZE,
-    banks: int = 32,
-) -> int:
-    """Maximum number of lanes hitting the same bank for a strided access.
-
-    Lane ``i`` accesses word ``i * stride_words``; the conflict degree is
-    the largest multiplicity over banks, i.e. the serialization factor of
-    the access (1 = conflict-free).  Computed by direct counting so the
-    subtle gcd cases (stride 0 = broadcast, stride sharing factors with the
-    bank count) are handled exactly.
-    """
-    if lanes <= 0:
-        raise ValueError("lanes must be positive")
-    if banks <= 0:
-        raise ValueError("banks must be positive")
-    if stride_words == 0:
-        return 1  # broadcast is served in one cycle
-    hits: dict[int, set[int]] = {}
-    for lane in range(lanes):
-        word = lane * stride_words
-        hits.setdefault(word % banks, set()).add(word)
-    return max(len(words) for words in hits.values())
+from repro.gpusim.arch import ArchRules
 
 
 def padded_pitch_words(width_words: int, banks: int = 32) -> int:

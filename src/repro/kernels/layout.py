@@ -61,11 +61,6 @@ class GridLayout:
         needed = self.lx + 2 * line_elems
         return round_up(needed, line_elems)
 
-    @property
-    def pitch_bytes(self) -> int:
-        """Padded row length in bytes."""
-        return self.pitch_elems * self.elem_bytes
-
     def phase_of(self, x: int) -> int:
         """Byte phase of logical x within a transaction line.
 

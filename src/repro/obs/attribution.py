@@ -67,10 +67,6 @@ class AttributionReport:
     headline: str
     limiters: tuple[Limiter, ...]
 
-    @property
-    def primary(self) -> Limiter:
-        return self.limiters[0]
-
     def render(self) -> str:
         lines = [f"{self.kernel} on {self.device}: {self.headline}"]
         for i, lim in enumerate(self.limiters, 1):

@@ -46,14 +46,6 @@ def plan_for_record(record: TelemetryRecord) -> Any:
     return make_kernel(family, symmetric(record.order), tuple(config), record.dtype)
 
 
-def resimulate_record(record: TelemetryRecord) -> TelemetryRecord:
-    """Run the record's launch on the current tree, rounded identically."""
-    from repro.gpusim.executor import simulate
-
-    report = simulate(plan_for_record(record), record.device, record.grid)
-    return record_from_report(report, order=record.order, source=record.source)
-
-
 @dataclass(frozen=True)
 class CounterDelta:
     """One explanatory quantity that moved between baseline and current."""
@@ -238,8 +230,9 @@ def resimulate_profile(
     document, the unfaulted ones, and one ``SimReport`` or ``Exception``
     per comparable record, in input order.  A faulted measurement is not
     a performance statement — the clean resimulation *should* disagree
-    with it — so it is not resimulated.  Any stage the scalar
-    :func:`resimulate_record` would fail at (plan rebuild, device lookup,
+    with it — so it is not resimulated.  Any stage the scalar path
+    (:func:`~repro.gpusim.executor.simulate` of :func:`plan_for_record`)
+    would fail at (plan rebuild, device lookup,
     workload compilation, an unlaunchable configuration) puts that
     exception in the record's slot; the reports themselves are
     bit-identical to the scalar path (the batch-identity gate).

@@ -1,11 +1,10 @@
-"""The trial evaluator — the tuners' single seam for measuring a config.
+"""The trial evaluator — the tuners' single seam for measuring configs.
 
-This module holds the per-trial measurement protocol:
-
-* :meth:`TrialEvaluator.measure_trials` — price a list of trials,
-  classifying each into a :class:`TrialOutcome`;
-* :meth:`TrialEvaluator.measure` — price one configuration (the
-  stochastic walk's one-at-a-time step).
+This module holds the per-trial measurement protocol,
+:meth:`TrialEvaluator.measure`: price a list of trials, classifying each
+into a :class:`TrialOutcome`.  A list is the only way to price — the
+stochastic walk, whose next candidate depends on the previous
+measurement, hands over one-trial lists.
 
 The price is the one launch verdict: a configuration the device cannot
 launch (constraints on threads, registers and shared memory) comes back
@@ -117,104 +116,18 @@ class TrialOutcome:
         return self.status == STATUS_OK
 
 
-def emit_trial_events(outcome: TrialOutcome) -> None:
-    """Emit the trial-plane events one finished outcome implies.
-
-    The event-layer side of "the evaluator measures, the runner
-    narrates": :class:`TrialRunner` calls this (through
-    :func:`record_trial`) **in input order** after a trial completes;
-    nothing inside a measurement emits.  The stream is thereby a pure
-    function of the outcome sequence, and its counts match the journal
-    by construction.
-
-    A replayed outcome emits only ``trial.replayed``: the work it
-    describes happened (and was streamed) in the session that journaled
-    it, so re-emitting measurement events would double-count a resumed
-    campaign.
-    """
-    if current_sink() is None:
-        return
-    cfg = outcome.config.label()
-    if outcome.replayed:
-        emit_event("trial.replayed", config=cfg, status=outcome.status)
-        return
-    if outcome.attempts > 1:
-        emit_event("trial.retried", config=cfg, retries=outcome.attempts - 1)
-    for kind in outcome.faults:
-        emit_event("fault.observed", config=cfg, kind=kind)
-    if outcome.status == STATUS_OK:
-        emit_event(
-            "trial.measured", config=cfg,
-            mpoints_per_s=outcome.mpoints_per_s, attempts=outcome.attempts,
-        )
-    elif outcome.status == STATUS_QUARANTINED:
-        emit_event(
-            "trial.quarantined", config=cfg,
-            attempts=outcome.attempts, faults=list(outcome.faults),
-        )
-    else:
-        emit_event("trial.rejected", config=cfg, reason="static")
-
-
-def record_trial(
-    outcome: TrialOutcome,
-    *,
-    trial: Trial,
-    device: DeviceSpec,
-    grid_shape: tuple[int, int, int],
-    predicted: float | None = None,
-) -> None:
-    """Narrate one finished trial: events plus the provenance archive.
-
-    The one call :class:`TrialRunner` makes per completed outcome, **in
-    input order**.  It emits the trial-plane events
-    (:func:`emit_trial_events`) and, when a
-    :class:`repro.obs.archive.TrialArchive` is installed, derives and
-    appends the config's archive record from the trial's already-built
-    plan and workload.  Both planes are pure functions of the outcome
-    sequence plus the plan; with neither a sink nor an archive installed
-    the call is two contextvar lookups.
-
-    ``predicted`` forwards a model score the tuner already computed
-    (the model-based shortlist) so the archive records exactly the
-    number the ranking used.
-    """
-    emit_trial_events(outcome)
-    # Deferred import: repro.obs.archive imports this module.
-    from repro.obs.archive import current_archive
-
-    archive = current_archive()
-    if archive is not None:
-        archive.capture(
-            outcome, trial=trial, device=device, grid_shape=grid_shape,
-            predicted=predicted,
-        )
-
-
 class TrialEvaluator(Protocol):
     """What a tuner needs from its measurement backend.
 
-    :meth:`measure_trials` takes trials the sweep already built (plan and
-    block workload, see :class:`Trial`), prices them, and returns one
+    :meth:`measure` takes trials the sweep already built (plan and block
+    workload, see :class:`Trial`), prices them, and returns one
     :class:`TrialOutcome` per input trial **in input order** (a
     configuration its price finds unlaunchable comes back as a
     :data:`STATUS_REJECTED_STATIC` outcome instead of being silently
-    dropped).  It builds nothing itself.  :meth:`measure` prices one
-    trial on the scalar op table, for the stochastic walk, whose next
-    candidate depends on the previous measurement.
+    dropped).  It builds nothing itself.
     """
 
     def measure(
-        self,
-        cfg: BlockConfig,
-        plan: "KernelPlan",
-        grid_shape: tuple[int, int, int],
-        block: "BlockWorkload",
-    ) -> TrialOutcome:
-        """Price one configuration and classify the result."""
-        ...  # pragma: no cover - protocol
-
-    def measure_trials(
         self,
         trials: list[Trial],
         grid_shape: tuple[int, int, int],
@@ -226,15 +139,15 @@ class TrialEvaluator(Protocol):
 class TrialRunner:
     """Measure, classify and narrate trials — the tuners' one trial stage.
 
-    Every tuner hands its trials to a runner; the tuners differ only in
-    which trials they hand over.  :meth:`all` prices a list in one
-    :meth:`~TrialEvaluator.measure_trials` call; :meth:`one` prices one
-    trial with :meth:`~TrialEvaluator.measure`.  Both then narrate the
-    finished outcomes the same way: per trial, the runner calls
-    :func:`record_trial`, and (when tracing is on) emits one
-    ``tune.trial`` event plus one ``tune.*`` counter: an instant for a
-    static reject, otherwise a span around the narration whose args say
-    how the trial ended.  ``stats`` tallies the non-``ok`` outcomes:
+    Every tuner hands its trials to a runner's :meth:`all`; the tuners
+    differ only in which trials they hand over (the stochastic walk, one
+    at a time).  It prices the list in one
+    :meth:`~TrialEvaluator.measure` call, then narrates each finished
+    outcome in input order: its trial-plane events and archive record
+    (:meth:`_record`), and (when tracing is on) one ``tune.trial`` event
+    plus one ``tune.*`` counter: an instant for a static reject,
+    otherwise a span around the narration whose args say how the trial
+    ended.  ``stats`` tallies the non-``ok`` outcomes:
     ``rejected_static`` always, ``quarantined`` from its first
     occurrence, and ``rejected_simulated`` as a constant 0, kept because
     ``tune --json`` prints it.  The narration is skipped when no plane
@@ -259,56 +172,36 @@ class TrialRunner:
         }
         self._tracer = current_tracer()
 
-    def one(self, trial: Trial, predicted: float | None = None) -> TrialOutcome:
-        """Run one trial: measure, then narrate."""
-        outcome = self.evaluator.measure(
-            trial.config, trial.plan, self.grid_shape, trial.block
-        )
-        return self._narrate([trial], [predicted], [outcome])[0]
-
     def all(
         self,
         trials: list[Trial],
         predicted: Sequence[float] | None = None,
     ) -> list[TrialOutcome]:
-        """Run every trial; outcomes in input order.
+        """Run every trial: measure, then narrate; outcomes in input order.
 
-        The evaluator prices the whole list in one call; each outcome is
-        then narrated exactly as :meth:`one` would.  The whole call is
-        one :func:`repro.obs.recordlog.batch`: every journal, event and
-        archive record it appends is written at once and fsynced with
-        its batch before this returns (or raises), one ``fsync`` per log.
+        The whole call is one :func:`repro.obs.recordlog.batch`: every
+        journal, event and archive record it appends is written at once
+        and fsynced with its batch before this returns (or raises), one
+        ``fsync`` per log.  With no tracer, event sink or archive
+        installed nothing listens, so ``stats`` is only tallied: no
+        label, span args or :meth:`_record` call per trial.
         """
         # Deferred import: ``python -m repro.obs.recordlog`` must be the
         # first to import its own module.
         from repro.obs import recordlog
 
         with recordlog.batch():
-            outcomes = self.evaluator.measure_trials(trials, self.grid_shape)
-            return self._narrate(trials, predicted, outcomes)
-
-    def _narrate(
-        self,
-        trials: list[Trial],
-        predicted: Sequence[float | None] | None,
-        outcomes: list[TrialOutcome],
-    ) -> list[TrialOutcome]:
-        """Tally and narrate finished outcomes, in input order.
-
-        With no tracer, event sink or archive installed nothing listens,
-        so ``stats`` is only tallied: no label, span args or
-        :func:`record_trial` call per trial.
-        """
-        if not self._narrated():
-            for outcome in outcomes:
-                self._tally(outcome)
-            return outcomes
-        scores: Sequence[float | None] = (
-            [None] * len(trials) if predicted is None else predicted
-        )
-        return [
-            self._run(t, p, o) for t, p, o in zip(trials, scores, outcomes)
-        ]
+            outcomes = self.evaluator.measure(trials, self.grid_shape)
+            if not self._narrated():
+                for outcome in outcomes:
+                    self._tally(outcome)
+                return outcomes
+            scores: Sequence[float | None] = (
+                [None] * len(trials) if predicted is None else predicted
+            )
+            return [
+                self._run(t, p, o) for t, p, o in zip(trials, scores, outcomes)
+            ]
 
     def _narrated(self) -> bool:
         """Is any plane listening: a tracer, an event sink or an archive?"""
@@ -334,13 +227,13 @@ class TrialRunner:
         if predicted is not None:
             args["predicted_mpoints_per_s"] = predicted
         if outcome.status == STATUS_REJECTED_STATIC:
-            self._record(outcome, trial, predicted)
+            self._record(outcome, trial, label, predicted)
             if tracer is not None:
                 tracer.instant(label, CAT_TUNE_TRIAL, **args, rejected="static")
                 tracer.metrics.counter("tune.rejected_static").inc()
             return outcome
         with maybe_span(tracer, label, CAT_TUNE_TRIAL, **args) as sp:
-            self._record(outcome, trial, predicted)
+            self._record(outcome, trial, label, predicted)
             if sp is not None:
                 if outcome.status == STATUS_QUARANTINED:
                     sp.args["quarantined"] = True
@@ -352,13 +245,60 @@ class TrialRunner:
         return outcome
 
     def _record(
-        self, outcome: TrialOutcome, trial: Trial, predicted: float | None
+        self, outcome: TrialOutcome, trial: Trial, label: str,
+        predicted: float | None,
     ) -> None:
+        """Tally one finished trial, then emit its events and archive it.
+
+        "The evaluator measures, the runner narrates": this runs **in
+        input order** after the measurement returns, and nothing inside
+        a measurement emits.  The event stream and the archive are
+        thereby pure functions of the outcome sequence plus the plan,
+        and their counts match the journal by construction.
+
+        A replayed outcome emits only ``trial.replayed``: the work it
+        describes happened (and was streamed) in the session that
+        journaled it, so re-emitting measurement events would
+        double-count a resumed campaign.  When a
+        :class:`repro.obs.archive.TrialArchive` is installed, the
+        config's record is derived from the trial's already-built plan
+        and workload; ``predicted`` rides along so the archive records
+        exactly the number the ranking used.
+        """
         self._tally(outcome)
-        record_trial(
-            outcome, trial=trial, device=self.device,
-            grid_shape=self.grid_shape, predicted=predicted,
-        )
+        if current_sink() is not None:
+            if outcome.replayed:
+                emit_event("trial.replayed", config=label, status=outcome.status)
+            else:
+                if outcome.attempts > 1:
+                    emit_event(
+                        "trial.retried", config=label,
+                        retries=outcome.attempts - 1,
+                    )
+                for kind in outcome.faults:
+                    emit_event("fault.observed", config=label, kind=kind)
+                if outcome.status == STATUS_OK:
+                    emit_event(
+                        "trial.measured", config=label,
+                        mpoints_per_s=outcome.mpoints_per_s,
+                        attempts=outcome.attempts,
+                    )
+                elif outcome.status == STATUS_QUARANTINED:
+                    emit_event(
+                        "trial.quarantined", config=label,
+                        attempts=outcome.attempts, faults=list(outcome.faults),
+                    )
+                else:
+                    emit_event("trial.rejected", config=label, reason="static")
+        # Deferred import: repro.obs.archive imports this module.
+        from repro.obs.archive import current_archive
+
+        archive = current_archive()
+        if archive is not None:
+            archive.capture(
+                outcome, trial=trial, device=self.device,
+                grid_shape=self.grid_shape, predicted=predicted,
+            )
 
 
 class SimTrialEvaluator:
@@ -376,27 +316,21 @@ class SimTrialEvaluator:
         self.device = device
         self.executor = DeviceExecutor(device)
 
-    def measure_trials(
+    def measure(
         self,
         trials: list[Trial],
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
-        """Measure every trial, one launch each."""
-        return [self.measure(t.config, t.plan, grid_shape, t.block) for t in trials]
+        """Measure every trial, one launch each; outcomes in input order."""
+        return [self._launch(t, grid_shape) for t in trials]
 
-    def measure(
-        self,
-        cfg: BlockConfig,
-        plan: "KernelPlan",
-        grid_shape: tuple[int, int, int],
-        block: "BlockWorkload",
-    ) -> TrialOutcome:
+    def _launch(self, trial: Trial, grid_shape: tuple[int, int, int]) -> TrialOutcome:
         try:
-            report = self.executor.run(plan, grid_shape, block=block)
+            report = self.executor.run(trial.plan, grid_shape, block=trial.block)
         except ResourceLimitError:
-            return TrialOutcome(config=cfg, status=STATUS_REJECTED_STATIC)
+            return TrialOutcome(config=trial.config, status=STATUS_REJECTED_STATIC)
         return TrialOutcome(
-            config=cfg,
+            config=trial.config,
             status=STATUS_OK,
             mpoints_per_s=report.mpoints_per_s,
             info={

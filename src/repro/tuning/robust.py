@@ -13,9 +13,9 @@ failure modes :mod:`repro.gpusim.faults` injects:
   recorded as ``quarantined`` and excluded from the ranking instead of
   poisoning it with a degraded number;
 * **crash-safe journal** — every completed trial is appended to a record
-  log (:mod:`repro.obs.recordlog`), fsynced per record on the stochastic
-  walk and once per batch (with its events and archive records) when a
-  tuner prices a list of trials, so a killed campaign resumes with
+  log (:mod:`repro.obs.recordlog`), fsynced once per priced list of
+  trials (with its events and archive records; the stochastic walk's
+  lists hold one trial each), so a killed campaign resumes with
   ``repro tune --resume`` without re-running any journaled trial;
 * **graceful degradation** — :class:`RobustTuningSession` walks the tier
   ladder model → stochastic → exhaustive, falling through when a tier
@@ -84,7 +84,6 @@ from repro.utils.maths import backoff_error, jittered_backoff
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpusim.faults import FaultPlan
-    from repro.gpusim.workload import BlockWorkload
     from repro.kernels.base import KernelPlan
     from repro.tuning.space import ParameterSpace
 
@@ -268,9 +267,10 @@ class ResilientEvaluator:
 
     A configuration ``inner``'s price finds unlaunchable is
     ``rejected_static`` before any of these steps: it draws nothing,
-    writes no journal record and moves no stat.  :meth:`measure_trials`
-    prices every trial in one batch, then walks them in input order,
-    exactly as one :meth:`measure` each.
+    writes no journal record and moves no stat.  :meth:`measure` prices
+    every trial in one engine call, then walks them in input order, so a
+    list gives the outcomes, stats and journal of one one-trial list per
+    trial.
 
     ``stats`` accumulates across tiers: ``live_trials`` (launch attempts),
     ``replayed``, ``retries``, ``quarantined_configs`` and ``backoff_s``
@@ -300,17 +300,6 @@ class ResilientEvaluator:
         }
 
     def measure(
-        self,
-        cfg: BlockConfig,
-        plan: "KernelPlan",
-        grid_shape: tuple[int, int, int],
-        block: "BlockWorkload",
-    ) -> TrialOutcome:
-        cls = BlockClass.of(block, plan.grid_workload(self.inner.device, grid_shape))
-        score = self.inner.engine.score(cls)
-        return self._measure(cfg, plan.name, score, cls, current_tracer())
-
-    def measure_trials(
         self,
         trials: list[Trial],
         grid_shape: tuple[int, int, int],

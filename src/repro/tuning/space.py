@@ -17,7 +17,7 @@ failure.  Configurations that merely *spill* run, just slowly.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
 
@@ -42,13 +42,6 @@ class ParameterSpace:
     rx_values: tuple[int, ...] = DEFAULT_RX
     ry_values: tuple[int, ...] = DEFAULT_RY
 
-    def candidates(self) -> Iterator[BlockConfig]:
-        """All cross-product configurations, unconstrained."""
-        for tx, ty, rx, ry in product(
-            self.tx_values, self.ty_values, self.rx_values, self.ry_values
-        ):
-            yield BlockConfig(tx=tx, ty=ty, rx=rx, ry=ry)
-
     def feasible(
         self,
         device: DeviceSpec,
@@ -62,7 +55,7 @@ class ParameterSpace:
         the space does not know).  Constraints (i), (ii) and (iv) are
         checked on the integer values, so only their survivors become
         :class:`BlockConfig` objects and reach ``smem_bytes_of``; the
-        result is in :meth:`candidates` order.
+        result is in cross-product order (``tx`` slowest, ``ry`` fastest).
         """
         lx, ly, _lz = grid_shape
         max_threads = device.max_threads_per_block

@@ -89,8 +89,8 @@ def stochastic_tune(
     :class:`TuningError`, as the other tuners do.
 
     The walk is inherently sequential — each step's candidate depends on
-    the previous measurement — so it is driven one config at a time
-    (:meth:`~repro.tuning.evaluator.TrialEvaluator.measure`).
+    the previous measurement — so each step hands the runner a one-trial
+    list (:meth:`~repro.tuning.evaluator.TrialRunner.all`).
     """
     if budget < 1:
         raise TuningError(f"budget must be >= 1, got {budget}")
@@ -108,7 +108,7 @@ def stochastic_tune(
         if cfg not in measured:
             if len(measured) >= budget:
                 return None
-            measured[cfg] = runner.one(trials[cfg])
+            measured[cfg] = runner.all([trials[cfg]])[0]
         return _score(measured[cfg])
 
     emit_event(

@@ -15,11 +15,12 @@ walks — while classifying every outcome exactly as the scalar
 * launchable → ``ok`` with the bit-identical rate and the same
   ``info`` keys (``load_efficiency`` / ``occupancy`` / ``limiter``).
 
-A one-trial :meth:`~VectorTrialEvaluator.measure` (the stochastic walk)
-prices on the scalar op table instead (``BatchEngine.score``).
+The engine picks its op table from the list it is handed: a lone class
+its memo lacks (the stochastic walk's one-trial step) runs on the scalar
+table, two or more in one NumPy pass; both are bit-identical.
 :meth:`VectorTrialEvaluator.measure_batch` is the convenience form for
 callers holding only a builder and configs: it builds the trials and
-prices them through the same :meth:`~VectorTrialEvaluator.measure_trials`.
+prices them through the same :meth:`~VectorTrialEvaluator.measure`.
 
 Because the engine is bit-identical to the scalar path (the
 ``batch-identity`` gate in ``tools/check.py``), a tuner over this
@@ -46,7 +47,7 @@ from repro.tuning.evaluator import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.gpusim.workload import BlockWorkload, GridWorkload
+    from repro.gpusim.workload import GridWorkload
     from repro.kernels.base import KernelPlan
 
 
@@ -100,17 +101,6 @@ class VectorTrialEvaluator:
 
     def measure(
         self,
-        cfg: BlockConfig,
-        plan: "KernelPlan",
-        grid_shape: tuple[int, int, int],
-        block: "BlockWorkload",
-    ) -> TrialOutcome:
-        """Measure one config on the scalar table (sequential entry point)."""
-        grid = plan.grid_workload(self.device, grid_shape)
-        return classify(cfg, self.engine.score(BlockClass.of(block, grid)))
-
-    def measure_trials(
-        self,
         trials: list[Trial],
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
@@ -129,11 +119,11 @@ class VectorTrialEvaluator:
         configs: list[BlockConfig],
         grid_shape: tuple[int, int, int],
     ) -> list[TrialOutcome]:
-        """Build each configuration's trial, then :meth:`measure_trials`."""
+        """Build each configuration's trial, then :meth:`measure` them."""
         trials = [
             build_trial(build, cfg, self.device, grid_shape) for cfg in configs
         ]
-        return self.measure_trials(trials, grid_shape)
+        return self.measure(trials, grid_shape)
 
 
 def classify(cfg: BlockConfig, score: ClassScore) -> TrialOutcome:

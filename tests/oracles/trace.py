@@ -90,7 +90,7 @@ def trace_row_region(
     elem = layout.elem_bytes
     for row in range(rows):
         row_base = (
-            row * layout.pitch_bytes
+            row * layout.pitch_elems * elem
             + (tile_origin_x + x_start_rel - layout.aligned_x) * elem
         )
         row_lines: set[int] = set()
@@ -130,7 +130,7 @@ def trace_column_strip(
     elem = layout.elem_bytes
     for row in range(rows):
         row_base = (
-            row * layout.pitch_bytes
+            row * layout.pitch_elems * elem
             + (tile_origin_x + x_start_rel - layout.aligned_x) * elem
         )
         addrs = tuple(row_base + lane * elem for lane in range(width_elems))

@@ -122,7 +122,7 @@ class TestRegisterTile:
     def test_plan_level_injection(self):
         plan = InPlaneKernel(symmetric(2), BlockConfig(32, 4, 4, 1))
         report = analyze_plan(plan, stride_x=24)
-        assert "COV-REGTILE" in report.rules_fired()
+        assert "COV-REGTILE" in {d.rule for d in report.diagnostics}
         assert not report.ok
 
 

@@ -82,7 +82,7 @@ class TestAnalysisReport:
     def test_suppression_drops_matching_rules(self):
         report = AnalysisReport(subject="s", suppressed=("X-RULE",))
         report.extend([_diag(), _diag(rule="KEPT", severity=Severity.INFO)])
-        assert report.rules_fired() == ["KEPT"]
+        assert [d.rule for d in report.diagnostics] == ["KEPT"]
         assert report.ok
 
     def test_render_orders_by_severity(self):
@@ -108,7 +108,7 @@ class TestAnalysisReport:
         b.add(_diag())
         b.add(_diag(rule="OTHER"))
         a.merge(b)
-        assert a.rules_fired() == ["OTHER"]
+        assert [d.rule for d in a.diagnostics] == ["OTHER"]
 
 
 def test_duplicate_rule_registration_rejected():

@@ -88,7 +88,7 @@ class TestFaultPurity:
         )
         (_, mpoints, _), event = apply_launch_faults(
             FaultPlan(throttle_rate=1.0), gtx580, plan.name,
-            BatchEngine(gtx580).score(cls), cls,
+            BatchEngine(gtx580).scores([cls])[0], cls,
         )
         # The fault derated the measured rate...
         assert mpoints < clean.mpoints_per_s
@@ -107,7 +107,7 @@ class TestFaultPurity:
         )
         apply_launch_faults(
             FaultPlan(ecc_rate=1.0), gtx580, plan.name,
-            BatchEngine(gtx580).score(cls), cls,
+            BatchEngine(gtx580).scores([cls])[0], cls,
         )
         assert estimate_plan(plan, gtx580, GRID) == before
 

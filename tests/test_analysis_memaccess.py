@@ -2,7 +2,7 @@
 
 The acceptance bar of the analyzer's MEM- family: its closed-form verdicts
 must agree EXACTLY with the counting/enumerating ground truth in
-``repro.gpusim.smem`` and ``tests.oracles.trace`` — not approximately, not
+``tests.oracles.smem`` and ``tests.oracles.trace`` — not approximately, not
 on examples, but property-tested over randomized configurations.
 """
 
@@ -19,13 +19,14 @@ from repro.analysis.memaccess import (
 )
 from repro.gpusim.device import get_device
 from repro.gpusim.memory import MemoryStats
-from repro.gpusim.smem import conflict_degree, padded_pitch_words
+from repro.gpusim.smem import padded_pitch_words
 from repro.kernels.config import BlockConfig
 from repro.kernels.inplane import InPlaneKernel
 from repro.kernels.layout import GridLayout
 from repro.kernels.loads import add_row_region
 from repro.stencils.spec import symmetric
 from repro.utils.maths import ceil_div
+from tests.oracles.smem import conflict_degree
 from tests.oracles.trace import average_region_trace
 
 

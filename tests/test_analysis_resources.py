@@ -26,7 +26,7 @@ def price_error(plan, device):
     cls = BlockClass.of(
         plan.block_workload(device, GRID), plan.grid_workload(device, GRID)
     )
-    return BatchEngine(device).score(cls).launch_error
+    return BatchEngine(device).scores([cls])[0].launch_error
 
 
 def has_error(plan, device):

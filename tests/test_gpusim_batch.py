@@ -31,6 +31,7 @@ from repro.stencils.spec import symmetric
 from repro.kernels.config import BlockConfig
 from repro.obs.counters import counter_stage
 from repro.tuning.space import default_space
+from tests.oracles.space import candidates
 
 GRID = (256, 256, 128)
 
@@ -144,7 +145,7 @@ SPLIT_GRIDS = [(512, 512, 64), (64, 64, 16)]
 def default_space_classes(device, family, dtype):
     """A class for every default-space candidate that builds, on both grids."""
     classes = []
-    for cfg in default_space().candidates():
+    for cfg in candidates(default_space()):
         plan = make_kernel(family, symmetric(4), cfg, dtype)
         for grid in SPLIT_GRIDS:
             try:
@@ -255,23 +256,35 @@ class TestUnlaunchable:
 class TestMemoization:
     def test_duplicate_classes_priced_once(self, gtx580, monkeypatch):
         engine = BatchEngine(gtx580)
-        plan = plan_for(LIVE_CONFIGS[0])
-        cls = BlockClass.of(
-            plan.block_workload(gtx580, GRID), plan.grid_workload(gtx580, GRID)
+        a, b, c = (
+            BlockClass.of(
+                plan.block_workload(gtx580, GRID), plan.grid_workload(gtx580, GRID)
+            )
+            for plan in map(plan_for, LIVE_CONFIGS[:3])
         )
         calls = []
-        real = BatchEngine._pipeline
+        real_pipeline = BatchEngine._pipeline
+        real_scalar = BatchEngine._scalar_score
 
-        def counting(self, classes):
-            calls.append(len(classes))
-            return real(self, classes)
+        def pipeline(self, classes):
+            calls.append(("numpy", len(classes)))
+            return real_pipeline(self, classes)
 
-        monkeypatch.setattr(BatchEngine, "_pipeline", counting)
-        first = engine.scores([cls, cls, cls])
-        assert calls == [1]  # three requests, one distinct class priced
-        again = engine.scores([cls])
-        assert calls == [1]  # cache hit: no second pipeline pass
-        assert first[0] == again[0]
+        def scalar(self, cls):
+            calls.append(("scalar", 1))
+            return real_scalar(self, cls)
+
+        monkeypatch.setattr(BatchEngine, "_pipeline", pipeline)
+        monkeypatch.setattr(BatchEngine, "_scalar_score", scalar)
+        first = engine.scores([a, b, a, b, a])
+        assert calls == [("numpy", 2)]  # five requests, two distinct classes
+        again = engine.scores([b, a])
+        assert calls == [("numpy", 2)]  # cache hit: no second pass
+        assert first[:2] == again[::-1]
+        lone = engine.scores([c, a, c])
+        assert calls == [("numpy", 2), ("scalar", 1)]  # one class missing
+        assert engine.scores([c]) == lone[:1]
+        assert len(calls) == 2
 
     def test_outcomes_populate_score_cache(self, gtx580, monkeypatch):
         engine = BatchEngine(gtx580)
@@ -361,7 +374,7 @@ def assert_tables_agree(device, classes):
         assert score == _score_of(got)
     # One class at a time, on the scalar table: the same scores.
     singles = BatchEngine(device)
-    assert [_canon(singles.score(c)) for c in classes] == [
+    assert [_canon(singles.scores([c])[0]) for c in classes] == [
         _canon(s) for s in scores
     ]
 
@@ -460,3 +473,31 @@ class TestOpTablesAgree:
     def test_random_block_classes(self, classes):
         for device in list_devices():
             assert_tables_agree(get_device(device), classes)
+
+
+class TestScoresInEveryMemoState:
+    """``scores()`` picks its op table from how many classes its memo
+    lacks: none, one (the scalar table) or more (NumPy).  Whatever the
+    memo already holds, and however it got there, the answer is a fresh
+    engine's NumPy pass, field for field and bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        classes=st.lists(block_classes, min_size=2, max_size=6, unique=True),
+        data=st.data(),
+    )
+    def test_scores_equal_a_fresh_numpy_pass(self, classes, data):
+        device = get_device(data.draw(st.sampled_from(list_devices())))
+        order = data.draw(st.permutations(classes))
+        missing = data.draw(st.sampled_from((0, 1, len(classes))))
+        prefill = order[missing:]
+        engine = BatchEngine(device)
+        if prefill:
+            fill = data.draw(st.sampled_from(("scores", "outcomes")))
+            getattr(engine, fill)(prefill)
+        assert len(engine._missing(order, engine._scores)) == missing
+        want = dict(zip(classes, BatchEngine(device).scores(classes)))
+        request = data.draw(st.permutations(order))
+        request.append(data.draw(st.sampled_from(order)))
+        got = engine.scores(request)
+        assert [_canon(s) for s in got] == [_canon(want[c]) for c in request]

@@ -25,6 +25,11 @@ STORM = dict(
 )
 
 
+def schedule(plan, n):
+    """The first ``n`` draws of ``plan`` — the reproducibility witness."""
+    return [plan.event_for(i) for i in range(n)]
+
+
 @pytest.fixture
 def plan():
     return make_kernel("inplane_fullslice", symmetric(2), BlockConfig(32, 4, 1, 2))
@@ -32,13 +37,13 @@ def plan():
 
 class TestSchedule:
     def test_same_seed_same_schedule(self):
-        a = FaultPlan(seed=7, **STORM).schedule(200)
-        b = FaultPlan(seed=7, **STORM).schedule(200)
+        a = schedule(FaultPlan(seed=7, **STORM), 200)
+        b = schedule(FaultPlan(seed=7, **STORM), 200)
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = FaultPlan(seed=7, **STORM).schedule(200)
-        b = FaultPlan(seed=8, **STORM).schedule(200)
+        a = schedule(FaultPlan(seed=7, **STORM), 200)
+        b = schedule(FaultPlan(seed=8, **STORM), 200)
         assert a != b
 
     def test_event_for_is_pure(self):
@@ -51,7 +56,7 @@ class TestSchedule:
 
     def test_empirical_rates_match(self):
         plan = FaultPlan(seed=1, **STORM)
-        events = plan.schedule(20000)
+        events = schedule(plan, 20000)
         counts = {k: 0 for k in FAULT_KINDS}
         for e in events:
             if e is not None:
@@ -63,7 +68,7 @@ class TestSchedule:
 
     def test_burst_limits_injection(self):
         plan = FaultPlan(seed=2, launch_failure_rate=1.0, burst=10)
-        events = plan.schedule(30)
+        events = schedule(plan, 30)
         assert all(e is not None for e in events[:10])
         assert all(e is None for e in events[10:])
 
@@ -73,10 +78,10 @@ class TestSchedule:
         lone = FaultPlan(seed=5, launch_failure_rate=0.1)
         both = FaultPlan(seed=5, launch_failure_rate=0.1, ecc_rate=0.3)
         lone_hits = {
-            i for i, e in enumerate(lone.schedule(2000)) if e is not None
+            i for i, e in enumerate(schedule(lone, 2000)) if e is not None
         }
         both_hits = {
-            i for i, e in enumerate(both.schedule(2000))
+            i for i, e in enumerate(schedule(both, 2000))
             if e is not None and e.kind == "launch_failure"
         }
         assert lone_hits == both_hits
@@ -134,7 +139,7 @@ class TestExecutorFaults:
         cls = BlockClass.of(
             plan.block_workload(gtx580, GRID), plan.grid_workload(gtx580, GRID)
         )
-        return BatchEngine(gtx580).score(cls), cls
+        return BatchEngine(gtx580).scores([cls])[0], cls
 
     @staticmethod
     def launch(faults, plan, device, priced, **kwargs):
@@ -165,7 +170,7 @@ class TestExecutorFaults:
         assert set(a) > {"clean"}  # the storm actually fired
         expected = [
             e.kind if e is not None else "clean"
-            for e in FaultPlan(seed=7, **kwargs).schedule(40)
+            for e in schedule(FaultPlan(seed=7, **kwargs), 40)
         ]
         assert a == expected
 

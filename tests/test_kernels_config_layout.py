@@ -37,7 +37,7 @@ class TestBlockConfig:
 class TestGridLayout:
     def test_pitch_is_line_multiple(self):
         layout = GridLayout(512, 512, 256, 4)
-        assert layout.pitch_bytes % 128 == 0
+        assert layout.pitch_elems * layout.elem_bytes % 128 == 0
         assert layout.pitch_elems >= 512
 
     def test_phase_of_aligned_x(self):
@@ -48,7 +48,7 @@ class TestGridLayout:
     def test_phase_row_invariant_by_construction(self):
         layout = GridLayout(100, 100, 100, 8)
         # pitch is a line multiple, so phases depend only on x.
-        assert layout.pitch_bytes % layout.line_bytes == 0
+        assert layout.pitch_elems * layout.elem_bytes % layout.line_bytes == 0
 
     def test_row_transactions_aligned(self):
         layout = GridLayout(512, 512, 256, 4)

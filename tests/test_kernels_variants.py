@@ -21,6 +21,7 @@ from repro.stencils.catalog import redundant_corner_elems
 from repro.stencils.reference import apply_symmetric
 from repro.stencils.spec import symmetric
 from repro.tuning.space import default_space
+from tests.oracles.space import candidates
 
 GRID = (256, 256, 64)
 BLOCK = BlockConfig(32, 4, 1, 2)
@@ -237,7 +238,7 @@ class TestSmemFootprint:
     def test_plan_footprint_is_the_workload_footprint(self, device):
         dev = get_device(device)
         checked = 0
-        for cfg in default_space().candidates():
+        for cfg in candidates(default_space()):
             plans = [
                 make_kernel(family, symmetric(8), cfg, dtype)
                 for family in KERNEL_FAMILIES

@@ -82,8 +82,7 @@ class TestAttribute:
         rep = attribute(report)
         assert isinstance(rep, AttributionReport)
         assert rep.kernel == report.kernel_name
-        assert rep.primary == rep.limiters[0]
-        assert rep.headline.startswith(rep.primary.name)
+        assert rep.headline.startswith(rep.limiters[0].name)
 
     def test_roofline_headline_names_bound_and_next_limiter(self, report):
         point = next(
@@ -138,7 +137,7 @@ class TestSummaryIntegration:
             report = DeviceExecutor("gtx580").run(plan, GRID)
         text = summarize(tracer)
         rep = attribute(report)
-        assert f"limiter: {rep.primary.name}" in text
+        assert f"limiter: {rep.limiters[0].name}" in text
         assert f"limited by {report.counters.occupancy_limiter}" in text
 
 

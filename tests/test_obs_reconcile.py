@@ -230,11 +230,12 @@ class TestTunerTrace:
             def __init__(self, inner, k):
                 self.inner, self.k, self.measured = inner, k, []
 
-            def measure(self, cfg, plan, grid_shape, block):
+            def measure(self, trials, grid_shape):
+                (trial,) = trials  # the walk prices one trial at a time
                 if len(self.measured) + 1 == self.k:
                     raise RuntimeError(f"measurement {self.k} failed")
-                self.measured.append(cfg.label())
-                return self.inner.measure(cfg, plan, grid_shape, block)
+                self.measured.append(trial.config.label())
+                return self.inner.measure(trials, grid_shape)
 
         device = get_device("gtx580")
         k = 4

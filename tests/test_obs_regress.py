@@ -26,7 +26,6 @@ from repro.obs.regress import (
     RecordDiff,
     diff_baseline,
     plan_for_record,
-    resimulate_record,
 )
 from repro.obs.telemetry import (
     PROFILE_SCHEMA_VERSION,
@@ -163,7 +162,8 @@ class TestResimulation:
 
     def test_resimulated_record_is_bit_identical(self):
         record = load_profile(BASELINE)[0]
-        again = resimulate_record(record)
+        report = simulate(plan_for_record(record), record.device, record.grid)
+        again = record_from_report(report, order=record.order, source=record.source)
         assert again.mpoints_per_s == record.mpoints_per_s
         assert again.total_cycles == record.total_cycles
         assert again.breakdown == record.breakdown

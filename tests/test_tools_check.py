@@ -129,3 +129,76 @@ class TestUnusedLocals:
 
     def test_the_repository_is_clean(self, check):
         assert check.unused_local_check() == "ok"
+
+
+def plant(root, files):
+    """Write ``{relative path: source}`` under ``root``; the check's
+    non-test directories that are absent stay absent."""
+    for rel, source in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(dedent(source))
+    for top in ("src", "examples", "benchmarks", "bench", "tools"):
+        (root / top).mkdir(exist_ok=True)
+    return root
+
+
+class TestTestOnlyDefinitions:
+    def test_flags_planted_definitions_only_tests_use(self, check, tmp_path):
+        root = plant(tmp_path, {
+            "src/pkg/mod.py": """
+                def helper():
+                    return 1
+
+                def oracle(n):
+                    return oracle(n - 1) if n else 0
+
+                class Report:
+                    def __init__(self):
+                        self.rows = []
+
+                    def render(self):
+                        return helper()
+
+                    def primary(self):
+                        return self.rows[0]
+
+                def reached_by_name():
+                    pass
+            """,
+            "tools/run.py": """
+                from pkg.mod import Report
+
+                print(Report().render())
+                TARGET = "pkg.mod:reached_by_name"
+            """,
+            "tests/test_mod.py": """
+                from pkg.mod import Report, oracle
+
+                def test_it():
+                    assert oracle(3) == 0
+                    Report().primary()
+            """,
+        })
+        # ``oracle`` calls itself, ``primary`` only the tests call; the
+        # dunder, a call from tools and a "module:qualname" string count.
+        assert check.test_only_definitions(root) == [
+            ("src/pkg/mod.py", 5, "oracle"),
+            ("src/pkg/mod.py", 15, "primary"),
+        ]
+
+    def test_prose_strings_do_not_count_as_uses(self, check, tmp_path):
+        root = plant(tmp_path, {
+            "src/pkg/mod.py": '''
+                def schedule():
+                    """Draw the schedule."""
+
+                MESSAGE = "no schedule was drawn"
+            ''',
+        })
+        assert check.test_only_definitions(root) == [
+            ("src/pkg/mod.py", 2, "schedule"),
+        ]
+
+    def test_the_repository_is_clean(self, check):
+        assert check.test_only_check() == "ok"

@@ -7,6 +7,7 @@ journaled trial.
 """
 
 import functools
+import itertools
 import json
 import os
 import tempfile
@@ -73,6 +74,14 @@ def storm_evaluator(device, seed=7, retries=6, journal=None, **kwargs):
     )
 
 
+def measure_one(evaluator, cfg):
+    """``evaluator``'s outcome for ``cfg`` priced as a one-trial list."""
+    (outcome,) = evaluator.measure(
+        [build_trial(build, cfg, evaluator.inner.device, GRID)], GRID
+    )
+    return outcome
+
+
 class TestRetryPolicy:
     def test_delays_grow_and_jitter_deterministically(self):
         policy = RetryPolicy(backoff_base_s=0.1, backoff_factor=2.0, jitter=0.25)
@@ -132,10 +141,7 @@ class TestResilientEvaluator:
             watchdog_cycles=clean.total_cycles / 2,
             policy=RetryPolicy(max_retries=5),
         )
-        cfg = BlockConfig(32, 4)
-        plan = build(cfg)
-        block = plan.block_workload(gtx580, GRID)
-        outcome = evaluator.measure(cfg, plan, GRID, block)
+        outcome = measure_one(evaluator, BlockConfig(32, 4))
         assert outcome.status == STATUS_QUARANTINED
         assert outcome.attempts == 1  # no retries for deterministic kills
         assert evaluator.stats["retries"] == 0
@@ -144,11 +150,7 @@ class TestResilientEvaluator:
         evaluator = storm_evaluator(
             gtx580, retries=2, launch_failure_rate=1.0
         )
-        cfg = BlockConfig(32, 4)
-        plan = build(cfg)
-        outcome = evaluator.measure(
-            cfg, plan, GRID, plan.block_workload(gtx580, GRID)
-        )
+        outcome = measure_one(evaluator, BlockConfig(32, 4))
         assert outcome.status == STATUS_QUARANTINED
         assert outcome.attempts == 3
         assert outcome.faults == ("launch_failure",) * 3
@@ -157,11 +159,7 @@ class TestResilientEvaluator:
 
     def test_degraded_measurement_kept_as_last_resort(self, gtx580):
         evaluator = storm_evaluator(gtx580, retries=2, throttle_rate=1.0)
-        cfg = BlockConfig(32, 4)
-        plan = build(cfg)
-        outcome = evaluator.measure(
-            cfg, plan, GRID, plan.block_workload(gtx580, GRID)
-        )
+        outcome = measure_one(evaluator, BlockConfig(32, 4))
         assert outcome.status == STATUS_OK
         assert "throttle" in outcome.faults  # flagged, not hidden
         assert outcome.mpoints_per_s > 0
@@ -175,7 +173,7 @@ class TestResilientEvaluator:
         )
         sink = MemoryEventSink()
         with event_stream(sink):
-            evaluator.measure_trials(trials, GRID)
+            evaluator.measure(trials, GRID)
         assert evaluator.stats["retries"] > 0  # the storm actually hit
         assert sink.events == []
 
@@ -186,21 +184,20 @@ class TestResilientEvaluator:
             faults=FaultPlan(launch_failure_rate=1.0),
             policy=RetryPolicy(max_retries=2, sleep=slept.append),
         )
-        cfg = BlockConfig(32, 4)
-        plan = build(cfg)
-        evaluator.measure(cfg, plan, GRID, plan.block_workload(gtx580, GRID))
+        measure_one(evaluator, BlockConfig(32, 4))
         assert len(slept) == 2
         assert slept == sorted(slept)  # exponential growth
 
 
 class TestBatchEqualsSerial:
-    """``measure_trials`` walks the trials exactly as one ``measure`` each.
+    """One ``measure`` of a list walks it exactly as one one-trial list
+    per trial.
 
-    The batch path prices every trial in one engine call, then applies
-    the fault overlay trial by trial; the serial reference is the
-    one-at-a-time ``measure`` of ``TrialRunner.one``.  Both must give the
-    same outcomes, stats and journal, and leave the plan at the same
-    draw index.
+    The batch path prices every trial in one engine call (the NumPy
+    table), then applies the fault overlay trial by trial; the serial
+    reference is the stochastic walk's one-trial lists (the scalar
+    table).  Both must give the same outcomes, stats and journal, and
+    leave the plan at the same draw index.
     """
 
     CONFIGS = (
@@ -219,7 +216,7 @@ class TestBatchEqualsSerial:
 
     @staticmethod
     def serial(evaluator, trials):
-        return [evaluator.measure(t.config, t.plan, GRID, t.block) for t in trials]
+        return [evaluator.measure([t], GRID)[0] for t in trials]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -237,10 +234,9 @@ class TestBatchEqualsSerial:
         device = get_device("gtx580")
         if watchdog is not None:
             # A budget between the trials' clean cycle counts.
-            engine = BatchEngine(device)
+            classes = VectorTrialEvaluator(device).classes(trials, GRID)
             cycles = sorted(
-                engine.score(c).total_cycles
-                for c in VectorTrialEvaluator(device).classes(trials, GRID)
+                s.total_cycles for s in BatchEngine(device).scores(classes)
             )
             watchdog = cycles[watchdog]
 
@@ -265,7 +261,7 @@ class TestBatchEqualsSerial:
         with tempfile.TemporaryDirectory() as tmp:
             batch = evaluator(Path(tmp) / "batch.journal")
             serial = evaluator(Path(tmp) / "serial.journal")
-            got = batch.measure_trials(trials, GRID)
+            got = batch.measure(trials, GRID)
             want = self.serial(serial, trials)
             assert got == want
             assert batch.stats == serial.stats
@@ -643,14 +639,40 @@ class TestFsyncBudget:
         assert counts[0] == counts[1]
 
     def test_stochastic_walk_keeps_one_per_record(self, gtx580, tmp_path, fsyncs):
+        """Each walk step is its own one-trial batch: one fsync per
+        journal and archive record, and on the event stream one per
+        step that emitted, however many events it emitted, each covering
+        the file as it stands after that step."""
         logs = self.logs(tmp_path, "walk")
         self.run(gtx580, logs, "stochastic")
-        lines = {
-            kind: len(path.read_bytes().splitlines())
-            for kind, path in logs.items()
+
+        def synced(kind):
+            inode = logs[kind].stat().st_ino
+            return [size for node, size in fsyncs if node == inode]
+
+        def ends(kind):
+            lines = logs[kind].read_bytes().splitlines(keepends=True)
+            return list(itertools.accumulate(len(line) for line in lines))
+
+        assert len(ends("journal")) > 10
+        assert synced("journal") == ends("journal")
+        assert synced("archive") == ends("archive")
+        # The header and each session event sync alone; a step's events
+        # sync together once the step's closing trial event is written.
+        names = [e.name for e in read_events(logs["events"], strict=True)[1]]
+        closing = {
+            "trial.measured", "trial.quarantined", "trial.rejected",
+            "trial.replayed",
         }
-        assert lines["journal"] > 10
-        assert self.per_log(fsyncs, logs) == lines
+        step_ends = [ends("events")[0]] + [
+            end for name, end in zip(names, ends("events")[1:])
+            if name in closing or not name.startswith(("trial.", "fault."))
+        ]
+        steps = sum(name in closing for name in names)
+        session = self.session_events(logs["events"])
+        assert len(step_ends) == 1 + len(session) + steps
+        assert len(names) > len(session) + steps  # some step emitted more
+        assert synced("events") == step_ends
 
     def test_raise_mid_batch_syncs_what_completed(self, gtx580, tmp_path, fsyncs):
         full = self.logs(tmp_path, "full")

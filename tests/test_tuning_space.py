@@ -11,6 +11,7 @@ from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
 from repro.stencils.spec import symmetric
 from repro.tuning.space import ParameterSpace, default_space
+from tests.oracles.space import candidates
 
 GRID = (512, 512, 256)
 
@@ -30,18 +31,18 @@ class TestSpace:
         space = ParameterSpace(
             tx_values=(16, 32), ty_values=(1, 2), rx_values=(1,), ry_values=(1, 2)
         )
-        assert len(list(space.candidates())) == 8
+        assert len(list(candidates(space))) == 8
 
     def test_default_space_covers_table4_optima(self):
         """Every optimal configuration of Table IV must be reachable."""
         space = default_space()
-        candidates = set(c.as_tuple() for c in space.candidates())
+        reachable = set(c.as_tuple() for c in candidates(space))
         for opt in [
             (256, 1, 1, 8), (32, 2, 2, 4), (32, 8, 2, 2), (32, 4, 1, 4),
             (32, 8, 1, 2), (64, 4, 2, 4), (128, 4, 1, 4), (16, 8, 1, 1),
             (16, 16, 1, 1), (64, 2, 1, 4), (128, 1, 1, 4), (256, 4, 1, 4),
         ]:
-            assert opt in candidates, opt
+            assert opt in reachable, opt
 
 
 class TestConstraints:
@@ -87,7 +88,7 @@ class TestConstraints:
     def test_feasible_is_subset_of_candidates(self, order):
         dev = get_device("gtx680")
         space = default_space()
-        all_cands = set(space.candidates())
+        all_cands = set(candidates(space))
         feas = set(space.feasible(dev, GRID, smem_of_factory(order=order)))
         assert feas <= all_cands
 
@@ -171,7 +172,7 @@ def brute_force_feasible(space, device, grid_shape, smem_of):
     :class:`BlockConfig` per candidate: the reference for ``feasible``."""
     lx, ly, _lz = grid_shape
     out = []
-    for cfg in space.candidates():
+    for cfg in candidates(space):
         if cfg.tx % HALF_WARP != 0:
             continue
         if cfg.threads > device.max_threads_per_block:

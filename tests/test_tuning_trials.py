@@ -31,6 +31,7 @@ from repro.tuning.robust import RobustTuningSession
 from repro.tuning.space import ParameterSpace, default_space
 from repro.tuning.stochastic import stochastic_tune
 from repro.tuning.vectorized import VectorTrialEvaluator
+from tests.oracles.space import candidates
 
 DEVICE = "gtx580"
 GRID = (1024, 64, 16)
@@ -82,7 +83,7 @@ def reaching_constraint_iii(device):
     """Candidates that pass (i), (ii) and (iv), so feasibility prices them."""
     lx, ly, _ = GRID
     return {
-        cfg for cfg in SPACE.candidates()
+        cfg for cfg in candidates(SPACE)
         if cfg.tx % HALF_WARP == 0
         and cfg.threads <= device.max_threads_per_block
         and ly % cfg.tile_y == 0 and cfg.tile_y <= ly

@@ -62,8 +62,8 @@ class TestProtocol:
             build_trial(build, cfg, gtx580, GRID)
             for cfg in [BlockConfig(32, 4, 1, 4), *DEAD_CONFIGS]
         ]
-        vector = VectorTrialEvaluator(gtx580).measure_trials(trials, GRID)
-        scalar = SimTrialEvaluator(gtx580).measure_trials(trials, GRID)
+        vector = VectorTrialEvaluator(gtx580).measure(trials, GRID)
+        scalar = SimTrialEvaluator(gtx580).measure(trials, GRID)
         assert vector == scalar
         assert [o.status for o in vector] == [STATUS_OK] + [STATUS_REJECTED_STATIC] * 2
 
@@ -87,9 +87,9 @@ class TestOutcomeParity:
         batched = vector.measure_batch(build, configs, GRID)
         assert len(batched) == len(configs)
         for cfg, got in zip(configs, batched):
-            plan = build(cfg)
-            block = plan.block_workload(paper_device, GRID)
-            want = serial.measure(cfg, plan, GRID, block)
+            (want,) = serial.measure(
+                [build_trial(build, cfg, paper_device, GRID)], GRID
+            )
             assert got.config == cfg
             assert got.status == want.status
             assert got.mpoints_per_s == want.mpoints_per_s  # bit-exact
@@ -101,7 +101,7 @@ class TestOutcomeParity:
         assert [o.status for o in outcomes] == [STATUS_REJECTED_STATIC] * 2
 
     def test_one_trial_measure_rejects_static(self, gtx580, tmp_path):
-        """A one-trial ``measure`` rejects from its own price on every
+        """A one-trial list is rejected from its own price on every
         evaluator; the resilient one journals nothing for it."""
         build = builder()
         path = tmp_path / "t.journal"
@@ -114,20 +114,22 @@ class TestOutcomeParity:
         )
         for ev in evaluators:
             for cfg in DEAD_CONFIGS:
-                plan = build(cfg)
-                outcome = ev.measure(cfg, plan, GRID, plan.block_workload(gtx580, GRID))
+                (outcome,) = ev.measure([build_trial(build, cfg, gtx580, GRID)], GRID)
                 assert outcome.status == STATUS_REJECTED_STATIC
         assert path.read_bytes() == header
         assert resilient.stats["live_trials"] == resilient.stats["replayed"] == 0
 
     def test_measure_single_matches_batch(self, gtx580):
+        """A one-trial list (the scalar op table) prices exactly as the
+        same trial inside a longer list (the NumPy pass)."""
         build = builder()
         cfg = BlockConfig(32, 4, 1, 4)
-        plan = build(cfg)
-        block = plan.block_workload(gtx580, GRID)
-        ev = VectorTrialEvaluator(gtx580)
-        single = ev.measure(cfg, plan, GRID, block)
-        (batched,) = ev.measure_batch(build, [cfg], GRID)
+        (single,) = VectorTrialEvaluator(gtx580).measure(
+            [build_trial(build, cfg, gtx580, GRID)], GRID
+        )
+        batched, _ = VectorTrialEvaluator(gtx580).measure_batch(
+            build, [cfg, BlockConfig(64, 2, 1, 1)], GRID
+        )
         assert single.status == STATUS_OK
         assert single.mpoints_per_s == batched.mpoints_per_s
         assert single.info == batched.info

@@ -15,15 +15,22 @@ Runs, in order:
 4. the unused-local scan (:func:`unused_locals`: the same ``ast`` pass
    flags every function local assigned and never read — plain name
    stores only; tuple and loop targets and ``_`` names are exempt)
-5. the profiler trace-schema self-check (``python -m repro.obs.selfcheck``:
+5. the test-only-definition scan (:func:`test_only_definitions`: a
+   standard-library ``ast`` pass flags every ``src`` function, class or non-dunder
+   method that no non-test code names — ``src`` outside the definition's
+   own body, ``examples``, ``benchmarks``, ``bench`` and ``tools``; calls,
+   attributes, imports and ``"module:qualname"`` strings count, prose
+   does not.  There is no allowlist: a reference implementation only the
+   tests need lives in ``tests/oracles/`` or in the tests themselves)
+6. the profiler trace-schema self-check (``python -m repro.obs.selfcheck``:
    traces one launch, validates the exported Chrome trace against the
    schema, asserts wave-sum reconciliation and reconciles the
    hardware-counter set against the simulator's enumerators)
-6. the perf-regression sentinel (``repro bench diff`` against the
+7. the perf-regression sentinel (``repro bench diff`` against the
    recorded ``BENCH_profile.json`` trajectory: every record resimulated,
    exact tolerance — any slowdown fails the gate with the responsible
    counter named)
-7. the session smoke test (one seeded storm ``repro tune`` writes a
+8. the session smoke test (one seeded storm ``repro tune`` writes a
    journal, an event stream, a trial archive and a metrics exposition,
    a seeded stochastic storm and a plain tune each write their own event
    stream and archive; ``python -m repro.obs.recordlog`` validates the
@@ -34,27 +41,28 @@ Runs, in order:
    of a copy cut mid-file with a torn final line, after which the copy
    must validate strictly — retry, quarantine and crash-safe replay end
    to end)
-8. the cluster resilience smoke test (``repro cluster run`` under a
+9. the cluster resilience smoke test (``repro cluster run`` under a
    seeded dropout + corruption + degradation storm with checkpoints,
    then the same campaign stopped early and ``--resume``\ d: the
    resumed final-grid digest must be bit-identical to the
    uninterrupted run's, and the event stream must validate strictly)
-9. the batch-identity gate (``python -m repro.gpusim.batch``): the model
+10. the batch-identity gate (``python -m repro.gpusim.batch``): the model
    is written once over an op table (``repro.gpusim.ops``), and this
    checks that the two tables agree — every ``BENCH_profile.json``
    record is resimulated through the scalar executor (builtins table)
    and the batch engine (NumPy table); the two SHA-256 report digests
-   must be equal, and each record's fresh-engine ``scores()`` must match
-   the scalar report's rate, load efficiency, occupancy, limiter and
+   must be equal, and a fresh engine's ``scores()`` over each device's
+   records in one list (the NumPy pass) must match each scalar report's
+   rate, load efficiency, occupancy, limiter and
    total cycles (which the fault overlay prices from) — the
    bit-identity contract of ``docs/SIMULATOR.md``
-10. the estimator-reconciliation gate (``repro estimate --reconcile``:
+11. the estimator-reconciliation gate (``repro estimate --reconcile``:
    every ``BENCH_profile.json`` record's plan is lowered to its
    access-plan IR, the codegen-time estimate is compared bit-for-bit
    against the resimulated hardware counters, and every distinct
    plan's CUDA/OpenCL/HIP sources are re-parsed and verified against
    the IR — any IR↔source or estimator↔counters mismatch fails)
-11. the tier-1 test suite (``pytest tests/``)
+12. the tier-1 test suite (``pytest tests/``)
 
 Static tools that are not installed are reported as *skipped* and do not
 fail the gate — the container bakes in the runtime toolchain but not
@@ -67,9 +75,11 @@ Exit code: 0 when every step passed or was skipped, 1 otherwise.
 from __future__ import annotations
 
 import ast
+import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from collections.abc import Callable
 from pathlib import Path
 
@@ -410,6 +420,80 @@ def _ast_check(label: str, scan: Callable[[Path], list], what: str) -> str:
     return status
 
 
+#: Where the program lives: a src definition counts as used when code
+#: here names it.  Everything else (``tests``) only checks the program.
+NON_TEST = ("src", "examples", "benchmarks", "bench", "tools")
+
+#: A string that names code (``"repro.tuning.robust:ResilientEvaluator.measure"``,
+#: an ``__all__`` entry, a ``getattr`` name), as opposed to prose.
+_REFERENCE = re.compile(r"[A-Za-z_][\w.:]*")
+
+#: Definitions :func:`test_only_definitions` looks at.
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(node: ast.AST, counts: Counter[str]) -> Counter[str]:
+    """Add every identifier ``node`` names to ``counts``: names, attributes,
+    imported names, and the words of strings that name code."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            counts.update(sub.name.split("."))
+        elif (
+            isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            and _REFERENCE.fullmatch(sub.value)
+        ):
+            counts.update(re.findall(r"\w+", sub.value))
+    return counts
+
+
+def test_only_definitions(repo: Path = REPO) -> list[tuple[str, int, str]]:
+    """``(path, line, name)`` of each src function, class or non-dunder
+    method that no non-test code names.
+
+    The non-test code is :data:`NON_TEST`: ``src`` itself (minus the
+    definition's own body, so recursion does not count), ``examples``,
+    ``benchmarks``, ``bench`` and ``tools``.  Names are matched by
+    identifier alone, wherever they appear (a call, an attribute, an
+    import, a ``"module:qualname"`` string), so a definition is only
+    flagged when nothing outside the tests could reach it.
+    """
+    used: Counter[str] = Counter()
+    defs = []
+    for top in NON_TEST:
+        for path in sorted((repo / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            _names(tree, used)
+            if top == "src":
+                defs += [
+                    (path, node) for node in ast.walk(tree)
+                    if isinstance(node, _DEFS) and not (
+                        node.name.startswith("__") and node.name.endswith("__")
+                    )
+                ]
+    return sorted(
+        (str(path.relative_to(repo)), node.lineno, node.name)
+        for path, node in defs
+        if used[node.name] == _names(node, Counter())[node.name]
+    )
+
+
+def test_only_check() -> str:
+    """No src definition that only the tests use: such code belongs in
+    ``tests/oracles/`` or in the tests that call it."""
+    label = "test-only-defs"
+    print(f"[check] {label}: ast scan of src against {', '.join(NON_TEST)}")
+    findings = test_only_definitions()
+    for path, line, name in findings:
+        print(f"  {path}:{line}: {name!r} is named by no code outside tests")
+    status = "FAILED" if findings else "ok"
+    print(f"[check] {label}: {status}")
+    return status
+
+
 def unused_import_check() -> str:
     """Every Python file of the repo: no import left unused (pyflakes F401,
     with the standard library only, so it runs where ruff is absent)."""
@@ -436,6 +520,7 @@ def main() -> int:
         "mypy": run("mypy", ["mypy"], required=False),
         "unused-imports": unused_import_check(),
         "unused-locals": unused_local_check(),
+        "test-only-defs": test_only_check(),
         "obs-selfcheck": run(
             "obs-selfcheck",
             [sys.executable, "-m", "repro.obs.selfcheck"],
